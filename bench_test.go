@@ -609,50 +609,12 @@ func BenchmarkWireRetrieve(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// B-PAR: parallel plan execution over latency-injected LQPs. The Merge's
-// Retrieve fan-out overlaps under ExecuteParallel; with ~2ms per local
-// operation the parallel plan approaches one round trip where the serial
-// plan pays one per retrieve.
-func BenchmarkParallelExecution(b *testing.B) {
-	const latency = 2 * time.Millisecond
-	fed := paperdata.New()
-	mk := func() *pqp.PQP {
-		lqps := make(map[string]lqp.LQP, 3)
-		for name, l := range fed.LQPs() {
-			c := lqp.NewCounting(l)
-			c.Latency = latency
-			lqps[name] = c
-		}
-		return pqp.New(fed.Schema, fed.Registry, identity.CaseFold{}, lqps)
-	}
-	e, err := translate.CompileSQL(`SELECT ONAME FROM PORGANIZATION WHERE INDUSTRY = "Banking"`, fed.Schema)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("serial", func(b *testing.B) {
-		q := mk()
-		for i := 0; i < b.N; i++ {
-			if _, err := q.Run(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		q := mk()
-		for i := 0; i < b.N; i++ {
-			if _, err := q.RunParallel(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// ---------------------------------------------------------------------------
-// B-PAR (intra-operator): morsel-driven partitioned hash operators. The
+// B-PAR (intra-operator): the hash operators at relation granularity. The
 // fixture is the B-KEY input (3 columns, 100 sources, duplicate entities,
 // half-overlapping relations) so serial numbers are directly comparable to
-// that family. workers=1 is the untouched serial path; workers=N runs the
-// same operator radix-partitioned into N partitions on an N-worker pool
+// that family. workers=1 is the serial path of all five operators;
+// workers=N runs Join and Difference — the operators whose build sides
+// partition — radix-partitioned into N partitions on an N-worker pool
 // (threshold 1: every input goes parallel). On a single-core host the
 // sweep measures partitioning overhead rather than speedup — scaling
 // numbers belong to multi-core runs (EXPERIMENTS.md B-PAR).
@@ -667,17 +629,21 @@ func BenchmarkParallelHashOps(b *testing.B) {
 				alg.SetParallel(&core.Parallel{Pool: exec.NewPool(w), Threshold: 1})
 			}
 			type op struct {
-				name string
-				run  func() error
+				name       string
+				partitions bool
+				run        func() error
 			}
 			ops := []op{
-				{"Union", func() error { _, err := alg.Union(p1, p2); return err }},
-				{"Join", func() error { _, err := alg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY"); return err }},
-				{"Project", func() error { _, err := alg.Project(p1, cols); return err }},
-				{"Difference", func() error { _, err := alg.Difference(p1, p2); return err }},
-				{"Intersect", func() error { _, err := alg.Intersect(p1, p2); return err }},
+				{"Union", false, func() error { _, err := alg.Union(p1, p2); return err }},
+				{"Join", true, func() error { _, err := alg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY"); return err }},
+				{"Project", false, func() error { _, err := alg.Project(p1, cols); return err }},
+				{"Difference", true, func() error { _, err := alg.Difference(p1, p2); return err }},
+				{"Intersect", false, func() error { _, err := alg.Intersect(p1, p2); return err }},
 			}
 			for _, o := range ops {
+				if w > 1 && !o.partitions {
+					continue
+				}
 				b.Run(fmt.Sprintf("op=%s/n=%d/workers=%d", o.name, n, w), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
@@ -718,14 +684,14 @@ func BenchmarkParallelStreamJoin(b *testing.B) {
 
 // BenchmarkParallelMediatorLatency (B-PAR): what intra-operator
 // parallelism buys a single mediator client — the latency of one heavy
-// union query (two ~1/5 selections over a 30k-entity two-database
-// federation) through the full session path, at pool sizes 1 (parallel
-// path disabled) and 4. Every other B-PAR point measures an operator in
+// difference query (a ~4/5 selection minus a ~1/5 one over a 30k-entity
+// two-database federation; the Difference build side partitions) through
+// the full session path, at pool sizes 1 (parallel path disabled) and 4. Every other B-PAR point measures an operator in
 // isolation; this one includes translation, retrieval, tagging and the
 // mediator bookkeeping that dilute Amdahl's parallel fraction.
 func BenchmarkParallelMediatorLatency(b *testing.B) {
 	f := workload.New(workload.Config{Databases: 2, Entities: 30000, Overlap: 0.6, Categories: 5, Seed: 9})
-	const query = `(PENTITY [CAT = "cat1"]) UNION (PENTITY [CAT = "cat2"])`
+	const query = `(PENTITY [CAT >= "cat1"]) MINUS (PENTITY [CAT = "cat2"])`
 	for _, w := range []int{1, 4} {
 		q := pqp.New(f.Schema, f.Registry, nil, f.LQPs())
 		if w > 1 {
@@ -889,15 +855,15 @@ func BenchmarkKeyRepresentationTuples(b *testing.B) {
 //
 // The fixture is a deliberately memory-hostile pipeline: retrieve an
 // n-tuple fragment from one LQP, select ~1/1000th of it at the PQP, project
-// one column. The materializing engine holds the whole tagged retrieve (and
-// each intermediate) live; the streaming engine holds batches in flight
-// plus the small final result, so its peak heap stays roughly flat as n
-// grows. BenchmarkStreamingMemory reports the peak live heap as "peak-B";
+// one column. Retain mode (ExecuteMaterialized, "materializing") holds the
+// whole tagged retrieve (and each intermediate) live; streaming holds
+// batches in flight plus the small final result, so its peak heap stays
+// roughly flat as n grows. BenchmarkStreamingMemory reports the peak live heap as "peak-B";
 // its ns/op includes the instrumentation's forced collections, so timing
 // comparisons belong to the other benchmarks. BenchmarkStreamingOverlap
 // uses latency-injected LQPs (Counting charges latency per batch, modeling
-// a wide-area streaming transfer) to show the streaming engine overlapping
-// retrieval with PQP work the way the parallel materializing engine does.
+// a wide-area streaming transfer) to show streaming overlapping the
+// retrievals that retain mode runs one after another.
 
 // benchStreamFixture builds a one-database federation of n entities and the
 // retrieve→select→project plan over it.
@@ -929,7 +895,7 @@ func liveHeap() uint64 {
 }
 
 // measureMaterializedPeak measures the peak live heap (over a post-GC
-// baseline) of a materializing run, probing synchronously from the
+// baseline) of a retain-mode run, probing synchronously from the
 // engine's Trace hook — it fires after each register materializes, while
 // the registers it was built from are still held — and once at the end
 // with the result alive. No concurrent sampling: every probe runs on the
@@ -1055,7 +1021,6 @@ func BenchmarkStreamingOverlap(b *testing.B) {
 		run  func() (*core.Relation, error)
 	}{
 		{"materializing", func() (*core.Relation, error) { return q.ExecuteMaterialized(res.Plan) }},
-		{"parallel", func() (*core.Relation, error) { return q.ExecuteParallel(res.Plan) }},
 		{"streaming", func() (*core.Relation, error) { return q.Execute(res.Plan) }},
 	}
 	for _, eng := range engines {

@@ -5,8 +5,8 @@
 //	 The Source Tagging Perspective", 1990.
 //
 // README.md has the tour and quickstart; docs/ARCHITECTURE.md maps the
-// layers onto the paper's figures, describes the execution engines and
-// their parity contract, and documents the cost-based federated optimizer
+// layers onto the paper's figures, describes the execution engine and the
+// oracle it is held to, and documents the cost-based federated optimizer
 // and the rewrites the polygen tag calculus does and does not license.
 // EXPERIMENTS.md records paper-vs-measured for every artifact and the B-*
 // benchmark families. The implementation lives under internal/, the
@@ -14,19 +14,13 @@
 // harness that regenerates every table and figure of the paper in
 // bench_test.go next to this file.
 //
-// Three execution engines evaluate polygen queries, proven cell-for-cell
-// identical (data and both tag sets) by the property suite in
-// internal/core:
-//
-//   - the streaming engine (pqp.Execute, the default): plans run as trees
-//     of batch cursors, bounding peak memory and overlapping remote LQP
-//     retrieval with PQP-side operator work;
-//   - the materializing engine (pqp.ExecuteMaterialized / ExecuteAll /
-//     ExecuteParallel): register-at-a-time evaluation, used whenever every
-//     intermediate register is wanted and as the streaming engine's
-//     reference;
-//   - the string-keyed reference operators (core.Ref*): the pre-hash-native
-//     semantics baseline, not on any query path.
+// One engine evaluates polygen queries (pqp.Execute): plans run as trees
+// of batch cursors, bounding peak memory and overlapping remote LQP
+// retrieval with PQP-side operator work; pqp.ExecuteAll runs the same
+// compiler with every intermediate register retained. The string-keyed
+// reference operators (core.Ref*), on no query path, are the oracle the
+// property suites in internal/core and internal/pqp hold it to, cell for
+// cell (data and both tag sets).
 //
 // Plans are rewritten before execution by the cost-based federated
 // optimizer (translate.OptimizeWithOptions): selections and projections

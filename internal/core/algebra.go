@@ -17,9 +17,10 @@ type Algebra struct {
 	conflict ConflictHandler
 	exact    bool
 	// par, when non-nil, enables morsel-driven intra-operator parallelism:
-	// hash operators over inputs at or above the cost threshold partition
-	// by hash and fan out across the shared worker pool (parallel.go). Set
-	// while wiring, before the Algebra is shared; nil means serial.
+	// Join and Difference build sides at or above the cost threshold
+	// partition by hash and fan out across the shared worker pool
+	// (parallel.go). Set while wiring, before the Algebra is shared; nil
+	// means serial.
 	par *Parallel
 	// mem, when non-nil with a positive budget, bounds the blocking state
 	// of the streaming hash operators: partitions past the budget
@@ -91,29 +92,7 @@ func (a *Algebra) evalTheta(x rel.Value, theta rel.Theta, y rel.Value) bool {
 // tuples whose data portions coincide collapsed into one tuple whose tag
 // sets are the unions of the collapsed tuples' tags, attribute by attribute.
 func (a *Algebra) Project(p *Relation, attrs []string) (*Relation, error) {
-	idx := make([]int, len(attrs))
-	outAttrs := make([]Attr, len(attrs))
-	for i, name := range attrs {
-		ci, err := p.Col(name)
-		if err != nil {
-			return nil, err
-		}
-		idx[i] = ci
-		outAttrs[i] = p.Attrs[ci]
-	}
-	if parts := a.parParts(len(p.Tuples)); parts > 1 {
-		return a.parProject(parts, p, idx, outAttrs), nil
-	}
-	out := NewRelation("", p.Reg, outAttrs...)
-	ix := newDataIndex(len(p.Tuples))
-	scratch := make(Tuple, len(idx))
-	for _, t := range p.Tuples {
-		for i, ci := range idx {
-			scratch[i] = t[ci]
-		}
-		dedupInsert(out, ix, scratch)
-	}
-	return out, nil
+	return drained(a.StreamProject(CursorOf(p), attrs))
 }
 
 // Product implements the Cartesian Product primitive p1 × p2: tuple
@@ -121,23 +100,13 @@ func (a *Algebra) Project(p *Relation, attrs []string) (*Relation, error) {
 // are qualified with p2's name (or a positional suffix); the polygen
 // attribute annotations are preserved.
 func (a *Algebra) Product(p1, p2 *Relation) (*Relation, error) {
-	attrs := productAttrs(p1.Attrs, p2.Name, p2.Attrs)
-	out := NewRelation("", p1.Reg, attrs...)
-	for _, t1 := range p1.Tuples {
-		for _, t2 := range p2.Tuples {
-			row := out.NewRow(len(t1) + len(t2))
-			copy(row, t1)
-			copy(row[len(t1):], t2)
-			out.Tuples = append(out.Tuples, row)
-		}
-	}
-	return out, nil
+	return drained(a.StreamProduct(CursorOf(p1), CursorOf(p2)))
 }
 
 // productAttrs computes the output attribute list of a Cartesian product:
 // the left attributes followed by the right ones, with colliding right
 // names qualified by the right relation's name (or a positional suffix).
-// Shared by the materializing and streaming Product.
+// The streaming Product uses it.
 func productAttrs(attrs1 []Attr, name2 string, attrs2 []Attr) []Attr {
 	attrs := append([]Attr(nil), attrs1...)
 	for _, at := range attrs2 {
@@ -176,27 +145,7 @@ func disambiguateName(attrs []Attr, relName, attrName string) string {
 // the intermediate set of every cell — "to signify their mediating role"
 // (paper, §II).
 func (a *Algebra) Restrict(p *Relation, x string, theta rel.Theta, y string) (*Relation, error) {
-	xi, err := p.Col(x)
-	if err != nil {
-		return nil, err
-	}
-	yi, err := p.Col(y)
-	if err != nil {
-		return nil, err
-	}
-	out := NewRelation("", p.Reg, p.Attrs...)
-	for _, t := range p.Tuples {
-		if !a.evalTheta(t[xi].D, theta, t[yi].D) {
-			continue
-		}
-		mediators := t[xi].O.Union(t[yi].O)
-		row := out.NewRow(len(t))
-		for i, c := range t {
-			row[i] = c.WithIntermediate(mediators)
-		}
-		out.Tuples = append(out.Tuples, row)
-	}
-	return out, nil
+	return drained(a.StreamRestrict(CursorOf(p), x, theta, y))
 }
 
 // Select implements the derived Select operator p[x θ const]. Per §II,
@@ -205,23 +154,7 @@ func (a *Algebra) Restrict(p *Relation, x string, theta rel.Theta, y string) (*R
 // constant is compared exactly (no instance resolution), matching Table 4's
 // DEG = "MBA".
 func (a *Algebra) Select(p *Relation, x string, theta rel.Theta, constant rel.Value) (*Relation, error) {
-	xi, err := p.Col(x)
-	if err != nil {
-		return nil, err
-	}
-	out := NewRelation("", p.Reg, p.Attrs...)
-	for _, t := range p.Tuples {
-		if !theta.Eval(t[xi].D, constant) {
-			continue
-		}
-		mediators := t[xi].O
-		row := out.NewRow(len(t))
-		for i, c := range t {
-			row[i] = c.WithIntermediate(mediators)
-		}
-		out.Tuples = append(out.Tuples, row)
-	}
-	return out, nil
+	return drained(a.StreamSelect(CursorOf(p), x, theta, constant))
 }
 
 // Union implements the Union primitive over two union-compatible relations:
@@ -229,20 +162,7 @@ func (a *Algebra) Select(p *Relation, x string, theta rel.Theta, constant rel.Va
 // present in both are emitted once with both operands' tags unioned cell by
 // cell.
 func (a *Algebra) Union(p1, p2 *Relation) (*Relation, error) {
-	if p1.Degree() != p2.Degree() {
-		return nil, fmt.Errorf("core: union of degree %d with degree %d", p1.Degree(), p2.Degree())
-	}
-	if parts := a.parParts(len(p1.Tuples) + len(p2.Tuples)); parts > 1 {
-		return a.parUnion(parts, p1, p2), nil
-	}
-	out := NewRelation("", p1.Reg, p1.Attrs...)
-	ix := newDataIndex(len(p1.Tuples) + len(p2.Tuples))
-	for _, src := range [...]*Relation{p1, p2} {
-		for _, t := range src.Tuples {
-			dedupInsert(out, ix, t)
-		}
-	}
-	return out, nil
+	return drained(a.StreamUnion(CursorOf(p1), CursorOf(p2)))
 }
 
 // Difference implements the Difference primitive p1 − p2: the tuples of p1
@@ -250,35 +170,7 @@ func (a *Algebra) Union(p1, p2 *Relation) (*Relation, error) {
 // origin sets in p2 — added to every cell's intermediate set, because every
 // p1 tuple had to be compared against all of p2 to be selected.
 func (a *Algebra) Difference(p1, p2 *Relation) (*Relation, error) {
-	if p1.Degree() != p2.Degree() {
-		return nil, fmt.Errorf("core: difference of degree %d with degree %d", p1.Degree(), p2.Degree())
-	}
-	if parts := a.parParts(len(p1.Tuples) + len(p2.Tuples)); parts > 1 {
-		return a.parDifference(parts, p1, p2), nil
-	}
-	drop := newDataIndex(len(p2.Tuples))
-	for i, t := range p2.Tuples {
-		drop.add(t.DataHash64(), i)
-	}
-	p2o := p2.OriginUnion()
-	out := NewRelation("", p1.Reg, p1.Attrs...)
-	seen := newDataIndex(len(p1.Tuples))
-	for _, t := range p1.Tuples {
-		h := t.DataHash64()
-		if _, gone := drop.find(p2.Tuples, t, h); gone {
-			continue
-		}
-		if _, dup := seen.find(out.Tuples, t, h); dup {
-			continue
-		}
-		row := out.NewRow(len(t))
-		for i, c := range t {
-			row[i] = c.WithIntermediate(p2o)
-		}
-		seen.add(h, len(out.Tuples))
-		out.Tuples = append(out.Tuples, row)
-	}
-	return out, nil
+	return drained(a.StreamDifference(CursorOf(p1), CursorOf(p2)))
 }
 
 // Intersect implements the derived Intersection operator, defined in §II as
@@ -287,46 +179,7 @@ func (a *Algebra) Difference(p1, p2 *Relation) (*Relation, error) {
 // every attribute, the origins of both operands' cells join the intermediate
 // sets.
 func (a *Algebra) Intersect(p1, p2 *Relation) (*Relation, error) {
-	if p1.Degree() != p2.Degree() {
-		return nil, fmt.Errorf("core: intersect of degree %d with degree %d", p1.Degree(), p2.Degree())
-	}
-	if parts := a.parParts(len(p1.Tuples) + len(p2.Tuples)); parts > 1 {
-		return a.parIntersect(parts, p1, p2), nil
-	}
-	index := newDataIndex(len(p2.Tuples))
-	for i, t := range p2.Tuples {
-		index.add(t.DataHash64(), i)
-	}
-	out := NewRelation("", p1.Reg, p1.Attrs...)
-	pos := newDataIndex(len(p1.Tuples))
-	scratch := make(Tuple, 0, p1.Degree())
-	for _, t := range p1.Tuples {
-		h := t.DataHash64()
-		// All p2 tuples with data equal to t(d); candidates in the bucket
-		// with merely colliding hashes are filtered by DataEqual.
-		matched := false
-		row := scratch[:len(t)]
-		index.ForEach(h, func(mi int) bool {
-			m := p2.Tuples[mi]
-			if !m.DataEqual(t) {
-				return true
-			}
-			if !matched {
-				matched = true
-				copy(row, t)
-			}
-			mediators := t.OriginUnion().Union(m.OriginUnion())
-			for i := range row {
-				row[i] = row[i].MergeTags(m[i]).WithIntermediate(mediators)
-			}
-			return true
-		})
-		if !matched {
-			continue
-		}
-		dedupInsert(out, pos, row)
-	}
-	return out, nil
+	return drained(a.StreamIntersect(CursorOf(p1), CursorOf(p2)))
 }
 
 // Rename returns p with column old renamed to new and annotated as polygen

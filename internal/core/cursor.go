@@ -125,6 +125,16 @@ func Drain(c Cursor) (*Relation, error) {
 	return out, c.Close()
 }
 
+// drained materializes the cursor a Stream* operator constructor returns:
+// each relation-at-a-time operator (Project, Union, Join, ...) is its
+// streaming counterpart drained over CursorOf its operands.
+func drained(c Cursor, err error) (*Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return Drain(c)
+}
+
 // closeAll closes every cursor, keeping the first error.
 func closeAll(cs []Cursor) error {
 	var first error

@@ -22,38 +22,7 @@ import (
 // back to the composition for other θ. A property-based test asserts the two
 // agree.
 func (a *Algebra) Join(p1 *Relation, x string, theta rel.Theta, p2 *Relation, y string) (*Relation, error) {
-	if theta != rel.ThetaEQ {
-		return a.JoinViaPrimitives(p1, x, theta, p2, y)
-	}
-	xi, err := p1.Col(x)
-	if err != nil {
-		return nil, err
-	}
-	yi, err := p2.Col(y)
-	if err != nil {
-		return nil, err
-	}
-	coalesce := joinCoalesces(p1.Attrs[xi], p2.Attrs[yi])
-	attrs := joinAttrs(p1.Attrs, xi, p2.Name, p2.Attrs, yi, coalesce)
-	if parts := a.parParts(len(p1.Tuples) + len(p2.Tuples)); parts > 1 {
-		return a.parJoin(parts, p1, xi, p2, yi, coalesce, attrs), nil
-	}
-	out := NewRelation("", p1.Reg, attrs...)
-
-	// Probe by interned canonical ID: the resolver guarantees equal IDs iff
-	// equal canonical forms, so no per-probe canonical string is built and
-	// no collision fallback is needed.
-	res := a.Resolver()
-	index := newIDIndex(res, p2.Tuples, yi)
-	for _, t1 := range p1.Tuples {
-		if t1[xi].D.IsNull() {
-			continue
-		}
-		for _, mi := range index.lookup(res.CanonicalID(t1[xi].D)) {
-			out.Tuples = append(out.Tuples, a.joinRow(out, t1, xi, p2.Tuples[mi], yi, coalesce))
-		}
-	}
-	return out, nil
+	return drained(a.StreamJoin(CursorOf(p1), x, theta, CursorOf(p2), y))
 }
 
 // idIndex is a build-side hash-join index keyed by interned canonical IDs.
@@ -141,8 +110,8 @@ func joinCoalesces(x, y Attr) bool {
 // joinAttrs computes the output attribute list of a join: the left
 // attributes (with x replaced by the coalesced column when coalescing)
 // followed by the right attributes (minus y when coalescing), disambiguated
-// against the left names. It operates on bare attribute lists so both the
-// materializing and the streaming join share it.
+// against the left names. It operates on bare attribute lists, so the
+// streaming join and plan simulation (JoinLayout) share it.
 func joinAttrs(attrs1 []Attr, xi int, name2 string, attrs2 []Attr, yi int, coalesce bool) []Attr {
 	xAttr, yAttr := attrs1[xi], attrs2[yi]
 	attrs := make([]Attr, 0, len(attrs1)+len(attrs2))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/exec"
@@ -11,38 +10,24 @@ import (
 )
 
 // This file implements morsel-driven intra-operator parallelism for the
-// hash operators: the classic shared-nothing partitioned-hashing design
-// (Wisconsin parallel hash joins) mapped onto the hash-native kernels. Every
-// parallel operator follows the same three phases:
-//
-//  1. parallel partition — hash every input tuple's data portion once, in
-//     fixed-size morsels pulled by pool workers (rel.PartitionOf routes each
-//     hash to one of P contiguous hash ranges);
-//  2. parallel per-partition build/probe — worker w owns partition w
-//     outright: its dedup table, drop index or join buckets hold only
-//     hashes in w's range, so builds and tag merges need no locks (every
-//     tuple that could deduplicate, match or collide with another shares
-//     its partition);
-//  3. ordered concat — each partition records, per emitted row, the
-//     position its data portion first occurred at in the serial engine's
-//     scan order, and a k-way merge re-interleaves the partitions on those
-//     positions. The output is therefore cell-for-cell identical to the
-//     serial operator's, row order and tags included, and deterministic
-//     across runs and partition counts.
-//
-// The Par* operators are exported with an explicit partition count for
-// direct use (and the four-engine property suite); the serial entry points
-// (Project, Union, Difference, Intersect, Join) dispatch here on their own
-// when the algebra carries a Parallel configuration and the input is at or
-// above the cost threshold — small inputs stay on the serial path, whose
-// code is untouched.
+// build sides of the streaming hash Join and Difference (stream.go): the
+// classic shared-nothing partitioned-hashing design (Wisconsin parallel hash
+// joins) mapped onto the hash-native kernels. A partitioned build hashes
+// every build tuple once, in fixed-size morsels pulled by pool workers, then
+// routes each hash to one of P contiguous hash ranges (rel.PartitionOf), and
+// worker w builds partition w's buckets outright — every tuple that could
+// match or collide with another shares its partition, so builds need no
+// locks. Within a bucket, positions stay in build order, so probes see
+// matches in the serial order. The join's probe then fans out through
+// ParallelCursor, which re-sequences each batch's output to input order:
+// the result is cell-for-cell identical to the serial path's, row order
+// included, and deterministic across runs and worker counts.
 
-// DefaultParallelThreshold is the minimum total input cardinality at which
-// the serial entry points switch to the partitioned operators. Below it the
-// fixed costs — hash array, per-partition scan, goroutine wakeups, ordered
-// merge — outweigh the win; the paper's tiny worked example never crosses
-// it. Chosen as roughly the size where partitioned runs break even at two
-// workers in the B-PAR family.
+// DefaultParallelThreshold is the minimum build-side cardinality at which
+// Join and Difference build partitioned. Below it the fixed costs — hash
+// array, per-partition scan, goroutine wakeups — outweigh the win; the
+// paper's tiny worked example never crosses it. Chosen as roughly the size
+// where partitioned runs break even at two workers in the B-PAR family.
 const DefaultParallelThreshold = 8192
 
 // Parallel configures morsel-driven intra-operator parallelism on an
@@ -50,15 +35,12 @@ const DefaultParallelThreshold = 8192
 // on the algebra (one pool per PQP), so a mediator's sessions divide the
 // machine instead of oversubscribing it.
 type Parallel struct {
-	// Pool supplies the workers. A nil pool runs partitioned code inline
-	// (useful for testing partition counts); operators still go parallel
-	// only when the threshold is crossed.
+	// Pool supplies the workers; builds partition into Pool.Workers()
+	// partitions, so a one-worker pool keeps every operator serial.
 	Pool *exec.Pool
-	// Threshold is the minimum total input tuples for the parallel path;
+	// Threshold is the minimum build-side tuples for the parallel path;
 	// <= 0 means DefaultParallelThreshold.
 	Threshold int
-	// Partitions fixes the partition count; <= 0 means Pool.Workers().
-	Partitions int
 }
 
 // SetParallel installs (or, with nil, removes) the parallel execution
@@ -69,8 +51,8 @@ func (a *Algebra) SetParallel(p *Parallel) { a.par = p }
 // ParallelConfig returns the installed configuration, nil when serial.
 func (a *Algebra) ParallelConfig() *Parallel { return a.par }
 
-// parParts decides whether an operator over n total input tuples runs
-// partitioned, returning the partition count (0 = stay serial).
+// parParts decides whether a build over n tuples runs partitioned,
+// returning the partition count (0 = stay serial).
 func (a *Algebra) parParts(n int) int {
 	if a == nil || a.par == nil {
 		return 0
@@ -82,12 +64,9 @@ func (a *Algebra) parParts(n int) int {
 	if n < thr {
 		return 0
 	}
-	parts := a.par.Partitions
-	if parts <= 0 {
-		parts = a.par.Pool.Workers()
-	}
+	parts := a.par.Pool.Workers()
 	if parts < 2 {
-		return 0 // one worker: the serial path is the same work minus the merge
+		return 0 // one worker: partitioning would only add overhead
 	}
 	return parts
 }
@@ -123,47 +102,14 @@ func morselRange(n, i int) (int, int) {
 	return lo, hi
 }
 
-// parOut is one deduplicated output row paired with the global scan
-// position of its first occurrence — the sort key of the ordered concat.
-type parOut struct {
-	pos int
-	row Tuple
-}
-
-// mergeOrdered re-interleaves the partitions' outputs into the serial
-// engine's row order. Each partition list is already ascending in pos (the
-// partition scans the global order), so this is a k-way merge of sorted
-// runs; with partition counts in the worker-count range the linear head
-// scan beats a heap.
-func mergeOrdered(out *Relation, parts [][]parOut) {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out.Tuples = make([]Tuple, 0, total)
-	heads := make([]int, len(parts))
-	for len(out.Tuples) < total {
-		best := -1
-		for w := range parts {
-			if heads[w] >= len(parts[w]) {
-				continue
-			}
-			if best < 0 || parts[w][heads[w]].pos < parts[best][heads[best]].pos {
-				best = w
-			}
-		}
-		out.Tuples = append(out.Tuples, parts[best][heads[best]].row)
-		heads[best]++
-	}
-}
-
-// hashAll computes at(i).DataHash64() for i in [0, n) in parallel morsels.
-func hashAll(pool *exec.Pool, n int, at func(int) Tuple) []uint64 {
+// hashAll computes every tuple's DataHash64 in parallel morsels.
+func hashAll(pool *exec.Pool, tuples []Tuple) []uint64 {
+	n := len(tuples)
 	hashes := make([]uint64, n)
 	pool.Do(morselCount(n), func(m int) {
 		lo, hi := morselRange(n, m)
 		for i := lo; i < hi; i++ {
-			hashes[i] = at(i).DataHash64()
+			hashes[i] = tuples[i].DataHash64()
 		}
 	})
 	return hashes
@@ -207,11 +153,9 @@ func partitionPositions(pool *exec.Pool, parts int, hashes []uint64, route func(
 }
 
 // buildPartitionedDataIndex hashes tuples and builds a radix-partitioned
-// bucket index over them in parallel — the build-side kernel shared by the
-// materializing parDifference/parIntersect and the streaming Difference.
-// It returns the index and the hash array (callers reuse the hashes).
-func buildPartitionedDataIndex(pool *exec.Pool, parts int, tuples []Tuple) (*rel.PartitionedBucketIndex, []uint64) {
-	hashes := hashAll(pool, len(tuples), func(i int) Tuple { return tuples[i] })
+// bucket index over them in parallel — the streaming Difference's build.
+func buildPartitionedDataIndex(pool *exec.Pool, parts int, tuples []Tuple) *rel.PartitionedBucketIndex {
+	hashes := hashAll(pool, tuples)
 	ix := rel.NewPartitionedBucketIndex(parts, len(tuples)/parts+1)
 	pos := partitionPositions(pool, parts, hashes, ix.Partition)
 	pool.Do(parts, func(w int) {
@@ -219,125 +163,7 @@ func buildPartitionedDataIndex(pool *exec.Pool, parts int, tuples []Tuple) (*rel
 			ix.Add(hashes[i], int(i))
 		}
 	})
-	return ix, hashes
-}
-
-// ParUnion is the partitioned Union primitive: identical to Union cell for
-// cell and row for row, evaluated over parts hash partitions (parts < 1
-// means 1). Union itself dispatches here above the cost threshold.
-func (a *Algebra) ParUnion(p1, p2 *Relation, parts int) (*Relation, error) {
-	if p1.Degree() != p2.Degree() {
-		return nil, fmt.Errorf("core: union of degree %d with degree %d", p1.Degree(), p2.Degree())
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	return a.parUnion(parts, p1, p2), nil
-}
-
-func (a *Algebra) parUnion(parts int, p1, p2 *Relation) *Relation {
-	pool := a.parPool()
-	n1, n := len(p1.Tuples), len(p1.Tuples)+len(p2.Tuples)
-	at := func(i int) Tuple {
-		if i < n1 {
-			return p1.Tuples[i]
-		}
-		return p2.Tuples[i-n1]
-	}
-	hashes := hashAll(pool, n, at)
-	pos := partitionPositions(pool, parts, hashes, func(h uint64) int { return rel.PartitionOf(h, parts) })
-	lists := make([][]parOut, parts)
-	pool.Do(parts, func(w int) {
-		out := NewRelation("", p1.Reg, p1.Attrs...)
-		ix := newDataIndex(len(pos[w]))
-		var list []parOut
-		for _, pi := range pos[w] {
-			i := int(pi)
-			if dedupInsertHashed(out, ix, at(i), hashes[i]) {
-				list = append(list, parOut{pos: i, row: out.Tuples[len(out.Tuples)-1]})
-			}
-		}
-		lists[w] = list
-	})
-	res := NewRelation("", p1.Reg, p1.Attrs...)
-	mergeOrdered(res, lists)
-	return res
-}
-
-// ParProject is the partitioned Project primitive p[X]: identical to
-// Project cell for cell and row for row, evaluated over parts hash
-// partitions. Project itself dispatches here above the cost threshold.
-func (a *Algebra) ParProject(p *Relation, attrs []string, parts int) (*Relation, error) {
-	idx := make([]int, len(attrs))
-	outAttrs := make([]Attr, len(attrs))
-	for i, name := range attrs {
-		ci, err := p.Col(name)
-		if err != nil {
-			return nil, err
-		}
-		idx[i] = ci
-		outAttrs[i] = p.Attrs[ci]
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	return a.parProject(parts, p, idx, outAttrs), nil
-}
-
-// projHash64 hashes the data portion of t's idx-selected columns — exactly
-// the DataHash64 of the projected scratch tuple, without building it.
-func projHash64(t Tuple, idx []int) uint64 {
-	h := uint64(rel.HashFoldInit)
-	for _, ci := range idx {
-		h = rel.HashFold(h, t[ci].D.Hash64(rel.Seed))
-	}
-	return h
-}
-
-func (a *Algebra) parProject(parts int, p *Relation, idx []int, outAttrs []Attr) *Relation {
-	pool := a.parPool()
-	n := len(p.Tuples)
-	hashes := make([]uint64, n)
-	pool.Do(morselCount(n), func(m int) {
-		lo, hi := morselRange(n, m)
-		for i := lo; i < hi; i++ {
-			hashes[i] = projHash64(p.Tuples[i], idx)
-		}
-	})
-	pos := partitionPositions(pool, parts, hashes, func(h uint64) int { return rel.PartitionOf(h, parts) })
-	lists := make([][]parOut, parts)
-	pool.Do(parts, func(w int) {
-		out := NewRelation("", p.Reg, outAttrs...)
-		ix := newDataIndex(len(pos[w]))
-		scratch := make(Tuple, len(idx))
-		var list []parOut
-		for _, pi := range pos[w] {
-			i := int(pi)
-			for j, ci := range idx {
-				scratch[j] = p.Tuples[i][ci]
-			}
-			if dedupInsertHashed(out, ix, scratch, hashes[i]) {
-				list = append(list, parOut{pos: i, row: out.Tuples[len(out.Tuples)-1]})
-			}
-		}
-		lists[w] = list
-	})
-	res := NewRelation("", p.Reg, outAttrs...)
-	mergeOrdered(res, lists)
-	return res
-}
-
-// ParDifference is the partitioned Difference primitive p1 − p2: identical
-// to Difference cell for cell and row for row. Difference itself dispatches
-// here above the cost threshold.
-func (a *Algebra) ParDifference(p1, p2 *Relation, parts int) (*Relation, error) {
-	if p1.Degree() != p2.Degree() {
-		return nil, fmt.Errorf("core: difference of degree %d with degree %d", p1.Degree(), p2.Degree())
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	return a.parDifference(parts, p1, p2), nil
+	return ix
 }
 
 // originUnionPar computes p(o) with a parallel morsel reduction.
@@ -358,101 +184,6 @@ func originUnionPar(pool *exec.Pool, p *Relation) sourceset.Set {
 		s = s.Union(part)
 	}
 	return s
-}
-
-func (a *Algebra) parDifference(parts int, p1, p2 *Relation) *Relation {
-	pool := a.parPool()
-	drop, _ := buildPartitionedDataIndex(pool, parts, p2.Tuples)
-	h1 := hashAll(pool, len(p1.Tuples), func(i int) Tuple { return p1.Tuples[i] })
-	pos := partitionPositions(pool, parts, h1, drop.Partition)
-	p2o := originUnionPar(pool, p2)
-	lists := make([][]parOut, parts)
-	pool.Do(parts, func(w int) {
-		out := NewRelation("", p1.Reg, p1.Attrs...)
-		seen := newDataIndex(len(pos[w]))
-		var list []parOut
-		for _, pi := range pos[w] {
-			i := int(pi)
-			h := h1[i]
-			t := p1.Tuples[i]
-			if _, gone := drop.Find(h, func(at int) bool { return p2.Tuples[at].DataEqual(t) }); gone {
-				continue
-			}
-			if _, dup := seen.find(out.Tuples, t, h); dup {
-				continue
-			}
-			row := out.NewRow(len(t))
-			for ci, c := range t {
-				row[ci] = c.WithIntermediate(p2o)
-			}
-			seen.add(h, len(out.Tuples))
-			out.Tuples = append(out.Tuples, row)
-			list = append(list, parOut{pos: i, row: row})
-		}
-		lists[w] = list
-	})
-	res := NewRelation("", p1.Reg, p1.Attrs...)
-	mergeOrdered(res, lists)
-	return res
-}
-
-// ParIntersect is the partitioned Intersection: identical to Intersect cell
-// for cell and row for row. Intersect itself dispatches here above the cost
-// threshold.
-func (a *Algebra) ParIntersect(p1, p2 *Relation, parts int) (*Relation, error) {
-	if p1.Degree() != p2.Degree() {
-		return nil, fmt.Errorf("core: intersect of degree %d with degree %d", p1.Degree(), p2.Degree())
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	return a.parIntersect(parts, p1, p2), nil
-}
-
-func (a *Algebra) parIntersect(parts int, p1, p2 *Relation) *Relation {
-	pool := a.parPool()
-	index, _ := buildPartitionedDataIndex(pool, parts, p2.Tuples)
-	h1 := hashAll(pool, len(p1.Tuples), func(i int) Tuple { return p1.Tuples[i] })
-	positions := partitionPositions(pool, parts, h1, index.Partition)
-	lists := make([][]parOut, parts)
-	pool.Do(parts, func(w int) {
-		out := NewRelation("", p1.Reg, p1.Attrs...)
-		pos := newDataIndex(len(positions[w]))
-		scratch := make(Tuple, p1.Degree())
-		var list []parOut
-		for _, pi := range positions[w] {
-			i := int(pi)
-			h := h1[i]
-			t := p1.Tuples[i]
-			matched := false
-			row := scratch[:len(t)]
-			index.ForEach(h, func(mi int) bool {
-				m := p2.Tuples[mi]
-				if !m.DataEqual(t) {
-					return true
-				}
-				if !matched {
-					matched = true
-					copy(row, t)
-				}
-				mediators := t.OriginUnion().Union(m.OriginUnion())
-				for ci := range row {
-					row[ci] = row[ci].MergeTags(m[ci]).WithIntermediate(mediators)
-				}
-				return true
-			})
-			if !matched {
-				continue
-			}
-			if dedupInsertHashed(out, pos, row, h) {
-				list = append(list, parOut{pos: i, row: out.Tuples[len(out.Tuples)-1]})
-			}
-		}
-		lists[w] = list
-	})
-	res := NewRelation("", p1.Reg, p1.Attrs...)
-	mergeOrdered(res, lists)
-	return res
 }
 
 // joinIndex is what a hash-join probe needs from a build-side index; the
@@ -514,68 +245,6 @@ func buildParIDIndex(pool *exec.Pool, parts int, res identity.Resolver, tuples [
 
 func (ix parIDIndex) lookup(id uint64) []int32 {
 	return ix.shards[idPartOf(id, len(ix.shards))][id]
-}
-
-// ParJoin is the partitioned hash Join p1[x = y]p2: identical to Join cell
-// for cell and row for row. Join itself dispatches here above the cost
-// threshold; non-equality θ falls back to the primitive composition, same
-// as Join.
-func (a *Algebra) ParJoin(p1 *Relation, x string, theta rel.Theta, p2 *Relation, y string, parts int) (*Relation, error) {
-	if theta != rel.ThetaEQ {
-		return a.JoinViaPrimitives(p1, x, theta, p2, y)
-	}
-	xi, err := p1.Col(x)
-	if err != nil {
-		return nil, err
-	}
-	yi, err := p2.Col(y)
-	if err != nil {
-		return nil, err
-	}
-	coalesce := joinCoalesces(p1.Attrs[xi], p2.Attrs[yi])
-	attrs := joinAttrs(p1.Attrs, xi, p2.Name, p2.Attrs, yi, coalesce)
-	if parts < 1 {
-		parts = 1
-	}
-	return a.parJoin(parts, p1, xi, p2, yi, coalesce, attrs), nil
-}
-
-// parJoin: parallel partitioned build over p2, then a parallel probe over
-// p1 in order-preserving morsels. The probe is embarrassingly parallel —
-// the built index is read-only and each morsel's output concatenates in
-// morsel order, reproducing the serial probe order exactly.
-func (a *Algebra) parJoin(parts int, p1 *Relation, xi int, p2 *Relation, yi int, coalesce bool, attrs []Attr) *Relation {
-	pool := a.parPool()
-	res := a.Resolver()
-	index := buildParIDIndex(pool, parts, res, p2.Tuples, yi)
-	n := len(p1.Tuples)
-	m := morselCount(n)
-	outs := make([][]Tuple, m)
-	pool.Do(m, func(mi int) {
-		lo, hi := morselRange(n, mi)
-		scratch := NewRelation("", p1.Reg, attrs...) // morsel-local arena
-		var rows []Tuple
-		for i := lo; i < hi; i++ {
-			t1 := p1.Tuples[i]
-			if t1[xi].D.IsNull() {
-				continue
-			}
-			for _, pi := range index.lookup(res.CanonicalID(t1[xi].D)) {
-				rows = append(rows, a.joinRow(scratch, t1, xi, p2.Tuples[pi], yi, coalesce))
-			}
-		}
-		outs[mi] = rows
-	})
-	out := NewRelation("", p1.Reg, attrs...)
-	total := 0
-	for _, rows := range outs {
-		total += len(rows)
-	}
-	out.Tuples = make([]Tuple, 0, total)
-	for _, rows := range outs {
-		out.Tuples = append(out.Tuples, rows...)
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -14,19 +14,28 @@ import (
 	"repro/internal/sourceset"
 )
 
-// Four-engine property suite: the partitioned parallel operators join the
-// serial materializing engine, the streaming engine and the string-keyed
-// Ref* reference operators in the cell-for-cell parity contract — and make
-// a stronger promise on top: row order identical to the serial engine, at
-// every partition count, deterministically across runs. Partition counts
-// cover 1 (degenerate), 2, 7 (non-power-of-two: the radix split must not
-// assume power-of-two masks) and 16 (more partitions than tuples).
+// The partitioned-build property suite: on a parallel-configured algebra,
+// StreamJoin and StreamDifference build their hash sides radix-partitioned
+// across the worker pool (and the join probes through a ParallelCursor).
+// The output must equal the serial stream row for row — row order included
+// — at every worker count, deterministically across runs, and the string-
+// keyed Ref* operators cell for cell. Worker counts cover 1 (stays
+// serial), 2, 7 (non-power-of-two: the radix split must not assume
+// power-of-two masks) and 16 (more partitions than tuples).
 
-var parTestParts = []int{1, 2, 7, 16}
+var parTestWorkers = []int{1, 2, 7, 16}
+
+// parAlgebra returns an algebra whose every build goes partitioned across a
+// workers-sized pool.
+func parAlgebra(res identity.Resolver, workers int) *Algebra {
+	alg := NewAlgebra(res)
+	alg.SetParallel(&Parallel{Pool: exec.NewPool(workers), Threshold: 1})
+	return alg
+}
 
 // wantSameOrdered asserts two relations agree cell for cell in the same
-// row order — the parallel engine's ordered-concat guarantee, stronger
-// than wantSameRendered's order-insensitive parity.
+// row order — the partitioned path's order guarantee, stronger than
+// wantSameRendered's order-insensitive parity.
 func wantSameOrdered(t *testing.T, label string, i int, got, ref *Relation) {
 	t.Helper()
 	gr, rr := render(got), render(ref)
@@ -37,94 +46,35 @@ func wantSameOrdered(t *testing.T, label string, i int, got, ref *Relation) {
 }
 
 // TestPropertyParOpsMatchAllEngines: for random wide inputs (mixed kinds,
-// NaN/-0, >64-source tag sets) every Par* operator must equal the serial
-// operator row for row, and the streaming and reference engines cell for
-// cell, at all partition counts.
+// NaN/-0, >64-source tag sets) the partitioned StreamDifference must equal
+// the serial stream row for row and the reference cell for cell, at every
+// worker count.
 func TestPropertyParOpsMatchAllEngines(t *testing.T) {
 	g, reg := newWideGen(80)
-	alg := NewAlgebra(nil)
+	serial := NewAlgebra(nil)
+	algs := make([]*Algebra, len(parTestWorkers))
+	for wi, w := range parTestWorkers {
+		algs[wi] = parAlgebra(nil, w)
+	}
 	for i := 0; i < 200; i++ {
 		p1 := g.wideRelation(reg, "A", "B")
 		p2 := g.wideRelation(reg, "A", "B")
-		for _, parts := range parTestParts {
-			// Union.
-			ser, err := alg.Union(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := alg.ParUnion(p1, p2, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameOrdered(t, "par union", i, par, ser)
-			ref, err := alg.RefUnion(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameRendered(t, "par union vs reference", i, par, ref)
-			str := mustDrain(alg.StreamUnion(cursorOver(p1), cursorOver(p2)))
-			wantSameRendered(t, "par union vs streaming", i, par, str)
-
-			// Difference.
-			ser, err = alg.Difference(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err = alg.ParDifference(p1, p2, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
+		ser := mustDrain(serial.StreamDifference(cursorOver(p1), cursorOver(p2)))
+		ref, err := serial.RefDifference(p1, p2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSameRendered(t, "difference vs reference", i, ser, ref)
+		for _, alg := range algs {
+			par := mustDrain(alg.StreamDifference(cursorOver(p1), cursorOver(p2)))
 			wantSameOrdered(t, "par difference", i, par, ser)
-			ref, err = alg.RefDifference(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameRendered(t, "par difference vs reference", i, par, ref)
-			str = mustDrain(alg.StreamDifference(cursorOver(p1), cursorOver(p2)))
-			wantSameRendered(t, "par difference vs streaming", i, par, str)
-
-			// Intersect.
-			ser, err = alg.Intersect(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err = alg.ParIntersect(p1, p2, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameOrdered(t, "par intersect", i, par, ser)
-			ref, err = alg.RefIntersect(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameRendered(t, "par intersect vs reference", i, par, ref)
-			str = mustDrain(alg.StreamIntersect(cursorOver(p1), cursorOver(p2)))
-			wantSameRendered(t, "par intersect vs streaming", i, par, str)
-
-			// Project.
-			ser, err = alg.Project(p1, []string{"B", "A"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err = alg.ParProject(p1, []string{"B", "A"}, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameOrdered(t, "par project", i, par, ser)
-			ref, err = alg.RefProject(p1, []string{"B", "A"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameRendered(t, "par project vs reference", i, par, ref)
-			str = mustDrain(alg.StreamProject(cursorOver(p1), []string{"B", "A"}))
-			wantSameRendered(t, "par project vs streaming", i, par, str)
 		}
 	}
 }
 
 // TestPropertyParJoinMatchesAllEngines runs the join parity under every
 // resolver kind (exact, case-folding, synonym groups) — the partitioned
-// probe interns canonical IDs concurrently.
+// build and the parallel probe intern canonical IDs concurrently.
 func TestPropertyParJoinMatchesAllEngines(t *testing.T) {
 	resolvers := []identity.Resolver{
 		identity.Exact{},
@@ -136,28 +86,24 @@ func TestPropertyParJoinMatchesAllEngines(t *testing.T) {
 	}
 	for ri, res := range resolvers {
 		g, reg := newWideGen(int64(84 + ri))
-		alg := NewAlgebra(res)
+		serial := NewAlgebra(res)
+		algs := make([]*Algebra, len(parTestWorkers))
+		for wi, w := range parTestWorkers {
+			algs[wi] = parAlgebra(res, w)
+		}
 		for i := 0; i < 120; i++ {
 			p1 := g.wideRelation(reg, "K/PK", "V")
 			p2 := g.wideRelation(reg, "K2/PK", "W")
-			ser, err := alg.Join(p1, "K", rel.ThetaEQ, p2, "K2")
+			ser := mustDrain(serial.StreamJoin(cursorOver(p1), "K", rel.ThetaEQ, cursorOver(p2), "K2"))
+			ref, err := serial.RefJoin(p1, "K", rel.ThetaEQ, p2, "K2")
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, parts := range parTestParts {
-				par, err := alg.ParJoin(p1, "K", rel.ThetaEQ, p2, "K2", parts)
-				if err != nil {
-					t.Fatal(err)
-				}
+			wantSameRendered(t, "join vs reference", i, ser, ref)
+			for _, alg := range algs {
+				par := mustDrain(alg.StreamJoin(cursorOver(p1), "K", rel.ThetaEQ, cursorOver(p2), "K2"))
 				wantSameOrdered(t, "par join", i, par, ser)
 			}
-			ref, err := alg.RefJoin(p1, "K", rel.ThetaEQ, p2, "K2")
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameRendered(t, "par join vs reference", i, ser, ref)
-			str := mustDrain(alg.StreamJoin(cursorOver(p1), "K", rel.ThetaEQ, cursorOver(p2), "K2"))
-			wantSameRendered(t, "par join vs streaming", i, ser, str)
 		}
 	}
 }
@@ -184,61 +130,46 @@ func parBigInput(reg *sourceset.Registry, n int) (*Relation, *Relation) {
 	return mk("P1", 0), mk("P2", n/6)
 }
 
-// TestParOpsDeterministicAcrossRunsAndParts: on a shared real worker pool,
-// every partitioned operator's output — order included — is identical
-// across repeated runs and across partition counts 1, 2, 7 and 16, and
-// equal to the serial engine. This is the ordered-concat determinism the
-// engine promises (and, under -race, the lock-freedom proof for the
-// per-partition builds).
+// TestParOpsDeterministicAcrossRunsAndParts: on real worker pools, the
+// partitioned join's and difference's output — order included — is
+// identical across repeated runs and across worker counts 1, 2, 7 and 16,
+// and equal to the serial stream. This is the determinism the partitioned
+// path promises (and, under -race, the lock-freedom proof for the
+// per-partition builds and the parallel probe).
 func TestParOpsDeterministicAcrossRunsAndParts(t *testing.T) {
 	reg := sourceset.NewRegistry()
 	for i := 0; i < 90; i++ {
 		reg.Intern(workloadDBName(i))
 	}
 	p1, p2 := parBigInput(reg, 3000)
-	serialAlg := NewAlgebra(nil)
-	parAlg := NewAlgebra(nil)
-	parAlg.SetParallel(&Parallel{Pool: exec.NewPool(4)})
+	in := func(p *Relation) Cursor { return NewRelationCursor(p, 128) } // many probe batches
 	ops := []struct {
-		name   string
-		serial func() (*Relation, error)
-		par    func(parts int) (*Relation, error)
+		name string
+		run  func(alg *Algebra) (Cursor, error)
 	}{
-		{"union", func() (*Relation, error) { return serialAlg.Union(p1, p2) },
-			func(parts int) (*Relation, error) { return parAlg.ParUnion(p1, p2, parts) }},
-		{"difference", func() (*Relation, error) { return serialAlg.Difference(p1, p2) },
-			func(parts int) (*Relation, error) { return parAlg.ParDifference(p1, p2, parts) }},
-		{"intersect", func() (*Relation, error) { return serialAlg.Intersect(p1, p2) },
-			func(parts int) (*Relation, error) { return parAlg.ParIntersect(p1, p2, parts) }},
-		{"project", func() (*Relation, error) { return serialAlg.Project(p1, []string{"CAT", "KEY"}) },
-			func(parts int) (*Relation, error) { return parAlg.ParProject(p1, []string{"CAT", "KEY"}, parts) }},
-		{"join", func() (*Relation, error) { return serialAlg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY") },
-			func(parts int) (*Relation, error) { return parAlg.ParJoin(p1, "KEY", rel.ThetaEQ, p2, "KEY", parts) }},
+		{"difference", func(alg *Algebra) (Cursor, error) { return alg.StreamDifference(in(p1), in(p2)) }},
+		{"join", func(alg *Algebra) (Cursor, error) {
+			return alg.StreamJoin(in(p1), "KEY", rel.ThetaEQ, in(p2), "KEY")
+		}},
 	}
 	for _, op := range ops {
-		ser, err := op.serial()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ser := mustDrain(op.run(NewAlgebra(nil)))
 		if len(ser.Tuples) == 0 {
 			t.Fatalf("%s: degenerate fixture (empty serial result)", op.name)
 		}
-		for _, parts := range parTestParts {
+		for _, w := range parTestWorkers {
+			alg := parAlgebra(nil, w)
 			for run := 0; run < 2; run++ {
-				par, err := op.par(parts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantSameOrdered(t, op.name+" (parts/run sweep)", parts*10+run, par, ser)
+				wantSameOrdered(t, op.name+" (workers/run sweep)", w*10+run, mustDrain(op.run(alg)), ser)
 			}
 		}
 	}
 }
 
 // TestAutoDispatchAboveThreshold: a parallel-configured algebra must
-// produce serial-identical results from the plain entry points both below
-// the threshold (serial path) and above it (partitioned path), for the
-// materializing and streaming engines.
+// produce serial-identical results — row order included — both below the
+// threshold (serial build) and above it (partitioned build), through the
+// relation-at-a-time entry points as well as the streaming ones.
 func TestAutoDispatchAboveThreshold(t *testing.T) {
 	reg := sourceset.NewRegistry()
 	for i := 0; i < 90; i++ {
@@ -246,32 +177,29 @@ func TestAutoDispatchAboveThreshold(t *testing.T) {
 	}
 	serialAlg := NewAlgebra(nil)
 	parAlg := NewAlgebra(nil)
-	parAlg.SetParallel(&Parallel{Pool: exec.NewPool(4), Threshold: 64, Partitions: 7})
+	parAlg.SetParallel(&Parallel{Pool: exec.NewPool(4), Threshold: 64})
 	for _, n := range []int{20, 3000} { // below and above Threshold=64
 		p1, p2 := parBigInput(reg, n)
-		ser, err := serialAlg.Union(p1, p2)
+		ser, err := serialAlg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY")
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := parAlg.Union(p1, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameOrdered(t, "auto union", n, par, ser)
-
-		ser, err = serialAlg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY")
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err = parAlg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY")
+		par, err := parAlg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY")
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantSameOrdered(t, "auto join", n, par, ser)
 
-		// Streaming: the parallel-configured algebra's StreamJoin builds
-		// partitioned and probes through the ParallelCursor; row order must
-		// still match the serial streaming engine's.
+		ser, err = serialAlg.Difference(p1, p2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err = parAlg.Difference(p1, p2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSameOrdered(t, "auto difference", n, par, ser)
+
 		serStr := mustDrain(serialAlg.StreamJoin(cursorOver(p1), "KEY", rel.ThetaEQ, cursorOver(p2), "KEY"))
 		parStr := mustDrain(parAlg.StreamJoin(cursorOver(p1), "KEY", rel.ThetaEQ, cursorOver(p2), "KEY"))
 		wantSameOrdered(t, "auto stream join", n, parStr, serStr)

@@ -614,15 +614,17 @@ func TestPropertyHashMergeMatchesReference(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming engine vs. materializing engine vs. string-keyed reference.
+// Streaming operators vs. reference, across batch boundaries.
 //
 // The streaming operators (stream.go) consume cursors batch-at-a-time; the
 // cursors here use a deliberately tiny batch size so every operator crosses
 // many batch boundaries. Inputs are wide relations: mixed-kind data
-// including NaN and -0 (the data where engine identity rules are subtle)
-// and tag sets drawn from 100 sources (exercising the >64-ID sourceset
-// overflow path). All three engines must agree cell for cell — data,
-// origin tags and intermediate tags.
+// including NaN and -0 (the data where identity rules are subtle) and tag
+// sets drawn from 100 sources (exercising the >64-ID sourceset overflow
+// path). Results must agree with the string-keyed Ref* operators — or, for
+// Select, Restrict and Product, which have none, with plain per-tuple
+// loops written from §II — cell for cell: data, origin tags and
+// intermediate tags.
 
 // streamBatch is the batch size used by the streaming property tests: small
 // enough that even the tiny random relations span several batches.
@@ -645,6 +647,50 @@ func mustDrain(c Cursor, err error) *Relation {
 	return out
 }
 
+// refFilter is §II's Restrict shape as a materialized per-tuple loop:
+// tuples satisfying keep survive with data and origins unchanged, and every
+// cell's intermediate set gains med(t).
+func refFilter(p *Relation, keep func(Tuple) bool, med func(Tuple) sourceset.Set) *Relation {
+	out := NewRelation("", p.Reg, p.Attrs...)
+	for _, t := range p.Tuples {
+		if !keep(t) {
+			continue
+		}
+		m := med(t)
+		row := make(Tuple, len(t))
+		for i, c := range t {
+			row[i] = c.WithIntermediate(m)
+		}
+		out.Tuples = append(out.Tuples, row)
+	}
+	return out
+}
+
+// refTheta is evalTheta over canonical strings (sameRef) instead of
+// interned IDs.
+func refTheta(a *Algebra, x rel.Value, theta rel.Theta, y rel.Value) bool {
+	switch theta {
+	case rel.ThetaEQ:
+		return a.sameRef(x, y)
+	case rel.ThetaNE:
+		return !x.IsNull() && !y.IsNull() && !a.sameRef(x, y)
+	default:
+		return theta.Eval(x, y)
+	}
+}
+
+// refProduct is the Cartesian product as a materialized nested loop: tuple
+// concatenation, no tag updates.
+func refProduct(p1, p2 *Relation) *Relation {
+	out := NewRelation("", p1.Reg, productAttrs(p1.Attrs, p2.Name, p2.Attrs)...)
+	for _, t1 := range p1.Tuples {
+		for _, t2 := range p2.Tuples {
+			out.Tuples = append(out.Tuples, append(append(Tuple{}, t1...), t2...))
+		}
+	}
+	return out
+}
+
 func TestPropertyStreamSelectRestrictMatchMaterialized(t *testing.T) {
 	g, reg := newWideGen(70)
 	alg := NewAlgebra(nil)
@@ -654,19 +700,17 @@ func TestPropertyStreamSelectRestrictMatchMaterialized(t *testing.T) {
 		c := g.mixedValue()
 		theta := thetas[g.r.Intn(len(thetas))]
 
-		sMat, err := alg.Select(p, "A", theta, c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sRef := refFilter(p,
+			func(t Tuple) bool { return theta.Eval(t[0].D, c) },
+			func(t Tuple) sourceset.Set { return t[0].O })
 		sStr := mustDrain(alg.StreamSelect(cursorOver(p), "A", theta, c))
-		wantSameRendered(t, "stream select", i, sStr, sMat)
+		wantSameRendered(t, "stream select", i, sStr, sRef)
 
-		rMat, err := alg.Restrict(p, "A", theta, "B")
-		if err != nil {
-			t.Fatal(err)
-		}
+		rRef := refFilter(p,
+			func(t Tuple) bool { return refTheta(alg, t[0].D, theta, t[1].D) },
+			func(t Tuple) sourceset.Set { return t[0].O.Union(t[1].O) })
 		rStr := mustDrain(alg.StreamRestrict(cursorOver(p), "A", theta, "B"))
-		wantSameRendered(t, "stream restrict", i, rStr, rMat)
+		wantSameRendered(t, "stream restrict", i, rStr, rRef)
 	}
 }
 
@@ -675,16 +719,11 @@ func TestPropertyStreamProjectMatchesEngines(t *testing.T) {
 	alg := NewAlgebra(nil)
 	for i := 0; i < 300; i++ {
 		p := g.wideRelation(reg, "A", "B", "C")
-		mat, err := alg.Project(p, []string{"C", "A"})
-		if err != nil {
-			t.Fatal(err)
-		}
 		ref, err := alg.RefProject(p, []string{"C", "A"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		str := mustDrain(alg.StreamProject(cursorOver(p), []string{"C", "A"}))
-		wantSameRendered(t, "stream project vs materialized", i, str, mat)
 		wantSameRendered(t, "stream project vs reference", i, str, ref)
 	}
 }
@@ -698,23 +737,17 @@ func TestPropertyStreamBinaryOpsMatchEngines(t *testing.T) {
 		for _, op := range []struct {
 			name   string
 			stream func(_, _ Cursor) (Cursor, error)
-			mat    func(_, _ *Relation) (*Relation, error)
 			ref    func(_, _ *Relation) (*Relation, error)
 		}{
-			{"union", alg.StreamUnion, alg.Union, alg.RefUnion},
-			{"difference", alg.StreamDifference, alg.Difference, alg.RefDifference},
-			{"intersect", alg.StreamIntersect, alg.Intersect, alg.RefIntersect},
+			{"union", alg.StreamUnion, alg.RefUnion},
+			{"difference", alg.StreamDifference, alg.RefDifference},
+			{"intersect", alg.StreamIntersect, alg.RefIntersect},
 		} {
 			str := mustDrain(op.stream(cursorOver(p1), cursorOver(p2)))
-			mat, err := op.mat(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
 			ref, err := op.ref(p1, p2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSameRendered(t, "stream "+op.name+" vs materialized", i, str, mat)
 			wantSameRendered(t, "stream "+op.name+" vs reference", i, str, ref)
 		}
 	}
@@ -727,11 +760,7 @@ func TestPropertyStreamProductMatchesMaterialized(t *testing.T) {
 		p1 := g.wideRelation(reg, "A", "B")
 		p2 := g.wideRelation(reg, "A", "C")
 		str := mustDrain(alg.StreamProduct(cursorOver(p1), cursorOver(p2)))
-		mat, err := alg.Product(p1, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameRendered(t, "stream product", i, str, mat)
+		wantSameRendered(t, "stream product", i, str, refProduct(p1, p2))
 	}
 }
 
@@ -751,22 +780,18 @@ func TestPropertyStreamJoinMatchesEngines(t *testing.T) {
 			p1 := g.wideRelation(reg, "K/PK", "V")
 			p2 := g.wideRelation(reg, "K2/PK", "W")
 			str := mustDrain(alg.StreamJoin(cursorOver(p1), "K", rel.ThetaEQ, cursorOver(p2), "K2"))
-			mat, err := alg.Join(p1, "K", rel.ThetaEQ, p2, "K2")
-			if err != nil {
-				t.Fatal(err)
-			}
 			ref, err := alg.RefJoin(p1, "K", rel.ThetaEQ, p2, "K2")
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSameRendered(t, "stream join vs materialized", i, str, mat)
 			wantSameRendered(t, "stream join vs reference", i, str, ref)
 		}
 	}
 }
 
 // TestPropertyStreamThetaJoinMatchesMaterialized covers the non-equality
-// fallback (the primitive composition, streamed).
+// fallback against the restriction of the materialized product (the join
+// attributes are distinct, so nothing coalesces).
 func TestPropertyStreamThetaJoinMatchesMaterialized(t *testing.T) {
 	g, reg := newWideGen(77)
 	alg := NewAlgebra(nil)
@@ -774,11 +799,10 @@ func TestPropertyStreamThetaJoinMatchesMaterialized(t *testing.T) {
 		p1 := g.wideRelation(reg, "K", "V")
 		p2 := g.wideRelation(reg, "K2", "W")
 		str := mustDrain(alg.StreamJoin(cursorOver(p1), "K", rel.ThetaLT, cursorOver(p2), "K2"))
-		mat, err := alg.Join(p1, "K", rel.ThetaLT, p2, "K2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameRendered(t, "stream theta join", i, str, mat)
+		ref := refFilter(refProduct(p1, p2),
+			func(t Tuple) bool { return rel.ThetaLT.Eval(t[0].D, t[2].D) },
+			func(t Tuple) sourceset.Set { return t[0].O.Union(t[2].O) })
+		wantSameRendered(t, "stream theta join", i, str, ref)
 	}
 }
 
@@ -797,15 +821,10 @@ func TestPropertyStreamMergeMatchesEngines(t *testing.T) {
 		p2 := g.wideRelation(reg, "K2/K", "B/B")
 		p3 := g.wideRelation(reg, "K3/K", "A2/A")
 		str := mustDrain(alg.StreamMerge(scheme, false, cursorOver(p1), cursorOver(p2), cursorOver(p3)))
-		mat, err := alg.Merge(scheme, p1, p2, p3)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ref, err := alg.RefMerge(scheme, p1, p2, p3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSameRendered(t, "stream merge vs materialized", i, str, mat)
 		wantSameRendered(t, "stream merge vs reference", i, str, ref)
 	}
 }

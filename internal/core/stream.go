@@ -27,11 +27,12 @@ import (
 //     its accumulator, so the operands are materialized and the merged
 //     result is streamed out.
 //
-// The operators share the materializing engine's kernels — dedupInsert
-// set-semantics insertion, interned-ID join probes, arena rows — and the
-// property suite (property_test.go) proves streaming, materializing and
-// string-keyed reference engines agree cell for cell, data and both tag
-// sets.
+// These are the algebra's only implementations of the hash operators: the
+// relation-at-a-time entry points (Project, Union, Join, ...) drain them.
+// Their kernels — dedupInsert set-semantics insertion, interned-ID join
+// probes, arena rows — are proven by the property suite (property_test.go)
+// to agree with the string-keyed reference operators (reference.go) cell
+// for cell, data and both tag sets.
 
 // streamFilter implements the fully pipelined operators (Select, Restrict):
 // tuples that satisfy keep survive with the mediators' origins added to
@@ -396,7 +397,7 @@ func (c *differenceStream) Next() ([]Tuple, error) {
 		}
 		if parts := c.a.parParts(len(p2.Tuples)); parts > 1 {
 			pool := c.a.parPool()
-			ix, _ := buildPartitionedDataIndex(pool, parts, p2.Tuples)
+			ix := buildPartitionedDataIndex(pool, parts, p2.Tuples)
 			c.drop = func(t Tuple, h uint64) bool {
 				_, gone := ix.Find(h, func(at int) bool { return p2.Tuples[at].DataEqual(t) })
 				return gone

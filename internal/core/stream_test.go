@@ -106,7 +106,7 @@ func TestStreamDegreeMismatch(t *testing.T) {
 }
 
 // TestStreamProductPaginates: a product larger than one batch is emitted in
-// bounded batches, in materializing order.
+// bounded batches, in the nested-loop order of the materialized product.
 func TestStreamProductPaginates(t *testing.T) {
 	e, alg := streamEnv()
 	left := NewRelation("L", e.reg, attrs("A")...)
@@ -138,23 +138,20 @@ func TestStreamProductPaginates(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mat, err := alg.Product(left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mat := refProduct(left, right)
 	if len(got) != len(mat.Tuples) {
 		t.Fatalf("product emitted %d rows, want %d", len(got), len(mat.Tuples))
 	}
 	for i := range got {
 		if !got[i].Equal(mat.Tuples[i]) {
-			t.Fatalf("row %d diverged from materializing order", i)
+			t.Fatalf("row %d diverged from reference order", i)
 		}
 	}
 }
 
 // TestStreamJoinPaginatesSkewedFanOut: a many-to-many join on one shared
 // key must emit bounded batches, not the whole |l|×|r| fan-out in one
-// Next, and still produce the materializing engine's rows in order.
+// Next, and still produce the reference join's rows in order.
 func TestStreamJoinPaginatesSkewedFanOut(t *testing.T) {
 	e, alg := streamEnv()
 	mk := func(name string, n int, src sourceset.ID) *Relation {
@@ -189,7 +186,7 @@ func TestStreamJoinPaginatesSkewedFanOut(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mat, err := alg.Join(left, "K", rel.ThetaEQ, right, "K")
+	mat, err := alg.RefJoin(left, "K", rel.ThetaEQ, right, "K")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +195,7 @@ func TestStreamJoinPaginatesSkewedFanOut(t *testing.T) {
 	}
 	for i := range got {
 		if !got[i].Equal(mat.Tuples[i]) {
-			t.Fatalf("row %d diverged from materializing order", i)
+			t.Fatalf("row %d diverged from reference order", i)
 		}
 	}
 }

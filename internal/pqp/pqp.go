@@ -5,53 +5,47 @@
 // evaluates the PQP-resident polygen operations with the polygen algebra,
 // maintaining data and intermediate source tags throughout.
 //
-// Three engines evaluate plans, all producing cell-for-cell identical
-// results (data and both tag sets):
+// One engine evaluates plans: the plan is compiled into a tree of cursors
+// (stream.go) through which row batches flow, so peak memory is bounded by
+// the batches in flight plus the registers that must materialize (those
+// consumed more than once, and the blocking points of
+// Project/Union/Intersect/Merge), and remote LQP retrieval overlaps with
+// PQP-side operator work via per-stream prefetch. Execute and Open run the
+// compiled tree streaming; ExecuteAll and ExecuteMaterialized run the same
+// compiler with every register retained, for callers that want each
+// intermediate relation. The string-keyed core.Ref* operators are the one
+// oracle the engine is tested against.
 //
-//   - Execute is the streaming engine and the default: the plan is compiled
-//     into a tree of cursors (stream.go) through which row batches flow, so
-//     peak memory is bounded by the batches in flight plus the registers
-//     that must materialize (those consumed more than once, and the
-//     blocking points of Project/Union/Intersect/Merge), and remote LQP
-//     retrieval overlaps with PQP-side operator work via per-stream
-//     prefetch.
-//   - ExecuteMaterialized is the register-at-a-time materializing engine
-//     the reproduction shipped with, kept as the second reference
-//     implementation (alongside the string-keyed core.Ref* operators);
-//     ExecuteAll exposes it whenever every register is wanted, and
-//     ExecuteParallel runs its steps with inter-row parallelism.
-//
-// Every engine runs the hash-native algebra: tuple identity is a 64-bit
-// hash and join probes intern canonical IDs through the PQP's resolver. One
-// PQP keeps one Algebra — and therefore one resolver intern table — across
+// The engine runs the hash-native algebra: tuple identity is a 64-bit hash
+// and join probes intern canonical IDs through the PQP's resolver. One PQP
+// keeps one Algebra — and therefore one resolver intern table — across
 // queries, so canonical IDs warm up once per federation rather than once
 // per query.
 //
-// Within one query, hash operators over inputs at or above a cost
-// threshold additionally run morsel-driven parallel (core/parallel.go):
-// radix-partitioned builds and probes fan out across a worker pool shared
-// by all of the PQP's concurrent sessions (SetParallel), with results —
-// row order included — identical to the serial engines'. Small inputs
-// never leave the serial path.
+// Within one query, the build sides of Join and Difference at or above a
+// cost threshold additionally run partitioned (core/parallel.go):
+// radix-partitioned builds and the join's probe fan out across a worker
+// pool shared by all of the PQP's concurrent sessions (SetParallel), with
+// results — row order included — identical to the serial path's. Small
+// inputs never leave the serial path.
 //
 // Before execution, Run hands the IOM to the cost-based Query Optimizer
 // (translate.OptimizeWithOptions) with the federation knowledge the PQP
 // holds: the polygen schema, each LQP's pushdown capability, the instance
 // resolver's exactness, and — after CollectStats — per-LQP cardinality and
 // latency statistics (internal/stats). Optimized plans may carry
-// pushed-down subplans on their LQP-resident rows; both engines execute
-// those through lqp.ExecutePlanOn/OpenPlanOn and reconstruct the
-// intermediate tags the displaced PQP-side filters would have written, so
-// optimized and unoptimized plans agree cell for cell — data and both tag
-// sets — which the property suite in opt_test.go enforces across all
-// engines. See docs/ARCHITECTURE.md for the optimizer's full contract.
+// pushed-down subplans on their LQP-resident rows; the engine executes
+// those through lqp.OpenPlanOn and reconstructs the intermediate tags the
+// displaced PQP-side filters would have written, so optimized and
+// unoptimized plans agree cell for cell — data and both tag sets — which
+// the property suite in opt_test.go enforces. See docs/ARCHITECTURE.md for
+// the optimizer's full contract.
 package pqp
 
 import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -85,10 +79,11 @@ type PQP struct {
 	// instance resolver is exact — greedy join reordering.
 	Optimize bool
 	// Stats, when non-nil, feeds the optimizer per-LQP cardinality and
-	// column statistics (projection-narrowing width checks, join ordering)
-	// and accumulates observed cardinalities and operation latencies as
-	// queries run. CollectStats populates it from the LQPs' statistics
-	// capability.
+	// column statistics (projection-narrowing width checks, join ordering).
+	// CollectStats populates it from the LQPs' statistics capability;
+	// executing queries does not update it, so its version — part of the
+	// plan-cache key — moves only when statistics are deliberately
+	// recollected or set.
 	Stats *stats.Catalog
 	// RelaxedJoinReorder lets the optimizer pick join orders whose
 	// intermediate tags differ from the unoptimized plan's (the polygen tag
@@ -397,8 +392,7 @@ func (q *PQP) degradedColumns(db string, plan lqp.Plan) ([]string, bool) {
 // Open runs the translation pipeline for e (through the plan cache) and
 // returns the answer as a streaming cursor instead of a materialized
 // relation — the mediator's "queryopen" path. The caller owns the cursor
-// and must Close it. Plans the streaming engine cannot compile fall back to
-// materializing and re-cutting into batches, exactly as Execute does.
+// and must Close it.
 func (q *PQP) Open(e translate.Expr) (core.Cursor, *Result, error) {
 	return q.OpenPolicy(e, q.Degrade)
 }
@@ -413,14 +407,7 @@ func (q *PQP) OpenPolicy(e translate.Expr, policy federation.Policy) (core.Curso
 	}
 	env := execEnv{policy: policy, diag: federation.NewDiagnostics()}
 	res.Diag = env.diag
-	cur, err := q.openPlan(res.Plan, env)
-	if errors.Is(err, errRedefinedRegister) {
-		p, merr := q.executeMaterialized(res.Plan, env)
-		if merr != nil {
-			return nil, nil, merr
-		}
-		return core.CursorOf(p), res, nil
-	}
+	cur, _, err := q.openPlan(res.Plan, env, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -489,200 +476,6 @@ func (q *PQP) plan(e translate.Expr) (*Result, error) {
 	return res, nil
 }
 
-// ExecuteMaterialized evaluates an Intermediate Operation Matrix register
-// by register, fully materializing each one, and returns the final
-// register's relation. It is the reference engine the streaming Execute is
-// proven against; the two agree cell for cell.
-func (q *PQP) ExecuteMaterialized(iom *translate.Matrix) (*core.Relation, error) {
-	return q.executeMaterialized(iom, execEnv{policy: q.Degrade})
-}
-
-func (q *PQP) executeMaterialized(iom *translate.Matrix, env execEnv) (*core.Relation, error) {
-	regs, err := q.executeAll(iom, env)
-	if err != nil {
-		return nil, err
-	}
-	return regs[iom.Rows[len(iom.Rows)-1].PR], nil
-}
-
-// ExecuteAll evaluates an Intermediate Operation Matrix with the
-// materializing engine and returns every register — the reproduction
-// harness uses it to compare each intermediate polygen relation against the
-// paper's Tables 4–9. (Streaming would be no help here: every register is
-// consumed by the caller, so each one must materialize anyway.)
-func (q *PQP) ExecuteAll(iom *translate.Matrix) (map[int]*core.Relation, error) {
-	return q.executeAll(iom, execEnv{policy: q.Degrade})
-}
-
-func (q *PQP) executeAll(iom *translate.Matrix, env execEnv) (map[int]*core.Relation, error) {
-	if iom.Cardinality() == 0 {
-		return nil, fmt.Errorf("pqp: empty plan")
-	}
-	regs := make(map[int]*core.Relation, iom.Cardinality())
-	for _, row := range iom.Rows {
-		r, err := q.step(row, regs, env)
-		if err != nil {
-			return nil, fmt.Errorf("pqp: executing %s: %w", row, err)
-		}
-		regs[row.PR] = r
-		if q.Trace != nil {
-			q.Trace("%-60s -> %d tuples", row.String(), r.Cardinality())
-		}
-	}
-	return regs, nil
-}
-
-func (q *PQP) step(row translate.Row, regs map[int]*core.Relation, env execEnv) (*core.Relation, error) {
-	if row.EL != "PQP" {
-		return q.runLocal(row, env)
-	}
-	operand := func(o translate.Operand) (*core.Relation, error) {
-		if o.Kind != translate.OpdReg {
-			return nil, fmt.Errorf("PQP operand must be a register, found %s", o)
-		}
-		r, ok := regs[o.Reg]
-		if !ok {
-			return nil, fmt.Errorf("register R(%d) not computed", o.Reg)
-		}
-		return r, nil
-	}
-	switch row.Op {
-	case translate.OpSelect:
-		p, err := operand(row.LHR)
-		if err != nil {
-			return nil, err
-		}
-		if row.RHA.Kind != translate.CmpConst {
-			return nil, fmt.Errorf("Select requires a constant RHA")
-		}
-		return q.alg.Select(p, row.LHA[0], row.Theta, row.RHA.Const)
-	case translate.OpRestrict:
-		p, err := operand(row.LHR)
-		if err != nil {
-			return nil, err
-		}
-		switch row.RHA.Kind {
-		case translate.CmpAttr:
-			return q.alg.Restrict(p, row.LHA[0], row.Theta, row.RHA.Attr)
-		case translate.CmpConst:
-			return q.alg.Select(p, row.LHA[0], row.Theta, row.RHA.Const)
-		default:
-			return nil, fmt.Errorf("Restrict requires an RHA")
-		}
-	case translate.OpProject:
-		p, err := operand(row.LHR)
-		if err != nil {
-			return nil, err
-		}
-		return q.alg.Project(p, row.LHA)
-	case translate.OpJoin:
-		l, err := operand(row.LHR)
-		if err != nil {
-			return nil, err
-		}
-		r, err := operand(row.RHR)
-		if err != nil {
-			return nil, err
-		}
-		return q.alg.Join(l, row.LHA[0], row.Theta, r, row.RHA.Attr)
-	case translate.OpMerge:
-		if row.LHR.Kind != translate.OpdRegs {
-			return nil, fmt.Errorf("Merge requires a register list")
-		}
-		scheme, ok := q.schema.Scheme(row.Scheme)
-		if !ok {
-			return nil, fmt.Errorf("Merge row names unknown scheme %q", row.Scheme)
-		}
-		rels := make([]*core.Relation, 0, len(row.LHR.Regs))
-		for _, rn := range row.LHR.Regs {
-			r, ok := regs[rn]
-			if !ok {
-				return nil, fmt.Errorf("register R(%d) not computed", rn)
-			}
-			rels = append(rels, r)
-		}
-		if q.BalancedMerge {
-			return q.alg.MergeBalanced(scheme, rels...)
-		}
-		return q.alg.Merge(scheme, rels...)
-	case translate.OpUnion:
-		return q.binary(row, regs, q.alg.Union)
-	case translate.OpDifference:
-		return q.binary(row, regs, q.alg.Difference)
-	case translate.OpIntersect:
-		return q.binary(row, regs, q.alg.Intersect)
-	case translate.OpProduct:
-		return q.binary(row, regs, q.alg.Product)
-	default:
-		return nil, fmt.Errorf("unsupported PQP operation %q", row.Op)
-	}
-}
-
-func (q *PQP) binary(row translate.Row, regs map[int]*core.Relation, fn func(a, b *core.Relation) (*core.Relation, error)) (*core.Relation, error) {
-	if row.LHR.Kind != translate.OpdReg || row.RHR.Kind != translate.OpdReg {
-		return nil, fmt.Errorf("%s requires register operands", row.Op)
-	}
-	l, ok := regs[row.LHR.Reg]
-	if !ok {
-		return nil, fmt.Errorf("register R(%d) not computed", row.LHR.Reg)
-	}
-	r, ok := regs[row.RHR.Reg]
-	if !ok {
-		return nil, fmt.Errorf("register R(%d) not computed", row.RHR.Reg)
-	}
-	return fn(l, r)
-}
-
-// runLocal executes one LQP-resident row: it builds the local operation (or
-// the pushed-down subplan, when the optimizer fused later rows into this
-// one), sends it to the LQP named by the row's execution location, applies
-// the schema's domain mappings, and tags every cell with the execution
-// location as its originating source (paper §III: "when the execution
-// location is an LQP ... it is also used as the originating source tag for
-// each of the cells"). The intermediate set is empty for a plain local
-// operation; when the subplan carries fused Select/Restrict steps it is
-// {EL} — exactly what the displaced PQP-resident rows would have added,
-// since every cell of a freshly retrieved relation has origin {EL}.
-func (q *PQP) runLocal(row translate.Row, env execEnv) (*core.Relation, error) {
-	processor, ok := q.lqps[row.EL]
-	if !ok {
-		return nil, fmt.Errorf("no LQP for local database %q", row.EL)
-	}
-	plan, err := localPlan(row)
-	if err != nil {
-		return nil, err
-	}
-	l := q.boundLQP(processor, env)
-	start := time.Now()
-	var plain *rel.Relation
-	if len(plan.Ops) == 1 {
-		plain, err = l.Execute(plan.Base())
-	} else {
-		plain, err = lqp.ExecutePlanOn(l, plan)
-	}
-	if err != nil {
-		if plain, err = q.degrade(row, plan, env, err); err != nil {
-			return nil, err
-		}
-	} else {
-		q.observeLocal(row, plan, plain, time.Since(start))
-	}
-	return q.tagPlain(plain, row.EL, row.LHR.Name, plan.Mediates())
-}
-
-// observeLocal feeds the statistics catalog from executed local work: full
-// Retrieves carry exact relation cardinalities, and every operation's wall
-// time updates the LQP's latency average.
-func (q *PQP) observeLocal(row translate.Row, plan lqp.Plan, plain *rel.Relation, d time.Duration) {
-	if q.Stats == nil {
-		return
-	}
-	q.Stats.ObserveLatency(row.EL, d)
-	if plain != nil && len(plan.Ops) == 1 && plan.Base().Kind == lqp.OpRetrieve {
-		q.Stats.ObserveCardinality(row.EL, row.LHR.Name, len(plain.Tuples))
-	}
-}
-
 // localPlan builds the local subplan of an LQP-resident row: the row's own
 // operation plus any steps the optimizer fused into it.
 func localPlan(row translate.Row) (lqp.Plan, error) {
@@ -693,8 +486,7 @@ func localPlan(row translate.Row) (lqp.Plan, error) {
 	return lqp.PlanOf(base, row.Pushed...), nil
 }
 
-// localOp builds the local operation an LQP-resident row asks for; both the
-// materializing and the streaming engine route rows through it.
+// localOp builds the local operation an LQP-resident row asks for.
 func localOp(row translate.Row) (lqp.Op, error) {
 	if row.LHR.Kind != translate.OpdLocal {
 		return lqp.Op{}, fmt.Errorf("local row requires a local relation operand, found %s", row.LHR)
@@ -721,8 +513,7 @@ func localOp(row translate.Row) (lqp.Op, error) {
 
 // tagPlan computes, for each local column retrieved from db.localScheme,
 // the polygen-annotated output attribute and the domain-map function to
-// apply before tagging. Shared by TagRetrieved and the streaming tag
-// cursor so both engines tag identically.
+// apply before tagging — the static half of the tag cursor.
 func (q *PQP) tagPlan(db, localScheme string, names []string) ([]core.Attr, []func(rel.Value) rel.Value) {
 	attrs := make([]core.Attr, len(names))
 	fns := make([]func(rel.Value) rel.Value, len(names))
@@ -735,45 +526,4 @@ func (q *PQP) tagPlan(db, localScheme string, names []string) ([]core.Attr, []fu
 		fns[i] = q.schema.DomainMap.Lookup(db, localScheme, n)
 	}
 	return attrs, fns
-}
-
-// TagRetrieved converts a plain relation returned by the LQP of database db
-// into a polygen relation: domain mappings apply first, then every cell is
-// tagged with origin {db} and an empty intermediate set, and every column is
-// annotated with the polygen attribute the schema maps it to.
-func (q *PQP) TagRetrieved(plain *rel.Relation, db, localScheme string) (*core.Relation, error) {
-	return q.tagPlain(plain, db, localScheme, false)
-}
-
-// tagPlain is TagRetrieved with the optimizer's intermediate-tag
-// reconstruction: mediated results — subplans whose pushed steps include a
-// Select or Restrict — tag every cell's intermediate set with {db}, the
-// tags the displaced PQP-resident filters would have contributed.
-func (q *PQP) tagPlain(plain *rel.Relation, db, localScheme string, mediated bool) (*core.Relation, error) {
-	names := plain.Schema.Names()
-	attrs, fns := q.tagPlan(db, localScheme, names)
-	// Apply domain mappings column-wise before tagging. The relation is a
-	// query-private snapshot, so mapping in place is safe here (the
-	// streaming path, whose batches alias live base relations, copies).
-	for ci := range names {
-		fn := fns[ci]
-		for _, t := range plain.Tuples {
-			t[ci] = fn(t[ci])
-		}
-	}
-	src := q.reg.Intern(db)
-	p := core.FromPlain(plain, src, q.reg)
-	p.Name = localScheme
-	for i := range p.Attrs {
-		p.Attrs[i].Polygen = attrs[i].Polygen
-	}
-	if mediated {
-		inter := sourceset.Of(src)
-		for _, t := range p.Tuples {
-			for i := range t {
-				t[i].I = t[i].I.Union(inter)
-			}
-		}
-	}
-	return p, nil
 }

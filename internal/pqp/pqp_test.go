@@ -252,36 +252,51 @@ func TestRemoteLQPEndToEnd(t *testing.T) {
 	}
 }
 
+// retrievePlan is the one-row plan retrieving relation name at db.
+func retrievePlan(db, name string) *translate.Matrix {
+	return &translate.Matrix{Rows: []translate.Row{{PR: 1, Op: translate.OpRetrieve,
+		LHR: translate.LocalOperand(name), RHA: translate.NoComparand(), RHR: translate.NoOperand(), EL: db}}}
+}
+
 // TestTagRetrievedAnnotations: retrieved columns carry the polygen
 // attributes the schema maps and the execution location as origin.
 func TestTagRetrievedAnnotations(t *testing.T) {
 	q := newPQP(t)
-	plain := rel.NewRelation("CAREER", rel.SchemaOf("AID#", "BNAME", "POS"))
-	plain.MustAppend(rel.String("012"), rel.String("Citicorp"), rel.String("MIS Director"))
-	p, err := q.TagRetrieved(plain, "AD", "CAREER")
+	p, err := q.Execute(retrievePlan("AD", "CAREER"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Attrs[1].Polygen != "ONAME" || p.Attrs[2].Polygen != "POSITION" {
 		t.Errorf("annotations = %+v", p.Attrs)
 	}
-	if got := p.Tuples[0][0].Format(q.Registry()); got != "012, {AD}, {}" {
-		t.Errorf("cell = %s", got)
+	if p.Cardinality() == 0 {
+		t.Fatal("CAREER retrieved empty")
+	}
+	for _, tu := range p.Tuples {
+		for _, c := range tu {
+			if got, want := c.Format(q.Registry()), c.D.String()+", {AD}, {}"; got != want {
+				t.Fatalf("cell = %s, want %s", got, want)
+			}
+		}
 	}
 }
 
 // TestTagRetrievedAppliesDomainMap: FIRM.HQ maps to its state at retrieval.
 func TestTagRetrievedAppliesDomainMap(t *testing.T) {
 	q := newPQP(t)
-	plain := rel.NewRelation("FIRM", rel.SchemaOf("FNAME", "CEO", "HQ"))
-	plain.MustAppend(rel.String("Langley Castle"), rel.String("Stu Madnick"), rel.String("Cambridge, MA"))
-	p, err := q.TagRetrieved(plain, "CD", "FIRM")
+	p, err := q.Execute(retrievePlan("CD", "FIRM"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Tuples[0][2].D.String(); got != "MA" {
-		t.Errorf("HQ = %q, want MA", got)
+	for _, tu := range p.Tuples {
+		if tu[0].D.String() == "Langley Castle" {
+			if got := tu[2].D.String(); got != "MA" {
+				t.Errorf("HQ = %q, want MA", got)
+			}
+			return
+		}
 	}
+	t.Fatalf("Langley Castle not retrieved: %v", render(p))
 }
 
 // TestSelectStarSingleSource: a bare SELECT * over a single-source scheme

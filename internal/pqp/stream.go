@@ -1,7 +1,6 @@
 package pqp
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -11,44 +10,32 @@ import (
 	"repro/internal/translate"
 )
 
-// This file is the streaming execution engine: a plan is compiled into a
-// tree of core.Cursors (OpenPlan) and the answer is pulled through it batch
-// by batch. Registers consumed exactly once never materialize — their rows
+// This file is the execution engine: a plan is compiled into a tree of
+// core.Cursors (openPlan) and the answer is pulled through it batch by
+// batch. Registers consumed exactly once never materialize — their rows
 // flow straight into the consuming operator; registers consumed more than
 // once (or by no one: dead rows still execute, for LQP-operation fidelity)
-// are drained into relations at build time, exactly as the materializing
-// engine would.
+// are drained into relations at build time.
 //
 // LQP-resident rows are opened eagerly, in plan order, each behind a
 // prefetching reader: every local retrieval proceeds on its own goroutine
 // (bounded by prefetchDepth batches) while the PQP evaluates, so wide-area
 // LQP latency overlaps both with PQP-side operator work and with the other
-// retrievals — the streaming engine gets the B-PAR fan-out overlap without
-// giving up the serial engine's deterministic operation order.
+// retrievals, without giving up a deterministic operation order.
 
 // prefetchDepth is how many batches a local stream may run ahead of its
 // consumer: deep enough to absorb per-batch wide-area latency, shallow
 // enough to bound every stream's buffered memory.
 const prefetchDepth = 8
 
-// errRedefinedRegister marks plans that assign one register twice; the
-// streaming engine cannot compile those (a pending cursor would be
-// clobbered), so Execute falls back to the materializing engine.
-var errRedefinedRegister = errors.New("pqp: plan redefines a register")
-
-// Execute evaluates an Intermediate Operation Matrix with the streaming
-// engine and returns the final register's relation. The result is
-// cell-for-cell identical to ExecuteMaterialized's (the property suite and
-// the paper-table tests hold both engines to it).
+// Execute evaluates an Intermediate Operation Matrix and returns the final
+// register's relation, streaming every register that has one consumer.
 func (q *PQP) Execute(iom *translate.Matrix) (*core.Relation, error) {
 	return q.execute(iom, execEnv{policy: q.Degrade})
 }
 
 func (q *PQP) execute(iom *translate.Matrix, env execEnv) (*core.Relation, error) {
-	cur, err := q.openPlan(iom, env)
-	if errors.Is(err, errRedefinedRegister) {
-		return q.executeMaterialized(iom, env)
-	}
+	cur, _, err := q.openPlan(iom, env, false)
 	if err != nil {
 		return nil, err
 	}
@@ -62,18 +49,46 @@ func (q *PQP) execute(iom *translate.Matrix, env execEnv) (*core.Relation, error
 	return out, nil
 }
 
+// ExecuteAll evaluates an Intermediate Operation Matrix with every register
+// retained and returns them all — the reproduction harness uses it to
+// compare each intermediate polygen relation against the paper's Tables
+// 4–9.
+func (q *PQP) ExecuteAll(iom *translate.Matrix) (map[int]*core.Relation, error) {
+	_, regs, err := q.openPlan(iom, execEnv{policy: q.Degrade}, true)
+	return regs, err
+}
+
+// ExecuteMaterialized is ExecuteAll returning only the final register: the
+// plan runs register at a time, each one fully materialized before the next
+// row opens.
+func (q *PQP) ExecuteMaterialized(iom *translate.Matrix) (*core.Relation, error) {
+	regs, err := q.ExecuteAll(iom)
+	if err != nil {
+		return nil, err
+	}
+	return regs[iom.Rows[len(iom.Rows)-1].PR], nil
+}
+
 // OpenPlan compiles an Intermediate Operation Matrix into a tree of
 // streaming cursors and returns the cursor for the final register. The
 // caller owns the cursor and must Close it (draining it to completion also
 // closes the whole tree). Local rows are opened against their LQPs during
 // compilation, in plan order.
 func (q *PQP) OpenPlan(iom *translate.Matrix) (core.Cursor, error) {
-	return q.openPlan(iom, execEnv{policy: q.Degrade})
+	cur, _, err := q.openPlan(iom, execEnv{policy: q.Degrade}, false)
+	return cur, err
 }
 
-func (q *PQP) openPlan(iom *translate.Matrix, env execEnv) (core.Cursor, error) {
+// openPlan compiles iom and returns the final register's cursor. In retain
+// mode every row is drained into the returned register map as soon as it
+// is defined, so no register streams and a redefined register simply
+// overwrites its old value; plans that redefine a register always compile
+// in retain mode, since a pending cursor would otherwise be clobbered.
+// Outside retain mode the map holds only the registers that had to
+// materialize.
+func (q *PQP) openPlan(iom *translate.Matrix, env execEnv, retain bool) (core.Cursor, map[int]*core.Relation, error) {
 	if iom.Cardinality() == 0 {
-		return nil, fmt.Errorf("pqp: empty plan")
+		return nil, nil, fmt.Errorf("pqp: empty plan")
 	}
 	// Count how many times each register is consumed; the final register
 	// gains one consumer — the caller.
@@ -81,7 +96,7 @@ func (q *PQP) openPlan(iom *translate.Matrix, env execEnv) (core.Cursor, error) 
 	defined := make(map[int]bool, iom.Cardinality())
 	for _, row := range iom.Rows {
 		if defined[row.PR] {
-			return nil, fmt.Errorf("%w: R(%d)", errRedefinedRegister, row.PR)
+			retain = true
 		}
 		defined[row.PR] = true
 		for _, o := range [...]translate.Operand{row.LHR, row.RHR} {
@@ -99,7 +114,7 @@ func (q *PQP) openPlan(iom *translate.Matrix, env execEnv) (core.Cursor, error) 
 	consumers[last]++
 
 	pending := make(map[int]core.Cursor) // single-consumer registers, not yet claimed
-	mats := make(map[int]*core.Relation) // multi-consumer (or dead) registers
+	mats := make(map[int]*core.Relation) // drained registers
 	closePending := func() {
 		for _, c := range pending {
 			c.Close()
@@ -120,9 +135,9 @@ func (q *PQP) openPlan(iom *translate.Matrix, env execEnv) (core.Cursor, error) 
 		c, err := q.openRow(row, takeReg, env)
 		if err != nil {
 			closePending()
-			return nil, fmt.Errorf("pqp: executing %s: %w", row, err)
+			return nil, nil, fmt.Errorf("pqp: executing %s: %w", row, err)
 		}
-		if consumers[row.PR] == 1 {
+		if !retain && consumers[row.PR] == 1 {
 			pending[row.PR] = c
 			if q.Trace != nil {
 				q.Trace("%-60s -> streamed", row.String())
@@ -132,7 +147,7 @@ func (q *PQP) openPlan(iom *translate.Matrix, env execEnv) (core.Cursor, error) 
 		p, err := core.Drain(c)
 		if err != nil {
 			closePending()
-			return nil, fmt.Errorf("pqp: executing %s: %w", row, err)
+			return nil, nil, fmt.Errorf("pqp: executing %s: %w", row, err)
 		}
 		mats[row.PR] = p
 		if q.Trace != nil {
@@ -142,10 +157,10 @@ func (q *PQP) openPlan(iom *translate.Matrix, env execEnv) (core.Cursor, error) 
 	if c, ok := pending[last]; ok {
 		delete(pending, last)
 		closePending() // defensive: a well-formed plan leaves nothing pending
-		return c, nil
+		return c, mats, nil
 	}
 	closePending()
-	return core.CursorOf(mats[last]), nil
+	return core.CursorOf(mats[last]), mats, nil
 }
 
 // openRow builds the cursor for one plan row, claiming its register
@@ -246,8 +261,7 @@ func (q *PQP) openRow(row translate.Row, takeReg func(int) (core.Cursor, error),
 // execution location as every cell's originating source. Rows carrying
 // optimizer-fused steps open as pushed-down subplans, so only the filtered,
 // narrowed batches cross the LQP boundary; the tag cursor reconstructs the
-// intermediate tags the displaced PQP-side filters would have added (see
-// runLocal).
+// intermediate tags the displaced PQP-side filters would have added.
 func (q *PQP) openLocal(row translate.Row, env execEnv) (core.Cursor, error) {
 	processor, ok := q.lqps[row.EL]
 	if !ok {
@@ -280,11 +294,17 @@ func (q *PQP) openLocal(row translate.Row, env execEnv) (core.Cursor, error) {
 	return q.newTagCursor(rel.Prefetch(rc, prefetchDepth), row.EL, row.LHR.Name, plan.Mediates()), nil
 }
 
-// tagCursor is the streaming counterpart of tagPlain: each batch of plain
-// rows is domain-mapped and tagged with origin {db} into fresh polygen rows
-// (the input batches may alias a live base relation and are never mutated).
-// The intermediate set is empty, or {db} for mediated pushed-down subplans
-// (see runLocal).
+// tagCursor turns an LQP's plain rows into polygen rows: each batch is
+// domain-mapped and tagged into fresh rows (the input batches may alias a
+// live base relation and are never mutated), every column annotated with
+// the polygen attribute the schema maps it to. Every cell's origin is the
+// execution location {db} (paper §III: "when the execution location is an
+// LQP ... it is also used as the originating source tag for each of the
+// cells"). The intermediate set is empty for a plain local operation and
+// {db} for a mediated pushed-down subplan — one whose pushed steps include
+// a Select or Restrict — which is exactly what the displaced PQP-resident
+// filters would have added, since every cell of a freshly retrieved
+// relation has origin {db}.
 type tagCursor struct {
 	name   string
 	attrs  []core.Attr

@@ -1,6 +1,7 @@
 package pqp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -25,9 +26,10 @@ var streamQueries = []string{
 		(SELECT AID# FROM PALUMNUS WHERE DEGREE = "MBA"))`,
 }
 
-// TestStreamingMatchesMaterializedOnPaperQueries: the streaming engine, the
-// materializing engine and the parallel engine return identical tagged
-// answers (cell for cell, data and both tag sets) for the paper queries.
+// TestStreamingMatchesMaterializedOnPaperQueries: for the paper queries
+// the engine's streamed answer matches the materializing Ref* reference
+// evaluation cell for cell (data and both tag sets), and retain mode
+// (ExecuteMaterialized) matches the streamed answer row for row.
 func TestStreamingMatchesMaterializedOnPaperQueries(t *testing.T) {
 	q := newPQP(t)
 	for _, sql := range streamQueries {
@@ -35,29 +37,17 @@ func TestStreamingMatchesMaterializedOnPaperQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
+		wantReference(t, q, sql, res.Plan, res.Relation)
 		mat, err := q.ExecuteMaterialized(res.Plan)
 		if err != nil {
-			t.Fatalf("%s: materialized: %v", sql, err)
+			t.Fatalf("%s: retain mode: %v", sql, err)
 		}
-		par, err := q.ExecuteParallel(res.Plan)
-		if err != nil {
-			t.Fatalf("%s: parallel: %v", sql, err)
-		}
-		str := strings.Join(render(res.Relation), "\n")
-		if m := strings.Join(render(mat), "\n"); str != m {
-			t.Errorf("%s:\nstreaming:\n%s\nmaterialized:\n%s", sql, str, m)
-		}
-		if p := strings.Join(render(par), "\n"); str != p {
-			t.Errorf("%s:\nstreaming:\n%s\nparallel:\n%s", sql, str, p)
-		}
-		if res.Relation.AttrNames()[0] != mat.AttrNames()[0] || res.Relation.Degree() != mat.Degree() {
-			t.Errorf("%s: attr layout diverged: %v vs %v", sql, res.Relation.AttrNames(), mat.AttrNames())
-		}
+		diffRows(t, sql+" [retain mode vs streaming]", render(mat), render(res.Relation))
 	}
 }
 
-// TestStreamingMatchesMaterializedOnWorkload: engine parity on a synthetic
-// federation whose Merge fans in several sources.
+// TestStreamingMatchesMaterializedOnWorkload: reference parity on a
+// synthetic federation whose Merge fans in several sources.
 func TestStreamingMatchesMaterializedOnWorkload(t *testing.T) {
 	f := workload.New(workload.Config{Databases: 4, Entities: 500, Overlap: 0.6, Categories: 7, Seed: 11})
 	q := New(f.Schema, f.Registry, identity.Exact{}, f.LQPs())
@@ -65,19 +55,12 @@ func TestStreamingMatchesMaterializedOnWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := q.ExecuteMaterialized(res.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := strings.Join(render(res.Relation), "\n"), strings.Join(render(mat), "\n")
-	if a != b {
-		t.Errorf("workload answers diverged:\nstreaming:\n%s\nmaterialized:\n%s", a, b)
-	}
+	wantReference(t, q, "workload", res.Plan, res.Relation)
 }
 
 // TestStreamingSharedRegister: a register consumed twice (self-join)
 // materializes once and feeds both operands; the answer matches the
-// materializing engine.
+// reference evaluation.
 func TestStreamingSharedRegister(t *testing.T) {
 	q := newPQP(t)
 	plan := &translate.Matrix{Rows: []translate.Row{
@@ -91,22 +74,16 @@ func TestStreamingSharedRegister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := q.ExecuteMaterialized(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if str.Cardinality() == 0 {
 		t.Fatal("self-join returned nothing")
 	}
-	a, b := strings.Join(render(str), "\n"), strings.Join(render(mat), "\n")
-	if a != b {
-		t.Errorf("shared-register answers diverged:\nstreaming:\n%s\nmaterialized:\n%s", a, b)
-	}
+	wantReference(t, q, "shared register", plan, str)
 }
 
-// TestStreamingRedefinedRegisterFallsBack: plans that reassign a register
-// cannot compile to a cursor tree; Execute silently uses the materializing
-// engine and still answers.
+// TestStreamingRedefinedRegisterFallsBack: a plan that reassigns a register
+// cannot stream (a pending cursor would be clobbered), so it compiles in
+// retain mode — every row drained as it is defined, none streamed — and
+// answers with the register's last definition, like the reference.
 func TestStreamingRedefinedRegisterFallsBack(t *testing.T) {
 	q := newPQP(t)
 	plan := &translate.Matrix{Rows: []translate.Row{
@@ -115,21 +92,29 @@ func TestStreamingRedefinedRegisterFallsBack(t *testing.T) {
 		{PR: 1, Op: translate.OpRetrieve, LHR: translate.LocalOperand("CAREER"),
 			RHA: translate.NoComparand(), RHR: translate.NoOperand(), EL: "AD"},
 	}}
+	var trace []string
+	q.Trace = func(format string, args ...any) { trace = append(trace, fmt.Sprintf(format, args...)) }
 	got, err := q.Execute(plan)
+	q.Trace = nil
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := q.ExecuteMaterialized(plan)
-	if err != nil {
-		t.Fatal(err)
+	if len(trace) != 2 {
+		t.Fatalf("trace = %q, want one line per row", trace)
 	}
-	if got.Cardinality() != mat.Cardinality() {
-		t.Errorf("fallback answer has %d tuples, want %d", got.Cardinality(), mat.Cardinality())
+	for _, line := range trace {
+		if strings.HasSuffix(line, "streamed") {
+			t.Errorf("redefining plan streamed a row: %q", line)
+		}
 	}
+	if got.Name != "CAREER" {
+		t.Errorf("answer is %q, want the last definition (CAREER)", got.Name)
+	}
+	wantReference(t, q, "redefined register", plan, got)
 }
 
-// TestStreamingBadPlans: the malformed plans the materializing engine
-// rejects are rejected by the streaming engine too.
+// TestStreamingBadPlans: malformed plans are rejected, streaming and in
+// retain mode alike.
 func TestStreamingBadPlans(t *testing.T) {
 	q := newPQP(t)
 	bad := []*translate.Matrix{
@@ -143,14 +128,17 @@ func TestStreamingBadPlans(t *testing.T) {
 	}
 	for i, plan := range bad {
 		if _, err := q.Execute(plan); err == nil {
-			t.Errorf("bad plan %d accepted by streaming engine", i)
+			t.Errorf("bad plan %d accepted by Execute", i)
+		}
+		if _, err := q.ExecuteAll(plan); err == nil {
+			t.Errorf("bad plan %d accepted by ExecuteAll", i)
 		}
 	}
 }
 
-// TestStreamingPreservesLQPOpOrder: the streaming engine issues exactly the
-// local operations of the materializing engine, in the same order — eager
-// plan-order opens keep Counting-based pushdown assertions meaningful.
+// TestStreamingPreservesLQPOpOrder: streaming issues exactly the local
+// operations of retain mode, in the same order — eager plan-order opens
+// keep Counting-based pushdown assertions meaningful.
 func TestStreamingPreservesLQPOpOrder(t *testing.T) {
 	fed := paperdata.New()
 	counters := make(map[string]*lqp.Counting, 3)
@@ -185,7 +173,7 @@ func TestStreamingPreservesLQPOpOrder(t *testing.T) {
 			strs[i] = op.String()
 		}
 		if got := strings.Join(strs, "; "); got != streamed[name] {
-			t.Errorf("%s op sequence diverged:\nstreaming:     %s\nmaterializing: %s", name, streamed[name], got)
+			t.Errorf("%s op sequence diverged:\nstreaming:   %s\nretain mode: %s", name, streamed[name], got)
 		}
 	}
 }

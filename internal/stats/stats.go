@@ -122,9 +122,8 @@ func (c *Catalog) Cardinality(db, relation string) (int, bool) {
 }
 
 // Columns returns the recorded column list of db's relation. An entry
-// whose columns were never collected (e.g. created by ObserveCardinality
-// alone) reads as unknown, so cardinality observations can only improve
-// plans, never disable column-dependent rewrites.
+// recorded without columns reads as unknown, so a cardinality-only entry
+// can only improve plans, never disable column-dependent rewrites.
 func (c *Catalog) Columns(db, relation string) ([]string, bool) {
 	r, ok := c.Relation(db, relation)
 	if !ok || len(r.Columns) == 0 {
@@ -133,32 +132,15 @@ func (c *Catalog) Columns(db, relation string) ([]string, bool) {
 	return r.Columns, true
 }
 
-// ObserveCardinality folds a freshly observed row count into the catalog —
-// the PQP calls it with the result size of every local operation it routes,
-// so estimates track reality without a collection pass. Only full Retrieves
-// carry exact cardinalities; filtered observations update nothing.
-func (c *Catalog) ObserveCardinality(db, relation string, rows int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := Key{DB: db, Relation: relation}
-	r, known := c.rels[k]
-	if known && r.Rows == rows {
-		return // nothing moved; cached plans stay valid
-	}
-	r.Rows = rows
-	c.rels[k] = r
-	c.version.Add(1)
-}
-
 // latencyAlpha is the EWMA weight of a fresh latency observation.
 const latencyAlpha = 0.25
 
 // ObserveLatency folds one measured round-trip (or per-batch transfer) time
-// into db's moving average. It deliberately does not bump Version: the PQP
-// observes latency on every local operation it routes, so counting EWMA
-// drift as a plan-relevant change would invalidate the plan cache on every
-// query. Latency only tilts cost ranking, never correctness; SetLatency —
-// the deliberate re-model — does bump.
+// into db's moving average. It deliberately does not bump Version: EWMA
+// drift is not a plan-relevant change, and counting it as one would
+// invalidate the plan cache on every observation. Latency only tilts cost
+// ranking, never correctness; SetLatency — the deliberate re-model — does
+// bump.
 func (c *Catalog) ObserveLatency(db string, d time.Duration) {
 	if d < 0 {
 		return

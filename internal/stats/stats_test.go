@@ -21,14 +21,10 @@ func TestCatalogRelationAndLatency(t *testing.T) {
 	if _, ok := c.Cardinality("AD", "NOPE"); ok {
 		t.Error("unknown relation reported")
 	}
-	c.ObserveCardinality("AD", "ALUMNUS", 12)
-	if n, _ := c.Cardinality("AD", "ALUMNUS"); n != 12 {
-		t.Errorf("observed cardinality = %d, want 12", n)
-	}
-	// A cardinality-only observation must not fabricate a column list: an
-	// entry without collected columns reads as column-unknown, so observing
-	// rows can never disable column-dependent rewrites.
-	c.ObserveCardinality("PD", "STUDENT", 5)
+	// A cardinality-only entry must not fabricate a column list: an entry
+	// without collected columns reads as column-unknown, so recording rows
+	// can never disable column-dependent rewrites.
+	c.SetRelation("PD", lqp.RelationStats{Name: "STUDENT", Rows: 5})
 	if cols, ok := c.Columns("PD", "STUDENT"); ok {
 		t.Errorf("cardinality-only entry reported columns %v", cols)
 	}

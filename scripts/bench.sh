@@ -5,9 +5,9 @@
 # across commits:
 #
 #   serve  B-KEY / B-STREAM / B-OPT / B-SERVE        -> BENCH_serve.json
-#   par    B-PAR (partitioned hash ops, parallel     -> BENCH_par.json
-#          stream join, mediator latency, parallel
-#          plan execution)
+#   par    B-PAR (hash ops with partitioned Join/    -> BENCH_par.json
+#          Difference builds, parallel stream join,
+#          mediator latency)
 #   fault  B-FAULT (replicated star under injected   -> BENCH_fault.json
 #          faults: scenario latency percentiles,
 #          hedge/retry fire rates, deadline bound)
@@ -41,7 +41,7 @@ benchtime=${BENCHTIME:-100x}
 suite_pattern() {
     case "$1" in
     serve) echo 'BenchmarkKeyRepresentation|BenchmarkStreaming|BenchmarkFederatedPushdown|BenchmarkFederatedJoinOrder|BenchmarkServe' ;;
-    par) echo 'BenchmarkParallelHashOps|BenchmarkParallelStreamJoin|BenchmarkParallelMediatorLatency|BenchmarkParallelExecution' ;;
+    par) echo 'BenchmarkParallelHashOps|BenchmarkParallelStreamJoin|BenchmarkParallelMediatorLatency' ;;
     fault) echo 'BenchmarkFaultScenarios|BenchmarkFaultDeadline' ;;
     col) echo 'BenchmarkColumnarHashOps|BenchmarkColumnarWireStream' ;;
     shard) echo 'BenchmarkShardScatterGather|BenchmarkShardPrunedRetrieve' ;;

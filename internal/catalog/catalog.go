@@ -23,6 +23,33 @@ type Database struct {
 type table struct {
 	rel *rel.Relation
 	key []string // primary key attribute names; may be empty
+
+	// keyIdx holds the schema positions of key (nil when no key is
+	// declared) and index maps a hash of those cells to positions in
+	// rel.Tuples, so a uniqueness check costs O(batch), not O(relation).
+	keyIdx []int
+	index  rel.BucketIndex
+}
+
+// keyHash folds the hashes of t's key cells.
+func (t *table) keyHash(tup rel.Tuple) uint64 {
+	h := uint64(rel.HashFoldInit)
+	for _, ci := range t.keyIdx {
+		h = rel.HashFold(h, tup[ci].Hash64(rel.Seed))
+	}
+	return h
+}
+
+// sameKey reports whether a and b agree on every key cell under
+// Value.Identical: -0 = +0, all NaNs are one datum, null = null, and values
+// of different kinds (Int(5), Float(5)) differ.
+func (t *table) sameKey(a, b rel.Tuple) bool {
+	for _, ci := range t.keyIdx {
+		if !a[ci].Identical(b[ci]) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewDatabase returns an empty database with the given name (e.g. "AD").
@@ -35,40 +62,32 @@ func (d *Database) Name() string { return d.name }
 
 // Create registers an empty relation with the given schema and primary key
 // attributes. It fails if the name is taken or a key attribute is unknown.
-func (d *Database) Create(name string, schema *rel.Schema, key ...string) (*rel.Relation, error) {
+// Rows enter only through Insert, which keeps the key index in step.
+func (d *Database) Create(name string, schema *rel.Schema, key ...string) error {
+	t := &table{rel: rel.NewRelation(name, schema), key: append([]string(nil), key...)}
 	for _, k := range key {
 		if !schema.Has(k) {
-			return nil, fmt.Errorf("catalog: key attribute %q not in schema %s of %q", k, schema, name)
+			return fmt.Errorf("catalog: key attribute %q not in schema %s of %q", k, schema, name)
 		}
+		t.keyIdx = append(t.keyIdx, schema.Index(k))
+	}
+	if t.keyIdx != nil {
+		t.index = rel.NewBucketIndex(0)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, dup := d.rels[name]; dup {
-		return nil, fmt.Errorf("catalog: relation %q already exists in database %q", name, d.name)
+		return fmt.Errorf("catalog: relation %q already exists in database %q", name, d.name)
 	}
-	r := rel.NewRelation(name, schema)
-	d.rels[name] = &table{rel: r, key: append([]string(nil), key...)}
-	return r, nil
+	d.rels[name] = t
+	return nil
 }
 
 // MustCreate is Create for statically-known schemas; it panics on error.
-func (d *Database) MustCreate(name string, schema *rel.Schema, key ...string) *rel.Relation {
-	r, err := d.Create(name, schema, key...)
-	if err != nil {
+func (d *Database) MustCreate(name string, schema *rel.Schema, key ...string) {
+	if err := d.Create(name, schema, key...); err != nil {
 		panic(err)
 	}
-	return r
-}
-
-// Relation returns the named relation.
-func (d *Database) Relation(name string) (*rel.Relation, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	t, ok := d.rels[name]
-	if !ok {
-		return nil, fmt.Errorf("catalog: database %q has no relation %q", d.name, name)
-	}
-	return t.rel, nil
 }
 
 // Key returns the primary key attribute names of the named relation.
@@ -128,7 +147,12 @@ func (d *Database) Stats() []RelationInfo {
 }
 
 // Insert appends tuples to the named relation, enforcing degree and — when a
-// primary key is declared — key uniqueness.
+// primary key is declared — key uniqueness against both the stored rows and
+// the rest of the batch. The whole batch is validated before anything is
+// appended, so a rejected batch changes nothing. Key checks probe the
+// relation's key index: the cost is O(len(tuples)), independent of how many
+// rows are stored. Key equality is Value.Identical on the key cells, the
+// same identity Tuple.Key gives.
 func (d *Database) Insert(name string, tuples ...rel.Tuple) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -136,55 +160,58 @@ func (d *Database) Insert(name string, tuples ...rel.Tuple) error {
 	if !ok {
 		return fmt.Errorf("catalog: database %q has no relation %q", d.name, name)
 	}
-	var keyIdx []int
-	if len(t.key) > 0 {
-		keyIdx = make([]int, len(t.key))
-		for i, k := range t.key {
-			keyIdx[i] = t.rel.Schema.Index(k)
-		}
-	}
-	seen := make(map[string]struct{})
-	if keyIdx != nil {
-		for _, existing := range t.rel.Tuples {
-			seen[keyOf(existing, keyIdx)] = struct{}{}
-		}
-	}
 	for _, tup := range tuples {
 		if len(tup) != t.rel.Schema.Len() {
 			return fmt.Errorf("catalog: tuple degree %d does not match %q%s", len(tup), name, t.rel.Schema)
 		}
-		if keyIdx != nil {
-			k := keyOf(tup, keyIdx)
-			if _, dup := seen[k]; dup {
-				return fmt.Errorf("catalog: duplicate primary key %v in %q.%q", t.key, d.name, name)
-			}
-			seen[k] = struct{}{}
+	}
+	if t.keyIdx != nil {
+		if t.duplicateKey(tuples) {
+			return fmt.Errorf("catalog: duplicate primary key %v in %q.%q", t.key, d.name, name)
 		}
 	}
-	for _, tup := range tuples {
-		t.rel.Tuples = append(t.rel.Tuples, tup)
+	base := len(t.rel.Tuples)
+	t.rel.Tuples = append(t.rel.Tuples, tuples...)
+	if t.keyIdx != nil {
+		for i, tup := range tuples {
+			t.index.Add(t.keyHash(tup), base+i)
+		}
 	}
 	return nil
 }
 
-func keyOf(t rel.Tuple, idx []int) string {
-	sub := make(rel.Tuple, len(idx))
-	for i, ci := range idx {
-		sub[i] = t[ci]
+// duplicateKey reports whether a batch's keys repeat a stored key or each
+// other. A one-row batch needs no within-batch table and allocates nothing.
+func (t *table) duplicateKey(tuples []rel.Tuple) bool {
+	var batch rel.BucketIndex
+	if len(tuples) > 1 {
+		batch = rel.NewBucketIndex(len(tuples))
 	}
-	return sub.Key()
+	for i, tup := range tuples {
+		h := t.keyHash(tup)
+		if _, dup := t.index.Find(h, func(pos int) bool { return t.sameKey(t.rel.Tuples[pos], tup) }); dup {
+			return true
+		}
+		if len(tuples) > 1 {
+			if _, dup := batch.Find(h, func(pos int) bool { return t.sameKey(tuples[pos], tup) }); dup {
+				return true
+			}
+			batch.Add(h, i)
+		}
+	}
+	return false
 }
 
 // Snapshot returns a deep copy of the named relation, isolating callers from
 // subsequent inserts.
 func (d *Database) Snapshot(name string) (*rel.Relation, error) {
-	r, err := d.Relation(name)
-	if err != nil {
-		return nil, err
-	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return r.Clone(), nil
+	t, ok := d.rels[name]
+	if !ok {
+		return nil, fmt.Errorf("catalog: database %q has no relation %q", d.name, name)
+	}
+	return t.rel.Clone(), nil
 }
 
 // View returns the schema and current tuples of the named relation without

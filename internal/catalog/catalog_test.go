@@ -12,31 +12,31 @@ func TestCreateAndRelation(t *testing.T) {
 	if db.Name() != "AD" {
 		t.Errorf("Name = %q", db.Name())
 	}
-	r, err := db.Create("T", rel.SchemaOf("A", "B"), "A")
-	if err != nil {
+	if err := db.Create("T", rel.SchemaOf("A", "B"), "A"); err != nil {
 		t.Fatal(err)
 	}
-	if r.Name != "T" {
-		t.Errorf("relation name = %q", r.Name)
+	schema, tuples, err := db.View("T")
+	if err != nil || schema.Len() != 2 || len(tuples) != 0 {
+		t.Errorf("View = %v, %d tuples, %v", schema, len(tuples), err)
 	}
-	got, err := db.Relation("T")
-	if err != nil || got != r {
-		t.Errorf("Relation lookup = %v, %v", got, err)
+	snap, err := db.Snapshot("T")
+	if err != nil || snap.Name != "T" {
+		t.Errorf("Snapshot = %v, %v", snap, err)
 	}
-	if _, err := db.Relation("Z"); err == nil {
+	if _, _, err := db.View("Z"); err == nil {
 		t.Error("missing relation lookup should fail")
 	}
 }
 
 func TestCreateErrors(t *testing.T) {
 	db := NewDatabase("X")
-	if _, err := db.Create("T", rel.SchemaOf("A"), "NOPE"); err == nil {
+	if err := db.Create("T", rel.SchemaOf("A"), "NOPE"); err == nil {
 		t.Error("unknown key attribute accepted")
 	}
-	if _, err := db.Create("T", rel.SchemaOf("A")); err != nil {
+	if err := db.Create("T", rel.SchemaOf("A")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Create("T", rel.SchemaOf("B")); err == nil {
+	if err := db.Create("T", rel.SchemaOf("B")); err == nil {
 		t.Error("duplicate relation accepted")
 	}
 }
@@ -95,9 +95,8 @@ func TestInsertDegreeAndKeyEnforcement(t *testing.T) {
 		t.Error("duplicate key within batch accepted")
 	}
 	// A failed batch must be atomic: nothing inserted.
-	r, _ := db.Relation("T")
-	if r.Cardinality() != 1 {
-		t.Errorf("failed batch partially applied: %d tuples", r.Cardinality())
+	if _, tuples, _ := db.View("T"); len(tuples) != 1 {
+		t.Errorf("failed batch partially applied: %d tuples", len(tuples))
 	}
 	if err := db.Insert("Z"); err == nil {
 		t.Error("insert into missing relation should fail")
@@ -131,8 +130,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Error("snapshot saw later insert")
 	}
 	snap.Tuples[0][0] = rel.Int(99)
-	live, _ := db.Relation("T")
-	if live.Tuples[0][0].IntVal() == 99 {
+	if _, live, _ := db.View("T"); live[0][0].IntVal() == 99 {
 		t.Error("snapshot aliases live storage")
 	}
 	if _, err := db.Snapshot("Z"); err == nil {
@@ -146,7 +144,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := db.LoadCSV("P", strings.NewReader(csv), "NAME"); err != nil {
 		t.Fatal(err)
 	}
-	r, _ := db.Relation("P")
+	r, _ := db.Snapshot("P")
 	if r.Cardinality() != 2 {
 		t.Fatalf("loaded %d tuples", r.Cardinality())
 	}
@@ -164,7 +162,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := db2.LoadCSV("P", strings.NewReader(out.String()), "NAME"); err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := db2.Relation("P")
+	r2, _ := db2.Snapshot("P")
 	if r2.Cardinality() != 2 || !r2.Tuples[0].Equal(r.Tuples[0]) {
 		t.Error("round trip changed data")
 	}
@@ -175,8 +173,12 @@ func TestCSVErrors(t *testing.T) {
 	if err := db.LoadCSV("E", strings.NewReader("")); err == nil {
 		t.Error("empty CSV should fail (no header)")
 	}
-	if err := db.LoadCSV("K", strings.NewReader("A,B\n1,2\n1,3\n"), "A"); err == nil {
+	if err := db.LoadCSV("K", strings.NewReader("A,B\n1,2\n3,4\n1,3\n"), "A"); err == nil {
 		t.Error("duplicate keys in CSV should fail")
+	}
+	// The load is one batch: the rows before the duplicate are not kept.
+	if _, tuples, err := db.View("K"); err != nil || len(tuples) != 0 {
+		t.Errorf("failed CSV load left %d tuples (%v)", len(tuples), err)
 	}
 	if err := db.WriteCSV("MISSING", &strings.Builder{}); err == nil {
 		t.Error("writing missing relation should fail")

@@ -10,7 +10,9 @@ import (
 
 // LoadCSV reads a relation from CSV. The first record is the header (the
 // attribute names); remaining records are parsed with rel.Parse. The
-// relation is created in d under name with the given primary key.
+// relation is created in d under name with the given primary key, and the
+// rows are inserted as one batch: a malformed record or a duplicate key
+// leaves the relation empty.
 func (d *Database) LoadCSV(name string, r io.Reader, key ...string) error {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -18,13 +20,14 @@ func (d *Database) LoadCSV(name string, r io.Reader, key ...string) error {
 	if err != nil {
 		return fmt.Errorf("catalog: reading CSV header for %q: %w", name, err)
 	}
-	if _, err := d.Create(name, rel.SchemaOf(header...), key...); err != nil {
+	if err := d.Create(name, rel.SchemaOf(header...), key...); err != nil {
 		return err
 	}
+	var tuples []rel.Tuple
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return nil
+			return d.Insert(name, tuples...)
 		}
 		if err != nil {
 			return fmt.Errorf("catalog: reading CSV for %q: %w", name, err)
@@ -33,9 +36,7 @@ func (d *Database) LoadCSV(name string, r io.Reader, key ...string) error {
 		for i, f := range rec {
 			tup[i] = rel.Parse(f)
 		}
-		if err := d.Insert(name, tup); err != nil {
-			return err
-		}
+		tuples = append(tuples, tup)
 	}
 }
 

@@ -38,7 +38,7 @@ type relSnapshot struct {
 	Name   string
 	Attrs  []rel.Attr
 	Key    []string
-	Tuples [][]rel.Value
+	Tuples []rel.Tuple
 }
 
 var snapshotMagic = [6]byte{'P', 'G', 'S', 'N', 'A', 'P'}
@@ -56,15 +56,12 @@ func (d *Database) snapshot() dbSnapshot {
 	snap := dbSnapshot{Name: d.name}
 	for _, name := range d.relationNamesLocked() {
 		t := d.rels[name]
-		rs := relSnapshot{
-			Name:  name,
-			Attrs: t.rel.Schema.Attrs(),
-			Key:   append([]string(nil), t.key...),
-		}
-		for _, tup := range t.rel.Tuples {
-			rs.Tuples = append(rs.Tuples, tup)
-		}
-		snap.Relations = append(snap.Relations, rs)
+		snap.Relations = append(snap.Relations, relSnapshot{
+			Name:   name,
+			Attrs:  t.rel.Schema.Attrs(),
+			Key:    append([]string(nil), t.key...),
+			Tuples: append([]rel.Tuple(nil), t.rel.Tuples...),
+		})
 	}
 	return snap
 }
@@ -169,13 +166,11 @@ func decodeSnapshot(r io.Reader) (*Database, error) {
 	}
 	db := NewDatabase(snap.Name)
 	for _, rs := range snap.Relations {
-		if _, err := db.Create(rs.Name, rel.NewSchema(rs.Attrs...), rs.Key...); err != nil {
+		if err := db.Create(rs.Name, rel.NewSchema(rs.Attrs...), rs.Key...); err != nil {
 			return nil, err
 		}
-		for _, tup := range rs.Tuples {
-			if err := db.Insert(rs.Name, rel.Tuple(tup)); err != nil {
-				return nil, err
-			}
+		if err := db.Insert(rs.Name, rs.Tuples...); err != nil {
+			return nil, err
 		}
 	}
 	return db, nil

@@ -193,7 +193,7 @@ func Slice(db *catalog.Database, idx, shards int) (*catalog.Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := out.Create(name, schema, key...); err != nil {
+		if err := out.Create(name, schema, key...); err != nil {
 			return nil, err
 		}
 		place := m.placement(name, schema)

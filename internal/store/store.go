@@ -342,8 +342,7 @@ func (s *Store) apply(payload []byte) error {
 		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&c); err != nil {
 			return fmt.Errorf("create record: %w", err)
 		}
-		_, err := s.db.Create(c.Name, rel.NewSchema(c.Attrs...), c.Key...)
-		return err
+		return s.db.Create(c.Name, rel.NewSchema(c.Attrs...), c.Key...)
 	case recInsert:
 		name, frame, err := splitInsert(body)
 		if err != nil {
@@ -407,7 +406,7 @@ func (s *Store) CreateRelation(name string, schema *rel.Schema, key ...string) e
 	if s.broken != nil {
 		return s.broken
 	}
-	if _, err := s.db.Create(name, schema, key...); err != nil {
+	if err := s.db.Create(name, schema, key...); err != nil {
 		return err
 	}
 	var body bytes.Buffer

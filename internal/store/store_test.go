@@ -238,7 +238,7 @@ func TestLogFailureLatchesReadOnly(t *testing.T) {
 	if !s.Stats().Broken {
 		t.Fatal("stats do not report the latched failure")
 	}
-	if _, err := s.DB().Relation("FIRM"); err != nil {
+	if _, _, err := s.DB().View("FIRM"); err != nil {
 		t.Fatalf("read side must survive: %v", err)
 	}
 }

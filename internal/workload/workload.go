@@ -109,9 +109,7 @@ func New(cfg Config) *Federation {
 		db.MustCreate("FRAG", schema, "KEY")
 		f.Databases = append(f.Databases, db)
 	}
-	// Rows are accumulated per database and inserted in one batch each:
-	// Insert re-checks key uniqueness against the whole stored relation per
-	// call, so tuple-at-a-time loading is quadratic in Entities.
+	// Rows are accumulated per database and inserted in one batch each.
 	rows := make([][]rel.Tuple, cfg.Databases)
 	for e := 0; e < cfg.Entities; e++ {
 		key := rel.String(fmt.Sprintf("E%06d", e))

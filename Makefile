@@ -22,7 +22,7 @@ race:
 # in their entirety, so they run unfiltered.
 chaos:
 	$(GO) test -race -count=1 -timeout=15m ./internal/federation/... ./internal/faultinject/...
-	$(GO) test -race -count=1 -timeout=15m -run 'Fault|Flaky|Chaos' ./internal/workload/... ./internal/wire/...
+	$(GO) test -race -count=1 -timeout=15m -run 'Fault|Flaky|Chaos' ./internal/workload/... ./internal/wire/... ./internal/vtab/...
 
 vet:
 	$(GO) vet ./...

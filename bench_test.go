@@ -602,7 +602,11 @@ func BenchmarkWireRetrieve(b *testing.B) {
 	defer client.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Execute(lqp.Retrieve("FIRM")); err != nil {
+		cur, err := client.Open(lqp.Retrieve("FIRM"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rel.Drain(cur); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1281,8 +1285,7 @@ func BenchmarkFaultDeadline(b *testing.B) {
 // B-COL: columnar execution. Two families: the column-major hash kernels
 // against the row engine on the B-KEY fixture (same input as B-PAR
 // workers=1, so numbers line up across the three BENCH files), and the
-// binary stream-frame codec against the legacy gob framing over a real TCP
-// stream. ColBatch inputs are built outside the timer — the kernels are
+// binary stream-frame codec over a real TCP stream. ColBatch inputs are built outside the timer — the kernels are
 // measured, not the row-to-column conversion (which the wire decode path
 // never pays: binary frames arrive columnar).
 
@@ -1326,9 +1329,8 @@ func BenchmarkColumnarHashOps(b *testing.B) {
 }
 
 // BenchmarkColumnarWireStream (B-COL): one full LQP stream — open, drain,
-// close — over loopback TCP under both frame codecs. The binary codec
-// decodes O(columns) per frame where gob decodes O(rows×columns); the
-// allocs/op gap is the point of the measurement.
+// close — over loopback TCP. The binary frame codec decodes O(columns)
+// allocations per frame, so allocs/op tracks frames, not cells.
 func BenchmarkColumnarWireStream(b *testing.B) {
 	const n = 100000
 	db := catalog.NewDatabase("BD")
@@ -1348,30 +1350,27 @@ func BenchmarkColumnarWireStream(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	for _, codec := range []string{"gob", "bin"} {
-		client, err := wire.Dial(addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		client.LegacyFrames = codec == "gob"
-		b.Run(fmt.Sprintf("codec=%s/n=%d", codec, n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cur, err := client.Open(lqp.Retrieve("BIG"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := rel.Drain(cur)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(r.Tuples) != n {
-					b.Fatalf("streamed %d tuples, want %d", len(r.Tuples), n)
-				}
-			}
-		})
-		client.Close()
+	client, err := wire.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer client.Close()
+	b.Run(fmt.Sprintf("codec=bin/n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cur, err := client.Open(lqp.Retrieve("BIG"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := rel.Drain(cur)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(r.Tuples) != n {
+				b.Fatalf("streamed %d tuples, want %d", len(r.Tuples), n)
+			}
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------

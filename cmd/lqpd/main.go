@@ -69,7 +69,6 @@ func main() {
 	compactBytes := flag.Int64("compact-bytes", 0, "rotate snapshot + log once the log passes this size (0 = engine default 64MiB, negative disables auto-compaction)")
 	writeTimeout := flag.Duration("write-timeout", wire.DefaultTimeout, "per-message write deadline (a client that stops reading is dropped)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = keep idle connections open)")
-	legacyFrames := flag.Bool("legacy-frames", false, "refuse the binary stream-frame codec and serve gob row frames only (interop escape hatch)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
 	maxProcs := flag.Int("max-procs", 0, "cap the daemon's scheduler parallelism (GOMAXPROCS; 0 = all cores) — on shared hosts, the cores left over are what a co-located polygend's worker pool gets")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the deterministic fault-injection cadence")
@@ -152,7 +151,7 @@ func main() {
 		shardNote = fmt.Sprintf(" shard %d/%d", idx, n)
 	}
 
-	var served wire.LocalLQP = lqp.NewLocal(db)
+	var served lqp.LQP = lqp.NewLocal(db)
 	var st *store.Store
 	durableNote := ""
 	if *dataDir != "" {
@@ -195,7 +194,6 @@ func main() {
 	srv := wire.NewServerFor(served)
 	srv.WriteTimeout = *writeTimeout
 	srv.IdleTimeout = *idleTimeout
-	srv.LegacyFrames = *legacyFrames
 	if *chaosConnCutReads > 0 || *chaosConnCutWrites > 0 {
 		connProfile := faultinject.ConnProfile{
 			CutAfterReads:  *chaosConnCutReads,

@@ -77,7 +77,6 @@ func main() {
 	sessionIdle := flag.Duration("session-idle", 0, "idle session expiry (0 = default 1h)")
 	writeTimeout := flag.Duration("write-timeout", wire.DefaultTimeout, "per-message write deadline (a client that stops reading is dropped)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = keep idle connections open)")
-	legacyFrames := flag.Bool("legacy-frames", false, "refuse the binary stream-frame codec and serve gob row frames only (interop escape hatch)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
 	metricsAddr := flag.String("metrics-addr", "", "serve a Prometheus-text-format /metrics endpoint on this HTTP address (empty disables)")
 	slowQuery := flag.Duration("slow-query", 0, "log statements slower than this threshold as one JSON line each on stderr (0 disables)")
@@ -228,7 +227,6 @@ func main() {
 	srv := wire.NewMediatorServer(svc)
 	srv.WriteTimeout = *writeTimeout
 	srv.IdleTimeout = *idleTimeout
-	srv.LegacyFrames = *legacyFrames
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		fatal("%v", err)

@@ -135,7 +135,11 @@ func main() {
 		fatal("dialing recovered daemon: %v", err)
 	}
 	defer client2.Close()
-	got, err := client2.Execute(lqp.Retrieve(relation))
+	cur, err := client2.Open(lqp.Retrieve(relation))
+	if err != nil {
+		fatal("retrieving recovered %s: %v", relation, err)
+	}
+	got, err := rel.Drain(cur)
 	if err != nil {
 		fatal("retrieving recovered %s: %v", relation, err)
 	}

@@ -128,8 +128,8 @@ type RelationInfo struct {
 }
 
 // Stats returns a RelationInfo for every stored relation, sorted by name,
-// under one lock acquisition. LQPs expose it through the lqp.StatsProvider
-// capability; internal/stats collects it into the optimizer's catalog.
+// under one lock acquisition. LQPs expose it through lqp.LQP's Stats;
+// internal/stats collects it into the optimizer's catalog.
 func (d *Database) Stats() []RelationInfo {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

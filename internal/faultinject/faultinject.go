@@ -39,7 +39,7 @@ type Profile struct {
 	// fault different calls while keeping each run reproducible.
 	Seed int64
 
-	// ErrEvery: every Nth operation (Execute/Open/plan/Relations/Stats)
+	// ErrEvery: every Nth operation (Open/OpenPlan/Relations/Stats)
 	// fails immediately with an injected *Error.
 	ErrEvery int
 	// SlowEvery: every Nth operation sleeps Latency before proceeding
@@ -98,10 +98,9 @@ func hit(n int64, every int, seed int64) bool {
 	return (n+seed%e+e)%e == 0
 }
 
-// Flaky wraps an LQP with the profile's fault schedule. It implements every
-// optional capability (streaming, plan pushdown, statistics) by forwarding
-// through the lqp fallback helpers, plus the Ping health probe, so it can
-// stand in for a replica anywhere — behind wire.NewServerFor in a chaotic
+// Flaky wraps an LQP with the profile's fault schedule. It implements
+// lqp.LQP by forwarding to the wrapped LQP, plus the Ping health probe, so
+// it can stand in for a replica anywhere — behind wire.NewServerFor in a chaotic
 // lqpd, or directly inside an in-process federation.
 //
 // Counters of fired faults are exported (Injected) so tests can assert the
@@ -164,50 +163,31 @@ func (f *Flaky) Relations() ([]string, error) {
 	return f.inner.Relations()
 }
 
-// Execute implements lqp.LQP.
-func (f *Flaky) Execute(op lqp.Op) (*rel.Relation, error) {
-	if err := f.before(); err != nil {
-		return nil, err
-	}
-	return f.inner.Execute(op)
-}
-
-// ExecutePlan implements lqp.PlanRunner (falling back for inner LQPs
-// without the capability).
-func (f *Flaky) ExecutePlan(p lqp.Plan) (*rel.Relation, error) {
-	if err := f.before(); err != nil {
-		return nil, err
-	}
-	return lqp.ExecutePlanOn(f.inner, p)
-}
-
-// Stats implements lqp.StatsProvider; inner LQPs without the capability
-// report no statistics.
+// Stats implements lqp.LQP.
 func (f *Flaky) Stats() ([]lqp.RelationStats, error) {
 	if err := f.before(); err != nil {
 		return nil, err
 	}
-	st, _, err := lqp.StatsOf(f.inner)
-	return st, err
+	return f.inner.Stats()
 }
 
-// Open implements lqp.Streamer: the operation's fault schedule runs at open
+// Open implements lqp.LQP: the operation's fault schedule runs at open
 // time, and on the cut cadence the returned cursor dies mid-stream after
 // CutAfter batches.
 func (f *Flaky) Open(op lqp.Op) (rel.Cursor, error) {
 	if err := f.before(); err != nil {
 		return nil, err
 	}
-	cur, err := lqp.OpenLQP(f.inner, op)
+	cur, err := f.inner.Open(op)
 	return f.maybeCut(cur, err)
 }
 
-// OpenPlan implements lqp.PlanStreamer, with the same cut behavior as Open.
+// OpenPlan implements lqp.LQP, with the same cut behavior as Open.
 func (f *Flaky) OpenPlan(p lqp.Plan) (rel.Cursor, error) {
 	if err := f.before(); err != nil {
 		return nil, err
 	}
-	cur, err := lqp.OpenPlanOn(f.inner, p)
+	cur, err := f.inner.OpenPlan(p)
 	return f.maybeCut(cur, err)
 }
 
@@ -335,10 +315,6 @@ func (c *FlakyConn) Write(b []byte) (int, error) {
 }
 
 var (
-	_ lqp.LQP           = (*Flaky)(nil)
-	_ lqp.Streamer      = (*Flaky)(nil)
-	_ lqp.PlanRunner    = (*Flaky)(nil)
-	_ lqp.PlanStreamer  = (*Flaky)(nil)
-	_ lqp.StatsProvider = (*Flaky)(nil)
-	_ net.Conn          = (*FlakyConn)(nil)
+	_ lqp.LQP  = (*Flaky)(nil)
+	_ net.Conn = (*FlakyConn)(nil)
 )

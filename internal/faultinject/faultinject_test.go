@@ -35,7 +35,7 @@ func TestCadenceDeterminism(t *testing.T) {
 		f := New(lqp.NewLocal(testDB(4)), Profile{Seed: seed, ErrEvery: 3})
 		outcomes := make([]bool, 12)
 		for i := range outcomes {
-			_, err := f.Execute(lqp.Retrieve("ALUMNUS"))
+			_, err := f.Relations()
 			outcomes[i] = err != nil
 		}
 		return outcomes
@@ -68,7 +68,7 @@ func TestCadenceDeterminism(t *testing.T) {
 
 func TestInjectedErrorsAreTyped(t *testing.T) {
 	f := New(lqp.NewLocal(testDB(2)), Profile{ErrEvery: 1})
-	_, err := f.Execute(lqp.Retrieve("ALUMNUS"))
+	_, err := f.Open(lqp.Retrieve("ALUMNUS"))
 	if err == nil || !IsInjected(err) {
 		t.Fatalf("err = %v, want injected", err)
 	}
@@ -84,9 +84,12 @@ func TestInjectedErrorsAreTyped(t *testing.T) {
 func TestSlowInjectsLatencyNotFailure(t *testing.T) {
 	f := New(lqp.NewLocal(testDB(2)), Profile{SlowEvery: 1, Latency: 30 * time.Millisecond})
 	start := time.Now()
-	r, err := f.Execute(lqp.Retrieve("ALUMNUS"))
-	if err != nil || r.Cardinality() != 2 {
-		t.Fatalf("Execute = %v, %v", r, err)
+	cur, err := f.Open(lqp.Retrieve("ALUMNUS"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := rel.Drain(cur); err != nil || r.Cardinality() != 2 {
+		t.Fatalf("Open drained = %v, %v", r, err)
 	}
 	if e := time.Since(start); e < 30*time.Millisecond {
 		t.Errorf("latency spike not injected (took %v)", e)
@@ -100,7 +103,7 @@ func TestSlowInjectsLatencyNotFailure(t *testing.T) {
 func TestHangBlocksThenFails(t *testing.T) {
 	f := New(lqp.NewLocal(testDB(2)), Profile{HangEvery: 1, Hang: 20 * time.Millisecond})
 	start := time.Now()
-	_, err := f.Execute(lqp.Retrieve("ALUMNUS"))
+	_, err := f.Open(lqp.Retrieve("ALUMNUS"))
 	if err == nil || !IsInjected(err) {
 		t.Fatalf("err = %v, want injected hang", err)
 	}
@@ -185,10 +188,6 @@ func TestFlakyForwardsCapabilities(t *testing.T) {
 	st, err := f.Stats()
 	if err != nil || len(st) != 1 || st[0].Rows != 7 {
 		t.Errorf("Stats = %+v, %v", st, err)
-	}
-	r, err := f.ExecutePlan(lqp.Plan{Ops: []lqp.Op{lqp.Retrieve("ALUMNUS")}})
-	if err != nil || r.Cardinality() != 7 {
-		t.Errorf("ExecutePlan = %v, %v", r, err)
 	}
 	cur, err := f.OpenPlan(lqp.Plan{Ops: []lqp.Op{lqp.Retrieve("ALUMNUS")}})
 	if err != nil {

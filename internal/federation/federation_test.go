@@ -36,13 +36,13 @@ func testDB(rows int) *catalog.Database {
 // error aborts the call), letting tests stage failures, hangs and slowness
 // per call number.
 type fake struct {
-	inner  lqp.LQP
+	*lqp.Local
 	calls  atomic.Int64
 	behave func(n int64) error
 }
 
 func newFake(db *catalog.Database, behave func(n int64) error) *fake {
-	return &fake{inner: lqp.NewLocal(db), behave: behave}
+	return &fake{Local: lqp.NewLocal(db), behave: behave}
 }
 
 func (f *fake) gate() error {
@@ -53,20 +53,32 @@ func (f *fake) gate() error {
 	return f.behave(n)
 }
 
-func (f *fake) Name() string { return f.inner.Name() }
-
 func (f *fake) Relations() ([]string, error) {
 	if err := f.gate(); err != nil {
 		return nil, err
 	}
-	return f.inner.Relations()
+	return f.Local.Relations()
 }
 
-func (f *fake) Execute(op lqp.Op) (*rel.Relation, error) {
+func (f *fake) Open(op lqp.Op) (rel.Cursor, error) {
 	if err := f.gate(); err != nil {
 		return nil, err
 	}
-	return f.inner.Execute(op)
+	return f.Local.Open(op)
+}
+
+func (f *fake) OpenPlan(p lqp.Plan) (rel.Cursor, error) {
+	if err := f.gate(); err != nil {
+		return nil, err
+	}
+	return f.Local.OpenPlan(p)
+}
+
+func (f *fake) Stats() ([]lqp.RelationStats, error) {
+	if err := f.gate(); err != nil {
+		return nil, err
+	}
+	return f.Local.Stats()
 }
 
 func testConfig() Config {
@@ -78,6 +90,14 @@ func testConfig() Config {
 		HedgeDelay:  -1, // off unless the test wants it
 		Seed:        7,
 	}.withDefaults()
+}
+
+// drainOpen drains an opened operation or plan into a relation.
+func drainOpen(cur rel.Cursor, err error) (*rel.Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rel.Drain(cur)
 }
 
 func drain(t *testing.T, c rel.Cursor) *rel.Relation {
@@ -119,7 +139,7 @@ func TestFailoverToHealthyReplica(t *testing.T) {
 	s := g.Add("AD", dead, good)
 
 	d := NewDiagnostics()
-	r, err := s.Bind(d).Execute(lqp.Retrieve("ALUMNUS"))
+	r, err := drainOpen(s.Bind(d).Open(lqp.Retrieve("ALUMNUS")))
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -138,7 +158,7 @@ func TestFailoverToHealthyReplica(t *testing.T) {
 	// the healthy one — no retry booked.
 	deadCalls := dead.calls.Load()
 	d2 := NewDiagnostics()
-	if _, err := s.Bind(d2).Execute(lqp.Retrieve("ALUMNUS")); err != nil {
+	if _, err := drainOpen(s.Bind(d2).Open(lqp.Retrieve("ALUMNUS"))); err != nil {
 		t.Fatalf("second Execute: %v", err)
 	}
 	if d2.Report().Retries != 0 {
@@ -158,7 +178,7 @@ func TestExhaustedError(t *testing.T) {
 	g := NewRegistry(cfg)
 	s := g.Add("AD", mk(), mk(), mk())
 
-	_, err := s.Execute(lqp.Retrieve("ALUMNUS"))
+	_, err := drainOpen(s.Open(lqp.Retrieve("ALUMNUS")))
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v, want *ExhaustedError", err)
@@ -186,7 +206,7 @@ func TestPerCallDeadline(t *testing.T) {
 	s := g.Add("AD", hung, good)
 
 	start := time.Now()
-	r, err := s.Execute(lqp.Retrieve("ALUMNUS"))
+	r, err := drainOpen(s.Open(lqp.Retrieve("ALUMNUS")))
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -215,7 +235,7 @@ func TestDeadlineErrorWhenAllHang(t *testing.T) {
 	g := NewRegistry(cfg)
 	s := g.Add("AD", mk())
 
-	_, err := s.Execute(lqp.Retrieve("ALUMNUS"))
+	_, err := drainOpen(s.Open(lqp.Retrieve("ALUMNUS")))
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v, want *ExhaustedError", err)
@@ -238,7 +258,7 @@ func TestHedgedOpenWinsOnSlowPrimary(t *testing.T) {
 	s := g.Add("AD", slow, fast)
 
 	d := NewDiagnostics()
-	bound := s.Bind(d).(lqp.Streamer)
+	bound := s.Bind(d)
 	start := time.Now()
 	cur, err := bound.Open(lqp.Retrieve("ALUMNUS"))
 	if err != nil {
@@ -285,7 +305,7 @@ func TestMidStreamResume(t *testing.T) {
 	db := testDB(rows)
 
 	// Fault-free baseline.
-	want, err := lqp.NewLocal(db).Execute(lqp.Retrieve("ALUMNUS"))
+	want, err := drainOpen(lqp.NewLocal(db).Open(lqp.Retrieve("ALUMNUS")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +317,7 @@ func TestMidStreamResume(t *testing.T) {
 	s := g.Add("AD", cut, lqp.NewLocal(db))
 
 	d := NewDiagnostics()
-	cur, err := s.Bind(d).(lqp.Streamer).Open(lqp.Retrieve("ALUMNUS"))
+	cur, err := s.Bind(d).Open(lqp.Retrieve("ALUMNUS"))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -324,7 +344,7 @@ func TestMidStreamResume(t *testing.T) {
 
 func TestSkipRowsStraddlingBatch(t *testing.T) {
 	db := testDB(600)
-	cur, err := lqp.OpenLQP(lqp.NewLocal(db), lqp.Retrieve("ALUMNUS"))
+	cur, err := lqp.NewLocal(db).Open(lqp.Retrieve("ALUMNUS"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +377,7 @@ func TestSkipRowsStraddlingBatch(t *testing.T) {
 
 func TestSkipRowsDivergentSnapshot(t *testing.T) {
 	db := testDB(10)
-	cur, err := lqp.OpenLQP(lqp.NewLocal(db), lqp.Retrieve("ALUMNUS"))
+	cur, err := lqp.NewLocal(db).Open(lqp.Retrieve("ALUMNUS"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,11 +399,11 @@ func TestCircuitBreakerShedsCalls(t *testing.T) {
 	s := g.Add("AD", flaky, good)
 
 	// Two failures open the breaker...
-	s.Execute(lqp.Retrieve("ALUMNUS"))
+	drainOpen(s.Open(lqp.Retrieve("ALUMNUS")))
 	s.reps[0].mu.Lock()
 	s.reps[0].healthy = true // force it back into preference order
 	s.reps[0].mu.Unlock()
-	s.Execute(lqp.Retrieve("ALUMNUS"))
+	drainOpen(s.Open(lqp.Retrieve("ALUMNUS")))
 
 	open := false
 	for _, h := range g.Health() {
@@ -398,7 +418,7 @@ func TestCircuitBreakerShedsCalls(t *testing.T) {
 	// ...and while open, calls never touch the broken replica.
 	before := flaky.calls.Load()
 	for i := 0; i < 5; i++ {
-		if _, err := s.Execute(lqp.Retrieve("ALUMNUS")); err != nil {
+		if _, err := drainOpen(s.Open(lqp.Retrieve("ALUMNUS"))); err != nil {
 			t.Fatalf("Execute with breaker open: %v", err)
 		}
 	}
@@ -483,7 +503,7 @@ func TestSourceStatsAndRelations(t *testing.T) {
 	if err != nil || len(st) != 1 || st[0].Rows != 7 {
 		t.Errorf("Stats = %+v, %v", st, err)
 	}
-	r, err := s.ExecutePlan(lqp.Plan{Ops: []lqp.Op{lqp.Retrieve("ALUMNUS")}})
+	r, err := drainOpen(s.OpenPlan(lqp.Plan{Ops: []lqp.Op{lqp.Retrieve("ALUMNUS")}}))
 	if err != nil || r.Cardinality() != 7 {
 		t.Errorf("ExecutePlan = %v, %v", r, err)
 	}

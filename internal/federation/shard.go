@@ -223,8 +223,7 @@ func planProjects(p lqp.Plan) bool {
 }
 
 // ShardedSource presents N shard Sources (each itself a replicated,
-// fault-tolerant Source) as one logical lqp.LQP with the full capability
-// surface. Operations prune to a single shard when the placement map proves
+// fault-tolerant Source) as one logical lqp.LQP. Operations prune to a single shard when the placement map proves
 // only one can answer; otherwise they scatter to every shard concurrently
 // and gather shard-major. A shard that exhausts its replicas exhausts the
 // logical source — the answer never silently drops a shard's rows, and the
@@ -291,7 +290,7 @@ func (s *ShardedSource) wrap(err error) error {
 
 // scatter fans call across every shard concurrently and returns the
 // per-shard results in shard order, failing as a whole if any shard fails.
-func scatter[T any](s *ShardedSource, call func(i int, m *Source) (T, error)) ([]T, error) {
+func scatter[T any](s *ShardedSource, call func(m *Source) (T, error)) ([]T, error) {
 	out := make([]T, len(s.shards))
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
@@ -299,7 +298,7 @@ func scatter[T any](s *ShardedSource, call func(i int, m *Source) (T, error)) ([
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i], errs[i] = call(i, s.shards[i])
+			out[i], errs[i] = call(s.shards[i])
 		}(i)
 	}
 	wg.Wait()
@@ -309,79 +308,6 @@ func scatter[T any](s *ShardedSource, call func(i int, m *Source) (T, error)) ([
 		}
 	}
 	return out, nil
-}
-
-// gather concatenates per-shard relations shard-major, optionally
-// eliminating cross-shard duplicates (first occurrence wins, matching
-// relalg.Project's insertion-order dedup).
-func (s *ShardedSource) gather(parts []*rel.Relation, dedup bool) (*rel.Relation, error) {
-	out := rel.NewRelation(parts[0].Name, parts[0].Schema)
-	total := 0
-	for i, p := range parts {
-		if !p.Schema.Equal(out.Schema) {
-			return nil, fmt.Errorf("federation %s: shard %d schema %s diverges from shard 0's %s", s.name, i, p.Schema, out.Schema)
-		}
-		total += len(p.Tuples)
-		s.rows[i].Add(int64(len(p.Tuples)))
-	}
-	if !dedup {
-		out.Tuples = make([]rel.Tuple, 0, total)
-		for _, p := range parts {
-			out.Tuples = append(out.Tuples, p.Tuples...)
-		}
-		return out, nil
-	}
-	seen := rel.NewBucketIndex(total)
-	for _, p := range parts {
-		for _, t := range p.Tuples {
-			h := t.Hash64(rel.Seed)
-			if _, dup := seen.Find(h, func(at int) bool { return out.Tuples[at].Identical(t) }); dup {
-				continue
-			}
-			seen.Add(h, len(out.Tuples))
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	return out, nil
-}
-
-// Execute implements lqp.LQP.
-func (s *ShardedSource) Execute(op lqp.Op) (*rel.Relation, error) { return s.execute(nil, op) }
-
-func (s *ShardedSource) execute(d *Diagnostics, op lqp.Op) (*rel.Relation, error) {
-	if t := s.shardMap().PruneOp(op); t >= 0 {
-		r, err := s.shards[t].execute(d, op)
-		if err != nil {
-			return nil, s.wrap(err)
-		}
-		s.rows[t].Add(int64(len(r.Tuples)))
-		return r, nil
-	}
-	parts, err := scatter(s, func(_ int, m *Source) (*rel.Relation, error) { return m.execute(d, op) })
-	if err != nil {
-		return nil, err
-	}
-	return s.gather(parts, op.Kind == lqp.OpProject)
-}
-
-// ExecutePlan implements lqp.PlanRunner: pushed plans scatter too, so
-// pushdown savings multiply by the fan-out instead of being lost.
-func (s *ShardedSource) ExecutePlan(p lqp.Plan) (*rel.Relation, error) { return s.executePlan(nil, p) }
-
-func (s *ShardedSource) executePlan(d *Diagnostics, p lqp.Plan) (*rel.Relation, error) {
-	if t := s.shardMap().PrunePlan(p); t >= 0 {
-		r, err := s.shards[t].executePlan(d, p)
-		if err != nil {
-			return nil, s.wrap(err)
-		}
-		s.rows[t].Add(int64(len(r.Tuples)))
-		return r, nil
-	}
-	parts, err := scatter(s, func(_ int, m *Source) (*rel.Relation, error) { return m.executePlan(d, p) })
-	if err != nil {
-		return nil, err
-	}
-	return s.gather(parts, planProjects(p))
 }
 
 // Relations implements lqp.LQP: every shard serves the same relation set,
@@ -403,14 +329,14 @@ func (s *ShardedSource) relations(d *Diagnostics) ([]string, error) {
 	return nil, s.wrap(last)
 }
 
-// Stats implements lqp.StatsProvider: per-relation cardinalities sum across
+// Stats implements lqp.LQP: per-relation cardinalities sum across
 // shards (columns and keys agree by construction), so the cost model sees
 // the logical relation sizes. As a side effect the placement-attribute map
 // refreshes from the declared keys.
 func (s *ShardedSource) Stats() ([]lqp.RelationStats, error) { return s.stats(nil) }
 
 func (s *ShardedSource) stats(d *Diagnostics) ([]lqp.RelationStats, error) {
-	parts, err := scatter(s, func(_ int, m *Source) ([]lqp.RelationStats, error) { return m.stats(d) })
+	parts, err := scatter(s, func(m *Source) ([]lqp.RelationStats, error) { return m.stats(d) })
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +356,7 @@ func (s *ShardedSource) stats(d *Diagnostics) ([]lqp.RelationStats, error) {
 	return merged, nil
 }
 
-// Open implements lqp.Streamer: opens scatter to every shard concurrently
+// Open implements lqp.LQP: opens scatter to every shard concurrently
 // (each leg prefetched on its own goroutine, resuming mid-stream failures on
 // its shard's replicas) and the gathered cursor streams the legs
 // shard-major under bounded memory.
@@ -441,7 +367,8 @@ func (s *ShardedSource) openStream(d *Diagnostics, op lqp.Op) (rel.Cursor, error
 		func(m *Source) (rel.Cursor, error) { return m.openStream(d, op) })
 }
 
-// OpenPlan implements lqp.PlanStreamer.
+// OpenPlan implements lqp.LQP: pushed plans scatter too, so pushdown
+// savings multiply by the fan-out instead of being lost.
 func (s *ShardedSource) OpenPlan(p lqp.Plan) (rel.Cursor, error) { return s.openPlanStream(nil, p) }
 
 func (s *ShardedSource) openPlanStream(d *Diagnostics, p lqp.Plan) (rel.Cursor, error) {
@@ -460,7 +387,7 @@ func (s *ShardedSource) openScatter(d *Diagnostics, target int, dedup bool, open
 		}
 		return &shardCountCursor{s: s, in: cur, n: &s.rows[target]}, nil
 	}
-	legs, err := scatter(s, func(_ int, m *Source) (rel.Cursor, error) { return open(m) })
+	legs, err := scatter(s, open)
 	if err != nil {
 		for _, leg := range legs {
 			if leg != nil {
@@ -598,26 +525,16 @@ type boundSharded struct {
 	d *Diagnostics
 }
 
-func (b *boundSharded) Name() string                                  { return b.s.name }
-func (b *boundSharded) Relations() ([]string, error)                  { return b.s.relations(b.d) }
-func (b *boundSharded) Execute(op lqp.Op) (*rel.Relation, error)      { return b.s.execute(b.d, op) }
-func (b *boundSharded) Open(op lqp.Op) (rel.Cursor, error)            { return b.s.openStream(b.d, op) }
-func (b *boundSharded) ExecutePlan(p lqp.Plan) (*rel.Relation, error) { return b.s.executePlan(b.d, p) }
-func (b *boundSharded) OpenPlan(p lqp.Plan) (rel.Cursor, error)       { return b.s.openPlanStream(b.d, p) }
-func (b *boundSharded) Stats() ([]lqp.RelationStats, error)           { return b.s.stats(b.d) }
-func (b *boundSharded) Bind(d *Diagnostics) lqp.LQP                   { return &boundSharded{s: b.s, d: d} }
+func (b *boundSharded) Name() string                            { return b.s.name }
+func (b *boundSharded) Relations() ([]string, error)            { return b.s.relations(b.d) }
+func (b *boundSharded) Open(op lqp.Op) (rel.Cursor, error)      { return b.s.openStream(b.d, op) }
+func (b *boundSharded) OpenPlan(p lqp.Plan) (rel.Cursor, error) { return b.s.openPlanStream(b.d, p) }
+func (b *boundSharded) Stats() ([]lqp.RelationStats, error)     { return b.s.stats(b.d) }
+func (b *boundSharded) Bind(d *Diagnostics) lqp.LQP             { return &boundSharded{s: b.s, d: d} }
 
 var (
-	_ lqp.LQP           = (*ShardedSource)(nil)
-	_ lqp.Streamer      = (*ShardedSource)(nil)
-	_ lqp.PlanRunner    = (*ShardedSource)(nil)
-	_ lqp.PlanStreamer  = (*ShardedSource)(nil)
-	_ lqp.StatsProvider = (*ShardedSource)(nil)
-	_ Collectable       = (*ShardedSource)(nil)
-	_ lqp.LQP           = (*boundSharded)(nil)
-	_ lqp.Streamer      = (*boundSharded)(nil)
-	_ lqp.PlanRunner    = (*boundSharded)(nil)
-	_ lqp.PlanStreamer  = (*boundSharded)(nil)
-	_ lqp.StatsProvider = (*boundSharded)(nil)
-	_ Collectable       = (*boundSharded)(nil)
+	_ lqp.LQP     = (*ShardedSource)(nil)
+	_ Collectable = (*ShardedSource)(nil)
+	_ lqp.LQP     = (*boundSharded)(nil)
+	_ Collectable = (*boundSharded)(nil)
 )

@@ -9,17 +9,8 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/lqp"
 	"repro/internal/rel"
+	"repro/internal/relalg"
 )
-
-// Stats gives the scriptable fake the statistics capability, so sharded
-// fixtures can prime their placement maps through the real code path.
-func (f *fake) Stats() ([]lqp.RelationStats, error) {
-	if err := f.gate(); err != nil {
-		return nil, err
-	}
-	st, _, err := lqp.StatsOf(f.inner)
-	return st, err
-}
 
 var shardCounts = []int{1, 2, 4, 7}
 
@@ -260,42 +251,84 @@ func TestShardedSourceMatchesUnsharded(t *testing.T) {
 		lqp.PlanOf(lqp.Retrieve("LOG"), lqp.Select("LOG", "N", rel.ThetaLT, rel.Int(100))),
 	}
 	for _, n := range shardCounts {
-		plain, shardedLQP, _, src := newShardedFixture(t, db, n)
+		plain, sharded, _, src := newShardedFixture(t, db, n)
 		if _, err := src.Stats(); err != nil { // prime the placement map
 			t.Fatalf("Stats: %v", err)
 		}
 		for _, op := range ops {
-			want, err := plain.Execute(op)
+			want, err := drainOpen(plain.Open(op))
 			if err != nil {
 				t.Fatalf("unsharded %v: %v", op, err)
 			}
-			got, err := shardedLQP.Execute(op)
-			if err != nil {
-				t.Fatalf("sharded(%d) Execute %v: %v", n, op, err)
-			}
-			equalRows(t, op.String(), got, want)
-			cur, err := src.Open(op)
+			got, err := drainOpen(sharded.Open(op))
 			if err != nil {
 				t.Fatalf("sharded(%d) Open %v: %v", n, op, err)
 			}
-			equalRows(t, "stream "+op.String(), drain(t, cur), want)
+			equalRows(t, op.String(), got, want)
 		}
 		for _, p := range plans {
-			want, err := lqp.ExecutePlanOn(plain, p)
+			want, err := drainOpen(plain.OpenPlan(p))
 			if err != nil {
 				t.Fatalf("unsharded plan %v: %v", p, err)
 			}
-			got, err := src.ExecutePlan(p)
-			if err != nil {
-				t.Fatalf("sharded(%d) ExecutePlan %v: %v", n, p, err)
-			}
-			equalRows(t, p.String(), got, want)
-			cur, err := src.OpenPlan(p)
+			got, err := drainOpen(sharded.OpenPlan(p))
 			if err != nil {
 				t.Fatalf("sharded(%d) OpenPlan %v: %v", n, p, err)
 			}
-			equalRows(t, "stream "+p.String(), drain(t, cur), want)
+			equalRows(t, p.String(), got, want)
 		}
+	}
+}
+
+// TestShardedFiltersAfterProject: pushed plans that filter after a Project
+// scatter to three shards and answer exactly what the same operations
+// applied to the unsharded in-process relation give — including the
+// cross-shard duplicates the projection creates, which the gather drops.
+func TestShardedFiltersAfterProject(t *testing.T) {
+	db := shardDB(600)
+	db.MustCreate("PAIRS", rel.SchemaOf("K", "A", "B"), "K")
+	pairs := make([]rel.Tuple, 0, 600)
+	for i := 0; i < 600; i++ {
+		pairs = append(pairs, rel.Tuple{rel.String(shardID("P", i)), rel.Int(int64(i % 7)), rel.Int(int64(i % 5))})
+	}
+	if err := db.Insert("PAIRS", pairs...); err != nil {
+		t.Fatal(err)
+	}
+	_, sharded, _, src := newShardedFixture(t, db, 3)
+	if _, err := src.Stats(); err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	plans := []lqp.Plan{
+		lqp.PlanOf(lqp.Retrieve("LOG"), lqp.Project("LOG", "EVENT", "N"), lqp.Select("LOG", "N", rel.ThetaLT, rel.Int(40))),
+		lqp.PlanOf(lqp.Retrieve("GRADES"), lqp.Project("GRADES", "GRADE"), lqp.Select("GRADES", "GRADE", rel.ThetaGE, rel.Int(1))),
+		lqp.PlanOf(lqp.Retrieve("PAIRS"), lqp.Project("PAIRS", "A", "B"), lqp.Restrict("PAIRS", "A", rel.ThetaGT, "B"), lqp.Project("PAIRS", "A")),
+	}
+	for _, p := range plans {
+		got, err := drainOpen(sharded.OpenPlan(p))
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		want, err := db.Snapshot(p.Relation())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range p.Steps() {
+			switch op.Kind {
+			case lqp.OpSelect:
+				want, err = relalg.Select(want, op.Attr, op.Theta, op.Const)
+			case lqp.OpRestrict:
+				want, err = relalg.Restrict(want, op.Attr, op.Theta, op.Attr2)
+			case lqp.OpProject:
+				want, err = relalg.Project(want, op.Attrs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(want.Tuples) == 0 {
+			t.Fatalf("%s: empty reference answer proves nothing", p)
+		}
+		equalRows(t, p.String(), got, want)
 	}
 }
 
@@ -313,7 +346,7 @@ func TestShardPruning(t *testing.T) {
 		before[i] = f.calls.Load()
 	}
 	op := lqp.Select("ALUMNUS", "AID#", rel.ThetaEQ, rel.String("A00007"))
-	r, err := src.Execute(op)
+	r, err := drainOpen(src.Open(op))
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -337,7 +370,7 @@ func TestShardPruning(t *testing.T) {
 	for i, f := range fakes {
 		before[i] = f.calls.Load()
 	}
-	if _, err := src.Execute(lqp.Select("ALUMNUS", "ANAME", rel.ThetaEQ, rel.String("name-7"))); err != nil {
+	if _, err := drainOpen(src.Open(lqp.Select("ALUMNUS", "ANAME", rel.ThetaEQ, rel.String("name-7")))); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
 	for i, f := range fakes {
@@ -374,12 +407,7 @@ func TestShardExhaustionNamesLogicalSource(t *testing.T) {
 	}
 	src := sreg.AddSharded("AD", groups...)
 
-	_, err := src.Execute(lqp.Retrieve("ALUMNUS"))
-	assertExhausted(t, "Execute", err)
-	cur, err := src.Open(lqp.Retrieve("ALUMNUS"))
-	if err == nil {
-		_, err = rel.Drain(cur)
-	}
+	_, err := drainOpen(src.Open(lqp.Retrieve("ALUMNUS")))
 	assertExhausted(t, "Open", err)
 }
 
@@ -401,7 +429,7 @@ func TestShardReplicaFailover(t *testing.T) {
 	reg := NewRegistry(testConfig())
 	reg.Add("AD", lqp.NewLocal(db))
 	plain, _ := reg.Source("AD")
-	want, err := plain.Execute(lqp.Retrieve("ALUMNUS"))
+	want, err := drainOpen(plain.Open(lqp.Retrieve("ALUMNUS")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +446,7 @@ func TestShardReplicaFailover(t *testing.T) {
 		groups = append(groups, []lqp.LQP{dead, live}) // primary of every shard is down
 	}
 	src := sreg.AddSharded("AD", groups...)
-	got, err := src.Execute(lqp.Retrieve("ALUMNUS"))
+	got, err := drainOpen(src.Open(lqp.Retrieve("ALUMNUS")))
 	if err != nil {
 		t.Fatalf("Execute with dead primaries: %v", err)
 	}
@@ -457,7 +485,7 @@ func TestRegistryShardedSurface(t *testing.T) {
 		t.Errorf("Health has %d rows, want 3 (one per shard replica)", got)
 	}
 
-	if _, err := src.Execute(lqp.Retrieve("ALUMNUS")); err != nil {
+	if _, err := drainOpen(src.Open(lqp.Retrieve("ALUMNUS"))); err != nil {
 		t.Fatal(err)
 	}
 	infos := reg.Shards()

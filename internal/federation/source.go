@@ -1,11 +1,10 @@
 package federation
 
 // This file is the resilient LQP wrapper: Source presents N replica
-// endpoints of one logical source as a single lqp.LQP (with the streaming,
-// plan-pushdown and statistics capabilities), adding per-call deadlines,
-// bounded retries with exponential backoff and seeded jitter, failover
-// across replicas, hedged streaming opens, a per-replica circuit breaker,
-// and mid-stream resume of cut cursors on another replica.
+// endpoints of one logical source as a single lqp.LQP, adding per-call
+// deadlines, bounded retries with exponential backoff and seeded jitter,
+// failover across replicas, hedged streaming opens, a per-replica circuit
+// breaker, and mid-stream resume of cut cursors on another replica.
 
 import (
 	"errors"
@@ -22,8 +21,8 @@ import (
 // Collectable is the diagnostics capability of a federation-backed LQP:
 // Bind returns a view of the same source that reports its fault-handling
 // activity (retries, hedges, replicas used) into d. The PQP discovers it by
-// interface assertion, exactly like the lqp capabilities — sources without
-// it simply contribute nothing to a query's diagnostics.
+// interface assertion — sources without it simply contribute nothing to a
+// query's diagnostics.
 type Collectable interface {
 	Bind(d *Diagnostics) lqp.LQP
 }
@@ -82,7 +81,7 @@ func (r *replica) isHealthy() bool {
 }
 
 // Source is the resilient LQP over one logical source's replicas. It
-// implements lqp.LQP plus every optional capability; calls are routed to
+// implements lqp.LQP; calls are routed to
 // the first healthy replica and fail over on error. Safe for concurrent
 // use (scatter legs of parallel queries share it).
 type Source struct {
@@ -242,13 +241,6 @@ func call[T any](s *Source, d *Diagnostics, f func(lqp.LQP) (T, error), discard 
 	return zero, &ExhaustedError{Source: s.name, Attempts: attempts, Last: last}
 }
 
-// Execute implements lqp.LQP.
-func (s *Source) Execute(op lqp.Op) (*rel.Relation, error) { return s.execute(nil, op) }
-
-func (s *Source) execute(d *Diagnostics, op lqp.Op) (*rel.Relation, error) {
-	return call(s, d, func(l lqp.LQP) (*rel.Relation, error) { return l.Execute(op) }, nil)
-}
-
 // Relations implements lqp.LQP.
 func (s *Source) Relations() ([]string, error) { return s.relations(nil) }
 
@@ -256,39 +248,27 @@ func (s *Source) relations(d *Diagnostics) ([]string, error) {
 	return call(s, d, func(l lqp.LQP) ([]string, error) { return l.Relations() }, nil)
 }
 
-// ExecutePlan implements lqp.PlanRunner (replicas without the capability
-// run the plan through the step-by-step fallback).
-func (s *Source) ExecutePlan(p lqp.Plan) (*rel.Relation, error) { return s.executePlan(nil, p) }
-
-func (s *Source) executePlan(d *Diagnostics, p lqp.Plan) (*rel.Relation, error) {
-	return call(s, d, func(l lqp.LQP) (*rel.Relation, error) { return lqp.ExecutePlanOn(l, p) }, nil)
-}
-
-// Stats implements lqp.StatsProvider; replicas without the capability
-// report no statistics.
+// Stats implements lqp.LQP.
 func (s *Source) Stats() ([]lqp.RelationStats, error) { return s.stats(nil) }
 
 func (s *Source) stats(d *Diagnostics) ([]lqp.RelationStats, error) {
-	return call(s, d, func(l lqp.LQP) ([]lqp.RelationStats, error) {
-		st, _, err := lqp.StatsOf(l)
-		return st, err
-	}, nil)
+	return call(s, d, func(l lqp.LQP) ([]lqp.RelationStats, error) { return l.Stats() }, nil)
 }
 
-// Open implements lqp.Streamer: a hedged, deadline-bounded open with
+// Open implements lqp.LQP: a hedged, deadline-bounded open with
 // failover, returning a cursor that resumes mid-stream failures on another
 // replica.
 func (s *Source) Open(op lqp.Op) (rel.Cursor, error) { return s.openStream(nil, op) }
 
 func (s *Source) openStream(d *Diagnostics, op lqp.Op) (rel.Cursor, error) {
-	return s.open(d, func(l lqp.LQP) (rel.Cursor, error) { return lqp.OpenLQP(l, op) })
+	return s.open(d, func(l lqp.LQP) (rel.Cursor, error) { return l.Open(op) })
 }
 
-// OpenPlan implements lqp.PlanStreamer, with the same semantics as Open.
+// OpenPlan implements lqp.LQP, with the same semantics as Open.
 func (s *Source) OpenPlan(p lqp.Plan) (rel.Cursor, error) { return s.openPlanStream(nil, p) }
 
 func (s *Source) openPlanStream(d *Diagnostics, p lqp.Plan) (rel.Cursor, error) {
-	return s.open(d, func(l lqp.LQP) (rel.Cursor, error) { return lqp.OpenPlanOn(l, p) })
+	return s.open(d, func(l lqp.LQP) (rel.Cursor, error) { return l.OpenPlan(p) })
 }
 
 func closeCursor(c rel.Cursor) { c.Close() }
@@ -549,26 +529,16 @@ type boundSource struct {
 	d *Diagnostics
 }
 
-func (b *boundSource) Name() string                                  { return b.s.name }
-func (b *boundSource) Relations() ([]string, error)                  { return b.s.relations(b.d) }
-func (b *boundSource) Execute(op lqp.Op) (*rel.Relation, error)      { return b.s.execute(b.d, op) }
-func (b *boundSource) Open(op lqp.Op) (rel.Cursor, error)            { return b.s.openStream(b.d, op) }
-func (b *boundSource) ExecutePlan(p lqp.Plan) (*rel.Relation, error) { return b.s.executePlan(b.d, p) }
-func (b *boundSource) OpenPlan(p lqp.Plan) (rel.Cursor, error)       { return b.s.openPlanStream(b.d, p) }
-func (b *boundSource) Stats() ([]lqp.RelationStats, error)           { return b.s.stats(b.d) }
-func (b *boundSource) Bind(d *Diagnostics) lqp.LQP                   { return &boundSource{s: b.s, d: d} }
+func (b *boundSource) Name() string                            { return b.s.name }
+func (b *boundSource) Relations() ([]string, error)            { return b.s.relations(b.d) }
+func (b *boundSource) Open(op lqp.Op) (rel.Cursor, error)      { return b.s.openStream(b.d, op) }
+func (b *boundSource) OpenPlan(p lqp.Plan) (rel.Cursor, error) { return b.s.openPlanStream(b.d, p) }
+func (b *boundSource) Stats() ([]lqp.RelationStats, error)     { return b.s.stats(b.d) }
+func (b *boundSource) Bind(d *Diagnostics) lqp.LQP             { return &boundSource{s: b.s, d: d} }
 
 var (
-	_ lqp.LQP           = (*Source)(nil)
-	_ lqp.Streamer      = (*Source)(nil)
-	_ lqp.PlanRunner    = (*Source)(nil)
-	_ lqp.PlanStreamer  = (*Source)(nil)
-	_ lqp.StatsProvider = (*Source)(nil)
-	_ Collectable       = (*Source)(nil)
-	_ lqp.LQP           = (*boundSource)(nil)
-	_ lqp.Streamer      = (*boundSource)(nil)
-	_ lqp.PlanRunner    = (*boundSource)(nil)
-	_ lqp.PlanStreamer  = (*boundSource)(nil)
-	_ lqp.StatsProvider = (*boundSource)(nil)
-	_ Collectable       = (*boundSource)(nil)
+	_ lqp.LQP     = (*Source)(nil)
+	_ Collectable = (*Source)(nil)
+	_ lqp.LQP     = (*boundSource)(nil)
+	_ Collectable = (*boundSource)(nil)
 )

@@ -20,11 +20,9 @@ import (
 // hundreds of batch times, not one. Crucially, only the rows the LQP
 // actually returns are charged: a pushed-down subplan that filters 100k
 // rows to 40 pays for 40, which is exactly the transfer saving the
-// cost-based optimizer exists to win (B-OPT measures it). On the
-// materializing path (Execute/ExecutePlan) the whole transfer is paid
-// before the relation is returned; on the streaming path (Open/OpenPlan)
-// each batch pays as it is pulled, so a prefetching consumer overlaps the
-// waits with its own work.
+// cost-based optimizer exists to win (B-OPT measures it). Each batch pays
+// as it is pulled, so a prefetching consumer overlaps the waits with its
+// own work.
 //
 // Alongside the latency model, Counting tracks the simulated transfer
 // volume: Rows/Cells transferred across the boundary (cells ≈ bytes for a
@@ -53,17 +51,8 @@ func (c *Counting) Name() string { return c.inner.Name() }
 // Relations implements LQP.
 func (c *Counting) Relations() ([]string, error) { return c.inner.Relations() }
 
-// Stats forwards the statistics capability when the wrapped LQP has it.
-func (c *Counting) Stats() ([]RelationStats, error) {
-	st, ok, err := StatsOf(c.inner)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
-	return st, nil
-}
+// Stats implements LQP.
+func (c *Counting) Stats() ([]RelationStats, error) { return c.inner.Stats() }
 
 func (c *Counting) record(op Op) {
 	c.mu.Lock()
@@ -80,44 +69,6 @@ func (c *Counting) recordTransfer(rows, width int) {
 	c.mu.Unlock()
 }
 
-// chargeResult books the transfer volume of a materialized result and pays
-// its full per-batch latency up front.
-func (c *Counting) chargeResult(r *rel.Relation) {
-	if r == nil {
-		if c.Latency > 0 {
-			time.Sleep(c.Latency)
-		}
-		return
-	}
-	c.recordTransfer(len(r.Tuples), r.Schema.Len())
-	if c.Latency > 0 {
-		batches := 1
-		if n := (len(r.Tuples) + rel.DefaultBatchSize - 1) / rel.DefaultBatchSize; n > 1 {
-			batches = n
-		}
-		time.Sleep(time.Duration(batches) * c.Latency)
-	}
-}
-
-// Execute implements LQP, recording the operation and paying the full
-// injected transfer time (Latency per batch of the result) up front.
-func (c *Counting) Execute(op Op) (*rel.Relation, error) {
-	c.record(op)
-	r, err := c.inner.Execute(op)
-	c.chargeResult(r)
-	return r, err
-}
-
-// ExecutePlan implements PlanRunner, recording the pushed plan and charging
-// latency and transfer volume only for the rows that survive the pushed
-// steps.
-func (c *Counting) ExecutePlan(p Plan) (*rel.Relation, error) {
-	c.recordPlan(p)
-	r, err := ExecutePlanOn(c.inner, p)
-	c.chargeResult(r)
-	return r, err
-}
-
 // recordPlan books a plan: the base op counts as an operation (it is what
 // crosses the request wire), the pushed steps are kept for inspection.
 func (c *Counting) recordPlan(p Plan) {
@@ -127,18 +78,19 @@ func (c *Counting) recordPlan(p Plan) {
 	c.mu.Unlock()
 }
 
-// Open implements Streamer, recording the operation once and charging
-// Latency and transfer volume per batch as the cursor is pulled.
+// Open implements LQP, recording the operation once and charging Latency
+// and transfer volume per batch as the cursor is pulled.
 func (c *Counting) Open(op Op) (rel.Cursor, error) {
 	c.record(op)
-	cur, err := OpenLQP(c.inner, op)
+	cur, err := c.inner.Open(op)
 	return c.meterCursor(cur, err)
 }
 
-// OpenPlan implements PlanStreamer: only batches of filtered rows pay.
+// OpenPlan implements LQP, recording the pushed plan: only batches of
+// filtered rows pay.
 func (c *Counting) OpenPlan(p Plan) (rel.Cursor, error) {
 	c.recordPlan(p)
-	cur, err := OpenPlanOn(c.inner, p)
+	cur, err := c.inner.OpenPlan(p)
 	return c.meterCursor(cur, err)
 }
 
@@ -233,9 +185,4 @@ func (c *Counting) Reset() {
 	c.cells = 0
 }
 
-var (
-	_ Streamer      = (*Counting)(nil)
-	_ PlanRunner    = (*Counting)(nil)
-	_ PlanStreamer  = (*Counting)(nil)
-	_ StatsProvider = (*Counting)(nil)
-)
+var _ LQP = (*Counting)(nil)

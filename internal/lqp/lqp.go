@@ -5,25 +5,15 @@
 // returns plain (untagged) relations. The PQP attaches origin tags to the
 // results using the LQP's name as the execution location.
 //
-// Two implementations exist: Local (in-process, over a catalog.Database) and
-// wire.Client (the same operations over TCP against a cmd/lqpd server),
+// Local (in-process, over a catalog.Database) is the base implementation;
+// wire.Client runs the same operations over TCP against a cmd/lqpd server,
 // standing in for the paper's encapsulation of "unusual query interfaces"
-// behind the LQP boundary. Beyond the base interface, an LQP may advertise
-// optional capabilities, discovered by interface assertion:
-//
-//   - Streamer (stream.go): Open returns the result as a cursor of row
-//     batches, which the PQP's streaming engine prefers — OpenLQP adapts
-//     any other LQP by materializing and re-cutting into batches;
-//   - PlanRunner / PlanStreamer (plan.go): ExecutePlan/OpenPlan evaluate a
-//     pushed-down subplan — a pipeline of local operations fused by the
-//     cost-based Query Optimizer — entirely inside the LQP, so only the
-//     filtered, narrowed rows cross the federation boundary
-//     (ExecutePlanOn/OpenPlanOn fall back to caller-side steps for LQPs
-//     without it, and translate.Options.CanPush keeps the optimizer from
-//     fusing against those in the first place);
-//   - StatsProvider (plan.go): per-relation cardinalities, column lists
-//     and keys, collected by internal/stats into the optimizer's cost
-//     model.
+// behind the LQP boundary. Every LQP answers as a stream: Open evaluates one
+// local operation and OpenPlan a pushed-down subplan (plan.go) — a pipeline
+// of local operations fused by the cost-based Query Optimizer — entirely
+// inside the LQP, so only the filtered, narrowed rows cross the federation
+// boundary. Stats reports per-relation cardinalities, column lists and
+// keys, collected by internal/stats into the optimizer's cost model.
 //
 // Counting (counting.go) wraps any LQP with operation/plan recording,
 // simulated transfer metering (rows and cells delivered) and an injected
@@ -36,7 +26,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/rel"
-	"repro/internal/relalg"
 )
 
 // OpKind enumerates the local operations an LQP accepts.
@@ -123,8 +112,20 @@ type LQP interface {
 	Name() string
 	// Relations lists the local scheme names available.
 	Relations() ([]string, error)
-	// Execute runs one local operation and returns the resulting relation.
-	Execute(op Op) (*rel.Relation, error)
+	// Open evaluates op and returns a cursor over the result. The batches
+	// obey the rel.Cursor contract (immutable, valid across Next calls);
+	// they may alias live base-relation storage, so callers must copy any
+	// tuple they intend to modify. Cursors that can also yield batches in
+	// column-major form implement rel.ColCursor (Local's retrieval cursors
+	// and wire.Client's streams do); consumers that want column vectors —
+	// the wire server's frames, the PQP's tagging scan — type-assert for it
+	// and fall back to row batches.
+	Open(op Op) (rel.Cursor, error)
+	// OpenPlan evaluates a pushed-down subplan and returns a cursor over
+	// its final, filtered result.
+	OpenPlan(p Plan) (rel.Cursor, error)
+	// Stats reports per-relation cardinalities, column lists and keys.
+	Stats() ([]RelationStats, error)
 }
 
 // Inserter is the optional mutation capability: an LQP that accepts writes.
@@ -156,24 +157,4 @@ func (l *Local) Relations() ([]string, error) { return l.db.Relations(), nil }
 // store.LQP overrides this with the write-ahead-logged path).
 func (l *Local) Insert(relation string, tuples []rel.Tuple) error {
 	return l.db.Insert(relation, tuples...)
-}
-
-// Execute implements LQP.
-func (l *Local) Execute(op Op) (*rel.Relation, error) {
-	r, err := l.db.Snapshot(op.Relation)
-	if err != nil {
-		return nil, fmt.Errorf("lqp %s: %w", l.Name(), err)
-	}
-	switch op.Kind {
-	case OpRetrieve:
-		return r, nil
-	case OpSelect:
-		return relalg.Select(r, op.Attr, op.Theta, op.Const)
-	case OpRestrict:
-		return relalg.Restrict(r, op.Attr, op.Theta, op.Attr2)
-	case OpProject:
-		return relalg.Project(r, op.Attrs)
-	default:
-		return nil, fmt.Errorf("lqp %s: unsupported operation %v", l.Name(), op.Kind)
-	}
 }

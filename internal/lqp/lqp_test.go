@@ -24,6 +24,14 @@ func testDB() *catalog.Database {
 	return db
 }
 
+// drainOpen drains an opened operation or plan into a relation.
+func drainOpen(cur rel.Cursor, err error) (*rel.Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rel.Drain(cur)
+}
+
 func TestLocalName(t *testing.T) {
 	l := NewLocal(testDB())
 	if l.Name() != "AD" {
@@ -41,7 +49,7 @@ func TestLocalRelations(t *testing.T) {
 
 func TestLocalRetrieve(t *testing.T) {
 	l := NewLocal(testDB())
-	r, err := l.Execute(Retrieve("ALUMNUS"))
+	r, err := drainOpen(l.Open(Retrieve("ALUMNUS")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +64,7 @@ func TestLocalRetrieve(t *testing.T) {
 
 func TestLocalSelect(t *testing.T) {
 	l := NewLocal(testDB())
-	r, err := l.Execute(Select("ALUMNUS", "DEG", rel.ThetaEQ, rel.String("MBA")))
+	r, err := drainOpen(l.Open(Select("ALUMNUS", "DEG", rel.ThetaEQ, rel.String("MBA"))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +78,7 @@ func TestLocalRestrict(t *testing.T) {
 	db.MustCreate("T", rel.SchemaOf("A", "B"))
 	db.Insert("T", rel.Tuple{rel.Int(1), rel.Int(1)}, rel.Tuple{rel.Int(1), rel.Int(2)})
 	l := NewLocal(db)
-	r, err := l.Execute(Restrict("T", "A", rel.ThetaEQ, "B"))
+	r, err := drainOpen(l.Open(Restrict("T", "A", rel.ThetaEQ, "B")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +89,7 @@ func TestLocalRestrict(t *testing.T) {
 
 func TestLocalProject(t *testing.T) {
 	l := NewLocal(testDB())
-	r, err := l.Execute(Project("ALUMNUS", "DEG"))
+	r, err := drainOpen(l.Open(Project("ALUMNUS", "DEG")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,27 +100,40 @@ func TestLocalProject(t *testing.T) {
 
 func TestLocalErrors(t *testing.T) {
 	l := NewLocal(testDB())
-	if _, err := l.Execute(Retrieve("MISSING")); err == nil {
+	if _, err := drainOpen(l.Open(Retrieve("MISSING"))); err == nil {
 		t.Error("retrieving missing relation should fail")
 	} else if !strings.Contains(err.Error(), "AD") {
 		t.Errorf("error should name the LQP: %v", err)
 	}
-	if _, err := l.Execute(Select("ALUMNUS", "NOPE", rel.ThetaEQ, rel.String("x"))); err == nil {
+	if _, err := drainOpen(l.Open(Select("ALUMNUS", "NOPE", rel.ThetaEQ, rel.String("x")))); err == nil {
 		t.Error("selecting on missing attribute should fail")
 	}
-	if _, err := l.Execute(Op{Kind: OpKind(99), Relation: "ALUMNUS"}); err == nil {
+	if _, err := drainOpen(l.Open(Op{Kind: OpKind(99), Relation: "ALUMNUS"})); err == nil {
 		t.Error("unknown op kind should fail")
 	}
 }
 
+// TestLocalSnapshotSemantics: a cursor streams the relation as of Open;
+// rows inserted while it is open belong to later opens only.
 func TestLocalSnapshotSemantics(t *testing.T) {
 	db := testDB()
 	l := NewLocal(db)
-	r, _ := l.Execute(Retrieve("ALUMNUS"))
-	r.Tuples[0][0] = rel.String("mutated")
-	r2, _ := l.Execute(Retrieve("ALUMNUS"))
-	if r2.Tuples[0][0].Str() == "mutated" {
-		t.Error("Execute result aliases the catalog storage")
+	cur, err := l.Open(Retrieve("ALUMNUS"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Insert("ALUMNUS", []rel.Tuple{{rel.String("999"), rel.String("Ann Lee"), rel.String("MS")}}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := rel.Drain(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cardinality() != 3 {
+		t.Errorf("open cursor saw %d tuples, want the 3 present at Open", r.Cardinality())
+	}
+	if r2, _ := drainOpen(l.Open(Retrieve("ALUMNUS"))); r2.Cardinality() != 4 {
+		t.Errorf("later open saw %d tuples, want 4", r2.Cardinality())
 	}
 }
 
@@ -141,7 +162,7 @@ func TestCountingLatencyInjection(t *testing.T) {
 	c := NewCounting(NewLocal(testDB()))
 	c.Latency = 10 * time.Millisecond
 	start := time.Now()
-	if _, err := c.Execute(Retrieve("ALUMNUS")); err != nil {
+	if _, err := drainOpen(c.Open(Retrieve("ALUMNUS"))); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {

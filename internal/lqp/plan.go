@@ -99,108 +99,10 @@ func StepsString(steps []Op) string {
 	return b.String()
 }
 
-// PlanRunner is the pushdown capability of an LQP: it evaluates a whole
-// local subplan and returns only the final, filtered relation. Local and
-// wire.Client implement it; LQPs without it make the optimizer keep the
-// fused operations PQP-side (the translator's CanPush hook).
-type PlanRunner interface {
-	// ExecutePlan evaluates the pipeline and returns the materialized result.
-	ExecutePlan(p Plan) (*rel.Relation, error)
-}
-
-// PlanStreamer is the streaming flavor of the pushdown capability: the
-// subplan's result arrives as a cursor of row batches, so wide-area transfer
-// is charged only for rows that survive the pushed filters.
-type PlanStreamer interface {
-	OpenPlan(p Plan) (rel.Cursor, error)
-}
-
-// CanPush reports whether l accepts pushed-down subplans.
-func CanPush(l LQP) bool {
-	_, ok := l.(PlanRunner)
-	return ok
-}
-
-// ApplyOp evaluates one local operation against an already-materialized
-// relation with the untagged relational algebra — the shared evaluation of
-// plan steps in Local, wire.Server, and the PQP-side fallback.
-func ApplyOp(r *rel.Relation, op Op) (*rel.Relation, error) {
-	switch op.Kind {
-	case OpRetrieve:
-		return r, nil
-	case OpSelect:
-		return relalg.Select(r, op.Attr, op.Theta, op.Const)
-	case OpRestrict:
-		return relalg.Restrict(r, op.Attr, op.Theta, op.Attr2)
-	case OpProject:
-		return relalg.Project(r, op.Attrs)
-	default:
-		return nil, fmt.Errorf("lqp: unsupported plan step %v", op.Kind)
-	}
-}
-
-// ExecutePlanOn evaluates a plan against any LQP: PlanRunners evaluate it
-// natively; for the rest the base operation executes remotely and the steps
-// apply PQP-side — the answer is identical, only the transfer savings are
-// lost. (The optimizer never fuses steps for LQPs without the capability;
-// the fallback keeps hand-built plans executable.)
-func ExecutePlanOn(l LQP, p Plan) (*rel.Relation, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if pr, ok := l.(PlanRunner); ok {
-		return pr.ExecutePlan(p)
-	}
-	r, err := l.Execute(p.Base())
-	if err != nil {
-		return nil, err
-	}
-	return applySteps(r, p.Steps())
-}
-
-// OpenPlanOn opens a plan as a streaming cursor against any LQP, with the
-// same capability-or-fallback behavior as ExecutePlanOn.
-func OpenPlanOn(l LQP, p Plan) (rel.Cursor, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if ps, ok := l.(PlanStreamer); ok {
-		return ps.OpenPlan(p)
-	}
-	r, err := ExecutePlanOn(l, p)
-	if err != nil {
-		return nil, err
-	}
-	return rel.CursorOf(r), nil
-}
-
-func applySteps(r *rel.Relation, steps []Op) (*rel.Relation, error) {
-	var err error
-	for _, op := range steps {
-		if r, err = ApplyOp(r, op); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// ExecutePlan implements PlanRunner: one snapshot of the base relation, then
-// the pipeline folds in-process.
-func (l *Local) ExecutePlan(p Plan) (*rel.Relation, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	r, err := l.Execute(p.Base())
-	if err != nil {
-		return nil, err
-	}
-	return applySteps(r, p.Steps())
-}
-
-// OpenPlan implements PlanStreamer. Select and Restrict steps compose as
-// filter cursors over the base stream — fully pipelined, no copy; a Project
-// step is a blocking point (duplicate elimination), so the prefix up to it
-// materializes and the remainder streams off the projected result.
+// OpenPlan implements LQP. Select and Restrict steps compose as filter
+// cursors over the base stream — fully pipelined, no copy; a Project step
+// is a blocking point (duplicate elimination), so the stream so far drains,
+// projects, and the remaining steps filter the projected rows.
 func (l *Local) OpenPlan(p Plan) (rel.Cursor, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -209,17 +111,15 @@ func (l *Local) OpenPlan(p Plan) (rel.Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, op := range p.Steps() {
+	for _, op := range p.Steps() {
 		switch op.Kind {
 		case OpSelect, OpRestrict:
 			cur, err = filterStep(cur, op)
 		case OpProject:
-			// Blocking: drain what we have, project, stream the rest of the
-			// pipeline off the materialized result.
 			var r *rel.Relation
 			if r, err = rel.Drain(cur); err == nil {
-				if r, err = applySteps(r, p.Steps()[i:]); err == nil {
-					return rel.CursorOf(r), nil
+				if r, err = relalg.Project(r, op.Attrs); err == nil {
+					cur = rel.CursorOf(r)
 				}
 			}
 		default:
@@ -268,14 +168,7 @@ type RelationStats struct {
 	Key     []string
 }
 
-// StatsProvider is the statistics capability of an LQP: per-relation
-// cardinalities and column lists, collected by internal/stats into the
-// cost-based optimizer's catalog. Local and wire.Client implement it.
-type StatsProvider interface {
-	Stats() ([]RelationStats, error)
-}
-
-// Stats implements StatsProvider from the catalog's metadata.
+// Stats implements LQP from the catalog's metadata.
 func (l *Local) Stats() ([]RelationStats, error) {
 	infos := l.db.Stats()
 	out := make([]RelationStats, len(infos))
@@ -284,20 +177,3 @@ func (l *Local) Stats() ([]RelationStats, error) {
 	}
 	return out, nil
 }
-
-// StatsOf collects relation statistics from any LQP, or reports that the
-// LQP does not expose them.
-func StatsOf(l LQP) ([]RelationStats, bool, error) {
-	sp, ok := l.(StatsProvider)
-	if !ok {
-		return nil, false, nil
-	}
-	st, err := sp.Stats()
-	return st, true, err
-}
-
-var (
-	_ PlanRunner    = (*Local)(nil)
-	_ PlanStreamer  = (*Local)(nil)
-	_ StatsProvider = (*Local)(nil)
-)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/rel"
+	"repro/internal/relalg"
 )
 
 func planDB(t *testing.T) *catalog.Database {
@@ -49,44 +50,101 @@ func TestPlanValidateAndString(t *testing.T) {
 	}
 }
 
-// TestLocalExecutePlanMatchesStepwise: the fused pipeline equals the
-// step-by-step composition, materialized and streamed.
-func TestLocalExecutePlanMatchesStepwise(t *testing.T) {
-	l := NewLocal(planDB(t))
-	p := PlanOf(Retrieve("T"), Select("T", "C", rel.ThetaEQ, rel.String("b")), Project("T", "V"))
-
-	want, err := l.Execute(Retrieve("T"))
+// stepwise evaluates a plan the unfused way: the base relation from the
+// catalog, then every op with the untagged relational algebra.
+func stepwise(t *testing.T, db *catalog.Database, p Plan) *rel.Relation {
+	t.Helper()
+	r, err := db.Snapshot(p.Relation())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range p.Steps() {
-		if want, err = ApplyOp(want, op); err != nil {
+	for _, op := range p.Ops {
+		switch op.Kind {
+		case OpSelect:
+			r, err = relalg.Select(r, op.Attr, op.Theta, op.Const)
+		case OpRestrict:
+			r, err = relalg.Restrict(r, op.Attr, op.Theta, op.Attr2)
+		case OpProject:
+			r, err = relalg.Project(r, op.Attrs)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := l.ExecutePlan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema.String() != want.Schema.String() || len(got.Tuples) != len(want.Tuples) {
-		t.Fatalf("plan result %s×%d, want %s×%d", got.Schema, len(got.Tuples), want.Schema, len(want.Tuples))
+	return r
+}
+
+// sameRows fails unless got and want agree in schema and row for row.
+func sameRows(t *testing.T, label string, got, want *rel.Relation) {
+	t.Helper()
+	if !got.Schema.Equal(want.Schema) || len(got.Tuples) != len(want.Tuples) {
+		t.Fatalf("%s: result %s×%d, want %s×%d", label, got.Schema, len(got.Tuples), want.Schema, len(want.Tuples))
 	}
 	for i := range want.Tuples {
 		if !got.Tuples[i].Identical(want.Tuples[i]) {
-			t.Fatalf("row %d differs: %v vs %v", i, got.Tuples[i], want.Tuples[i])
+			t.Fatalf("%s: row %d differs: %v vs %v", label, i, got.Tuples[i], want.Tuples[i])
 		}
 	}
+}
 
-	cur, err := l.OpenPlan(p)
+// TestLocalExecutePlanMatchesStepwise: the fused, streamed pipeline equals
+// the step-by-step composition over the in-process relation.
+func TestLocalExecutePlanMatchesStepwise(t *testing.T) {
+	db := planDB(t)
+	p := PlanOf(Retrieve("T"), Select("T", "C", rel.ThetaEQ, rel.String("b")), Project("T", "V"))
+	got, err := drainOpen(NewLocal(db).OpenPlan(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := rel.Drain(cur)
-	if err != nil {
+	sameRows(t, p.String(), got, stepwise(t, db, p))
+}
+
+// projectDB holds a relation whose projections collapse many rows onto few
+// values, so a Project in mid-plan actually eliminates duplicates.
+func projectDB(t *testing.T) *catalog.Database {
+	t.Helper()
+	db := catalog.NewDatabase("PD")
+	db.MustCreate("T", rel.SchemaOf("K", "C", "A", "B"), "K")
+	rows := make([]rel.Tuple, 0, 900)
+	for i := 0; i < 900; i++ {
+		rows = append(rows, rel.Tuple{rel.Int(int64(i)), rel.String(string(rune('a' + i%3))), rel.Int(int64(i % 7)), rel.Int(int64(i % 5))})
+	}
+	if err := db.Insert("T", rows...); err != nil {
 		t.Fatal(err)
 	}
-	if len(streamed.Tuples) != len(want.Tuples) {
-		t.Fatalf("streamed %d rows, want %d", len(streamed.Tuples), len(want.Tuples))
+	return db
+}
+
+// filterAfterProjectPlans are pushed plans whose filters run after a
+// Project: the steps that continue over the projected rows.
+func filterAfterProjectPlans() []Plan {
+	return []Plan{
+		PlanOf(Retrieve("T"), Project("T", "C", "A"), Select("T", "A", rel.ThetaLT, rel.Int(4))),
+		PlanOf(Retrieve("T"), Project("T", "C", "A", "B"), Restrict("T", "A", rel.ThetaGT, "B"), Project("T", "C", "B")),
+		PlanOf(Select("T", "C", rel.ThetaNE, rel.String("b")), Project("T", "A", "B"), Select("T", "B", rel.ThetaGE, rel.Int(2)), Project("T", "A")),
+	}
+}
+
+// TestLocalOpenPlanFiltersAfterProject: Select and Restrict steps after a
+// Project filter the projected, deduplicated rows.
+func TestLocalOpenPlanFiltersAfterProject(t *testing.T) {
+	db := projectDB(t)
+	l := NewLocal(db)
+	for _, p := range filterAfterProjectPlans() {
+		got, err := drainOpen(l.OpenPlan(p))
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		want := stepwise(t, db, p)
+		if len(want.Tuples) == 0 {
+			t.Fatalf("%s: empty reference answer proves nothing", p)
+		}
+		sameRows(t, p.String(), got, want)
+	}
+	// A missing attribute in a step after the Project fails at open.
+	bad := PlanOf(Retrieve("T"), Project("T", "C"), Select("T", "A", rel.ThetaEQ, rel.Int(1)))
+	if _, err := l.OpenPlan(bad); err == nil {
+		t.Errorf("%s: selecting a projected-away attribute must fail", bad)
 	}
 }
 
@@ -115,47 +173,12 @@ func TestOpenPlanFilterOnlyStreams(t *testing.T) {
 	}
 }
 
-// bareLQP implements only the core LQP interface.
-type bareLQP struct{ inner *Local }
-
-func (b bareLQP) Name() string                         { return b.inner.Name() }
-func (b bareLQP) Relations() ([]string, error)         { return b.inner.Relations() }
-func (b bareLQP) Execute(op Op) (*rel.Relation, error) { return b.inner.Execute(op) }
-
-// TestExecutePlanOnFallback: a capability-less LQP still answers plans —
-// the base op runs remotely, the steps apply caller-side.
-func TestExecutePlanOnFallback(t *testing.T) {
-	bare := bareLQP{inner: NewLocal(planDB(t))}
-	if CanPush(bare) {
-		t.Fatal("bare LQP claims the pushdown capability")
-	}
-	p := PlanOf(Retrieve("T"), Select("T", "C", rel.ThetaEQ, rel.String("b")))
-	r, err := ExecutePlanOn(bare, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Tuples) != 200 {
-		t.Errorf("fallback plan yielded %d rows, want 200", len(r.Tuples))
-	}
-	cur, err := OpenPlanOn(bare, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := rel.Drain(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed.Tuples) != 200 {
-		t.Errorf("fallback stream yielded %d rows, want 200", len(streamed.Tuples))
-	}
-}
-
 // TestCountingMetersFilteredTransfer: Counting charges transfer (cells,
 // rows, latency batches) for the rows a pushed plan actually returns, not
 // for the base relation.
 func TestCountingMetersFilteredTransfer(t *testing.T) {
 	c := NewCounting(NewLocal(planDB(t)))
-	full, err := c.Execute(Retrieve("T"))
+	full, err := drainOpen(c.Open(Retrieve("T")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +188,7 @@ func TestCountingMetersFilteredTransfer(t *testing.T) {
 	c.Reset()
 
 	p := PlanOf(Retrieve("T"), Select("T", "C", rel.ThetaEQ, rel.String("b")), Project("T", "V"))
-	r, err := c.ExecutePlan(p)
+	r, err := drainOpen(c.OpenPlan(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,20 +205,6 @@ func TestCountingMetersFilteredTransfer(t *testing.T) {
 	if c.Total() != 1 || c.Count(OpRetrieve) != 1 {
 		t.Errorf("op counts: total=%d retrieve=%d", c.Total(), c.Count(OpRetrieve))
 	}
-
-	// Streaming path: the metered cursor books each filtered batch.
-	c.Reset()
-	cur, err := c.OpenPlan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := rel.Drain(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c.CellsTransferred(), int64(len(streamed.Tuples)); got != want {
-		t.Errorf("streamed pushed plan transferred %d cells, want %d", got, want)
-	}
 }
 
 // TestCountingLatencyPerFilteredBatch: with injected latency, a pushed plan
@@ -207,14 +216,14 @@ func TestCountingLatencyPerFilteredBatch(t *testing.T) {
 
 	start := time.Now()
 	// 200 matching rows -> 1 batch (DefaultBatchSize 256).
-	if _, err := c.ExecutePlan(PlanOf(Retrieve("T"), Select("T", "C", rel.ThetaEQ, rel.String("b")), Project("T", "K"))); err != nil {
+	if _, err := drainOpen(c.OpenPlan(PlanOf(Retrieve("T"), Select("T", "C", rel.ThetaEQ, rel.String("b")), Project("T", "K")))); err != nil {
 		t.Fatal(err)
 	}
 	filtered := time.Since(start)
 
 	start = time.Now()
 	// 600 rows -> 3 batches.
-	if _, err := c.Execute(Retrieve("T")); err != nil {
+	if _, err := drainOpen(c.Open(Retrieve("T"))); err != nil {
 		t.Fatal(err)
 	}
 	wholesale := time.Since(start)

@@ -7,38 +7,7 @@ import (
 	"repro/internal/relalg"
 )
 
-// Streamer is the optional streaming capability of an LQP: Open evaluates a
-// local operation and returns its result as a cursor of row batches instead
-// of one materialized relation, so the PQP can overlap retrieval with
-// operator work and bound its memory by batches in flight. Local and
-// wire.Client implement it; OpenLQP adapts LQPs that do not.
-type Streamer interface {
-	// Open evaluates op and returns a cursor over the result. The batches
-	// obey the rel.Cursor contract (immutable, valid across Next calls);
-	// they may alias live base-relation storage, so callers must copy any
-	// tuple they intend to modify. Cursors that can also yield batches in
-	// column-major form implement rel.ColCursor (Local's retrieval cursors
-	// and wire.Client's binary-codec streams do); consumers that want
-	// column vectors — the wire server's binary frames, the PQP's tagging
-	// scan — type-assert for it and fall back to row batches.
-	Open(op Op) (rel.Cursor, error)
-}
-
-// OpenLQP opens a streaming cursor on any LQP: Streamers stream natively;
-// for the rest the operation is executed materialized and the result re-cut
-// into batches, so callers program against cursors uniformly.
-func OpenLQP(l LQP, op Op) (rel.Cursor, error) {
-	if s, ok := l.(Streamer); ok {
-		return s.Open(op)
-	}
-	r, err := l.Execute(op)
-	if err != nil {
-		return nil, err
-	}
-	return rel.CursorOf(r), nil
-}
-
-// Open implements Streamer. Retrieve, Select and Restrict stream straight
+// Open implements LQP. Retrieve, Select and Restrict stream straight
 // off the base relation — no per-tuple copy, one batch in flight; Project
 // eliminates duplicates (a blocking step whose memory is bounded by the
 // projected output) and streams the result.
@@ -86,4 +55,4 @@ func (l *Local) Open(op Op) (rel.Cursor, error) {
 	}
 }
 
-var _ Streamer = (*Local)(nil)
+var _ LQP = (*Local)(nil)

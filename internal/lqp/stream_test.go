@@ -1,7 +1,6 @@
 package lqp
 
 import (
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -22,23 +21,11 @@ func bigDB(n int) *catalog.Database {
 	return db
 }
 
-func renderPlain(r *rel.Relation) []string {
-	out := make([]string, 0, len(r.Tuples))
-	for _, t := range r.Tuples {
-		parts := make([]string, len(t))
-		for i, v := range t {
-			parts[i] = v.Key()
-		}
-		out = append(out, strings.Join(parts, "|"))
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TestLocalOpenMatchesExecute: for every op kind, the streamed result
-// equals the materialized one row for row.
+// equals the operation applied to the in-process relation row for row.
 func TestLocalOpenMatchesExecute(t *testing.T) {
-	l := NewLocal(bigDB(700))
+	db := bigDB(700)
+	l := NewLocal(db)
 	ops := []Op{
 		Retrieve("T"),
 		Select("T", "K", rel.ThetaLT, rel.Int(500)),
@@ -46,25 +33,11 @@ func TestLocalOpenMatchesExecute(t *testing.T) {
 		Project("T", "V"),
 	}
 	for _, op := range ops {
-		mat, err := l.Execute(op)
-		if err != nil {
-			t.Fatalf("%v: execute: %v", op, err)
-		}
-		cur, err := l.Open(op)
+		got, err := drainOpen(l.Open(op))
 		if err != nil {
 			t.Fatalf("%v: open: %v", op, err)
 		}
-		got, err := rel.Drain(cur)
-		if err != nil {
-			t.Fatalf("%v: drain: %v", op, err)
-		}
-		if !got.Schema.Equal(mat.Schema) {
-			t.Fatalf("%v: schema %s, want %s", op, got.Schema, mat.Schema)
-		}
-		a, b := renderPlain(got), renderPlain(mat)
-		if strings.Join(a, "\n") != strings.Join(b, "\n") {
-			t.Fatalf("%v: streamed result diverged from materialized (%d vs %d rows)", op, len(a), len(b))
-		}
+		sameRows(t, op.String(), got, stepwise(t, db, PlanOf(op)))
 	}
 }
 
@@ -85,56 +58,21 @@ func TestLocalOpenErrors(t *testing.T) {
 	}
 }
 
-// TestOpenLQPFallback: an LQP without the Streamer capability still opens,
-// through the materialize-then-cut adapter.
-type plainLQP struct{ inner *Local }
-
-func (p *plainLQP) Name() string                         { return p.inner.Name() }
-func (p *plainLQP) Relations() ([]string, error)         { return p.inner.Relations() }
-func (p *plainLQP) Execute(op Op) (*rel.Relation, error) { return p.inner.Execute(op) }
-
-func TestOpenLQPFallback(t *testing.T) {
-	p := &plainLQP{inner: NewLocal(bigDB(600))}
-	cur, err := OpenLQP(p, Retrieve("T"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rel.Drain(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cardinality() != 600 {
-		t.Fatalf("fallback drained %d tuples, want 600", got.Cardinality())
-	}
-}
-
-// TestCountingLatencyPerBatch: a relation spanning b batches charges
-// b × Latency on the materializing path, and one Latency per Next on the
-// streaming path.
+// TestCountingLatencyPerBatch: a relation spanning b batches charges one
+// Latency per Next — b × Latency in all, paid as the cursor is pulled.
 func TestCountingLatencyPerBatch(t *testing.T) {
 	const latency = 30 * time.Millisecond
 	n := rel.DefaultBatchSize*2 + 10 // 3 batches
 	c := NewCounting(NewLocal(bigDB(n)))
 	c.Latency = latency
 
-	start := time.Now()
-	r, err := c.Execute(Retrieve("T"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cardinality() != n {
-		t.Fatalf("retrieved %d tuples, want %d", r.Cardinality(), n)
-	}
-	if elapsed := time.Since(start); elapsed < 3*latency {
-		t.Errorf("materializing retrieve of 3 batches took %v, want >= %v", elapsed, 3*latency)
-	}
-
 	cur, err := c.Open(Retrieve("T"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	start = time.Now()
-	if _, err := cur.Next(); err != nil {
+	start := time.Now()
+	head, err := cur.Next()
+	if err != nil {
 		t.Fatal(err)
 	}
 	first := time.Since(start)
@@ -146,10 +84,17 @@ func TestCountingLatencyPerBatch(t *testing.T) {
 	if first >= 3*latency-latency/2 {
 		t.Errorf("first batch took %v; streaming should pay one batch latency, not the whole transfer", first)
 	}
-	if _, err := rel.Drain(cur); err != nil {
+	r, err := rel.Drain(cur)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Total() != 2 || c.Count(OpRetrieve) != 2 {
-		t.Errorf("ops recorded = %d (%d retrieves), want 2", c.Total(), c.Count(OpRetrieve))
+	if got := len(head) + r.Cardinality(); got != n {
+		t.Fatalf("retrieved %d tuples, want %d", got, n)
+	}
+	if elapsed := time.Since(start); elapsed < 3*latency {
+		t.Errorf("streamed retrieve of 3 batches took %v, want >= %v", elapsed, 3*latency)
+	}
+	if c.Total() != 1 || c.Count(OpRetrieve) != 1 {
+		t.Errorf("ops recorded = %d (%d retrieves), want 1", c.Total(), c.Count(OpRetrieve))
 	}
 }

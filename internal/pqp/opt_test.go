@@ -9,7 +9,6 @@ import (
 	"repro/internal/identity"
 	"repro/internal/lqp"
 	"repro/internal/paperdata"
-	"repro/internal/rel"
 	"repro/internal/translate"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -225,32 +224,5 @@ func TestPushdownReducesTransfer(t *testing.T) {
 	// projected column.
 	if want := int64(res.Relation.Cardinality()); opt != want {
 		t.Errorf("optimized transfer = %d cells, want %d (rows × 1 narrowed column)", opt, want)
-	}
-}
-
-// noPushLQP hides every optional capability of an LQP, modeling a minimal
-// federation member that only speaks the paper's four local operations.
-type noPushLQP struct{ inner lqp.LQP }
-
-func (n noPushLQP) Name() string                             { return n.inner.Name() }
-func (n noPushLQP) Relations() ([]string, error)             { return n.inner.Relations() }
-func (n noPushLQP) Execute(op lqp.Op) (*rel.Relation, error) { return n.inner.Execute(op) }
-
-// TestPushdownSkippedForIncapableLQP: against capability-less LQPs the
-// optimizer leaves chains PQP-side — no multi-op plans reach the LQP — and
-// the answers still match the reference.
-func TestPushdownSkippedForIncapableLQP(t *testing.T) {
-	star := workload.NewStar(workload.DefaultStarConfig())
-	lqps := make(map[string]lqp.LQP, 3)
-	for name, l := range star.LQPs() {
-		lqps[name] = noPushLQP{inner: l}
-	}
-	q := New(star.Schema, star.Registry, nil, lqps)
-	query := `((PFACT [CAT = "cat3"]) [VAL >= 5000]) [VAL]`
-	plan := runAllEngines(t, q, query)
-	for _, row := range plan.Rows {
-		if len(row.Pushed) > 0 {
-			t.Errorf("steps pushed to a capability-less LQP: %s", row)
-		}
 	}
 }

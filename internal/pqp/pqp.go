@@ -31,15 +31,15 @@
 //
 // Before execution, Run hands the IOM to the cost-based Query Optimizer
 // (translate.OptimizeWithOptions) with the federation knowledge the PQP
-// holds: the polygen schema, each LQP's pushdown capability, the instance
-// resolver's exactness, and — after CollectStats — per-LQP cardinality and
-// latency statistics (internal/stats). Optimized plans may carry
-// pushed-down subplans on their LQP-resident rows; the engine executes
-// those through lqp.OpenPlanOn and reconstructs the intermediate tags the
-// displaced PQP-side filters would have written, so optimized and
-// unoptimized plans agree cell for cell — data and both tag sets — which
-// the property suite in opt_test.go enforces. See docs/ARCHITECTURE.md for
-// the optimizer's full contract.
+// holds: the polygen schema, which databases have an LQP to push to, the
+// instance resolver's exactness, and — after CollectStats — per-LQP
+// cardinality and latency statistics (internal/stats). Optimized plans may
+// carry pushed-down subplans on their LQP-resident rows; the engine
+// executes those through the LQP's OpenPlan and reconstructs the
+// intermediate tags the displaced PQP-side filters would have written, so
+// optimized and unoptimized plans agree cell for cell — data and both tag
+// sets — which the property suite in opt_test.go enforces. See
+// docs/ARCHITECTURE.md for the optimizer's full contract.
 package pqp
 
 import (
@@ -62,9 +62,9 @@ import (
 // LQPs (one per local database).
 type PQP struct {
 	// id is a process-unique planner identity (see planKey): plans depend
-	// on everything a PQP is wired with — schema, LQP set and capabilities,
-	// resolver — none of which change after New, so the instance ID is the
-	// sound cache fingerprint for all of them (an address would not be:
+	// on everything a PQP is wired with — schema, LQP set, resolver — none
+	// of which change after New, so the instance ID is the sound cache
+	// fingerprint for all of them (an address would not be:
 	// a successor's allocation can reuse a freed predecessor's).
 	id     uint64
 	schema *core.Schema
@@ -80,7 +80,7 @@ type PQP struct {
 	Optimize bool
 	// Stats, when non-nil, feeds the optimizer per-LQP cardinality and
 	// column statistics (projection-narrowing width checks, join ordering).
-	// CollectStats populates it from the LQPs' statistics capability;
+	// CollectStats populates it from the LQPs' Stats;
 	// executing queries does not update it, so its version — part of the
 	// plan-cache key — moves only when statistics are deliberately
 	// recollected or set.
@@ -216,9 +216,8 @@ var nextPQPID atomic.Uint64
 // handler).
 func (q *PQP) Algebra() *core.Algebra { return q.alg }
 
-// CollectStats probes every LQP exposing the statistics capability
-// (lqp.StatsProvider) and installs the resulting catalog as the PQP's
-// optimizer statistics. With remote LQPs the probe is one "stats" wire
+// CollectStats probes every LQP's Stats and installs the resulting catalog
+// as the PQP's optimizer statistics. With remote LQPs the probe is one "stats" wire
 // round trip per database; the measured round-trip time seeds the link
 // latency estimates.
 func (q *PQP) CollectStats() error {
@@ -232,15 +231,15 @@ func (q *PQP) CollectStats() error {
 
 // optimizerOptions assembles the federation knowledge the cost-based
 // optimizer needs: the schema (attribute and domain mappings), the
-// statistics catalog, per-LQP pushdown capability, and whether the
+// statistics catalog, which databases accept pushed plans, and whether the
 // executing algebra resolves instances exactly.
 func (q *PQP) optimizerOptions() translate.Options {
 	return translate.Options{
 		Schema: q.schema,
 		Stats:  q.Stats,
 		CanPush: func(db string) bool {
-			l, ok := q.lqps[db]
-			return ok && lqp.CanPush(l)
+			_, ok := q.lqps[db]
+			return ok
 		},
 		ExactResolver:      q.alg.ResolverIsExact(),
 		RelaxedJoinReorder: q.RelaxedJoinReorder,
@@ -431,8 +430,8 @@ func (q *PQP) planKey(e translate.Expr) translate.PlanKey {
 	return translate.PlanKey{
 		Query: e.String(),
 		// The planner ID covers everything fixed at New: schema, the LQP
-		// set and its pushdown capabilities, the resolver. The mutable
-		// flags are fingerprinted separately below.
+		// set, the resolver. The mutable flags are fingerprinted
+		// separately below.
 		Planner: fmt.Sprintf("pqp-%d", q.id),
 		Stats:   statsFP,
 		Options: fmt.Sprintf("opt=%t relaxed=%t exact=%t",

@@ -375,9 +375,11 @@ func TestSelectionPushdown(t *testing.T) {
 func TestCountingReset(t *testing.T) {
 	fed := paperdata.New()
 	c := lqp.NewCounting(lqp.NewLocal(fed.AD))
-	if _, err := c.Execute(lqp.Retrieve("ALUMNUS")); err != nil {
+	cur, err := c.Open(lqp.Retrieve("ALUMNUS"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	cur.Close()
 	if c.Total() != 1 || c.Count(lqp.OpRetrieve) != 1 {
 		t.Error("count wrong")
 	}

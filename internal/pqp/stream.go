@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/lqp"
 	"repro/internal/rel"
 	"repro/internal/sourceset"
 	"repro/internal/translate"
@@ -274,9 +273,9 @@ func (q *PQP) openLocal(row translate.Row, env execEnv) (core.Cursor, error) {
 	l := q.boundLQP(processor, env)
 	var rc rel.Cursor
 	if len(plan.Ops) == 1 {
-		rc, err = lqp.OpenLQP(l, plan.Base())
+		rc, err = l.Open(plan.Base())
 	} else {
-		rc, err = lqp.OpenPlanOn(l, plan)
+		rc, err = l.OpenPlan(plan)
 	}
 	if err != nil {
 		// An exhausted source degrades (policy permitting) to an empty

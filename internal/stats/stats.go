@@ -1,6 +1,6 @@
 // Package stats maintains the per-LQP statistics that drive the cost-based
 // federated query optimizer: relation cardinalities and column lists
-// (collected through the lqp.StatsProvider capability) and observed
+// (collected through lqp.LQP's Stats) and observed
 // wide-area link latencies (exponentially-weighted moving averages fed by
 // the PQP as it executes local operations, or seeded by benchmarks that
 // model known links).
@@ -200,20 +200,16 @@ func (c *Catalog) TransferCost(db string, rows, batchSize int) time.Duration {
 	return time.Duration(batches) * lat
 }
 
-// Collect probes every LQP exposing the lqp.StatsProvider capability and
-// returns a fresh catalog. The probe round-trip time seeds each LQP's
-// latency estimate. LQPs without the capability simply contribute nothing;
-// a probe error aborts the collection.
+// Collect probes every LQP's Stats and returns a fresh catalog. The probe
+// round-trip time seeds each LQP's latency estimate; a probe error aborts
+// the collection.
 func Collect(lqps map[string]lqp.LQP) (*Catalog, error) {
 	c := NewCatalog()
 	for db, l := range lqps {
 		start := time.Now()
-		st, ok, err := lqp.StatsOf(l)
+		st, err := l.Stats()
 		if err != nil {
 			return nil, fmt.Errorf("stats: collecting from %s: %w", db, err)
-		}
-		if !ok {
-			continue
 		}
 		c.ObserveLatency(db, time.Since(start))
 		for _, rs := range st {

@@ -77,22 +77,3 @@ func TestCollect(t *testing.T) {
 		t.Error("empty dump")
 	}
 }
-
-// bare is an LQP without the statistics capability; Collect skips it.
-type bare struct{ inner lqp.LQP }
-
-func (b bare) Name() string                             { return b.inner.Name() }
-func (b bare) Relations() ([]string, error)             { return b.inner.Relations() }
-func (b bare) Execute(op lqp.Op) (*rel.Relation, error) { return b.inner.Execute(op) }
-
-func TestCollectSkipsIncapableLQPs(t *testing.T) {
-	db := catalog.NewDatabase("YD")
-	db.MustCreate("T", rel.SchemaOf("A"), "A")
-	c, err := Collect(map[string]lqp.LQP{"YD": bare{inner: lqp.NewLocal(db)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Cardinality("YD", "T"); ok {
-		t.Error("stats collected from a capability-less LQP")
-	}
-}

@@ -77,8 +77,8 @@ type Options struct {
 	// lists and link latencies. Join reordering and the width check of
 	// projection narrowing require it.
 	Stats *stats.Catalog
-	// CanPush reports whether the named local database's LQP accepts
-	// pushed-down subplans (lqp.PlanRunner). A nil CanPush means no LQP
+	// CanPush reports whether the named local database has an LQP to push
+	// subplans to (every lqp.LQP accepts them). A nil CanPush means no LQP
 	// does: fusion is skipped entirely and narrowing only rewrites bare
 	// Retrieves (a single local Project every LQP supports).
 	CanPush func(db string) bool

@@ -75,7 +75,7 @@ func chaosRunOnce(t *testing.T, seed int64) chaosView {
 
 	vt := New()
 	vt.Bind(Sources{Faults: faults, Registry: rs.Registry})
-	fr, err := vt.Execute(lqp.Retrieve("V$FAULT"))
+	fr, err := drainOpen(vt.Open(lqp.Retrieve("V$FAULT")))
 	if err != nil {
 		t.Fatalf("V$FAULT: %v", err)
 	}
@@ -87,7 +87,7 @@ func chaosRunOnce(t *testing.T, seed int64) chaosView {
 			Hedges:  row[3].IntVal(),
 		}
 	}
-	sr, err := vt.Execute(lqp.Project("V$SOURCE_STATS", "SOURCE", "REPLICA", "HEALTHY", "BREAKER_OPEN", "LAST_ERROR"))
+	sr, err := drainOpen(vt.Open(lqp.Project("V$SOURCE_STATS", "SOURCE", "REPLICA", "HEALTHY", "BREAKER_OPEN", "LAST_ERROR")))
 	if err != nil {
 		t.Fatalf("V$SOURCE_STATS: %v", err)
 	}

@@ -1,8 +1,8 @@
 package vtab
 
 // Satellite property suite: every V$ relation round-trips the full engine
-// matrix — serial materializing, streaming, morsel-parallel — and both wire
-// codecs (gob row frames and the binary columnar codec) cell- and
+// matrix — serial materializing, streaming, morsel-parallel — and the wire
+// (the unary tagged answer and the binary columnar stream) cell- and
 // tag-identically. The observed sources are frozen before the matrix runs:
 // the parity queries execute on separate PQPs with their own plan caches,
 // pools and (absent) statistics catalogs, so every leg re-snapshots the
@@ -71,8 +71,7 @@ func TestEngineMatrixParity(t *testing.T) {
 	serial := newQueryPQP(-1, 0)
 	parallel := newQueryPQP(4, 1) // threshold 1 forces the partitioned path
 
-	// Wire legs: a second mediator over its own PQP serves the same vt;
-	// one client negotiates the binary columnar codec, one refuses it.
+	// Wire legs: a second mediator over its own PQP serves the same vt.
 	wireSvc := mediator.New(newQueryPQP(4, 1), mediator.Config{Federation: "parity-wire"})
 	srv := wire.NewMediatorServer(wireSvc)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -80,21 +79,16 @@ func TestEngineMatrixParity(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer srv.Close()
-	dial := func(legacy bool) (*wire.Client, string) {
-		c, err := wire.Dial(addr)
-		if err != nil {
-			t.Fatalf("Dial: %v", err)
-		}
-		t.Cleanup(func() { c.Close() })
-		c.LegacyFrames = legacy
-		info, err := c.OpenSession() // pre-interns sources in canonical order
-		if err != nil {
-			t.Fatalf("OpenSession over wire: %v", err)
-		}
-		return c, info.ID
+	client, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
 	}
-	binClient, binSess := dial(false)
-	gobClient, gobSess := dial(true)
+	defer client.Close()
+	info, err := client.OpenSession() // pre-interns sources in canonical order
+	if err != nil {
+		t.Fatalf("OpenSession over wire: %v", err)
+	}
+	sess := info.ID
 
 	for _, query := range parityQueries {
 		expr, err := translate.ParseExpr(query)
@@ -124,20 +118,15 @@ func TestEngineMatrixParity(t *testing.T) {
 		} else {
 			legs["parallel-stream"] = drainTagged(t, cur)
 		}
-		if ans, err := gobClient.Query(gobSess, query, true); err != nil {
-			t.Fatalf("wire gob query %q: %v", query, err)
+		if ans, err := client.Query(sess, query, true); err != nil {
+			t.Fatalf("wire query %q: %v", query, err)
 		} else {
-			legs["wire-gob-materialized"] = taggedRows(ans.Relation)
+			legs["wire-materialized"] = taggedRows(ans.Relation)
 		}
-		if cur, _, err := gobClient.OpenQuery(gobSess, query, true); err != nil {
-			t.Fatalf("wire gob open %q: %v", query, err)
+		if cur, _, err := client.OpenQuery(sess, query, true); err != nil {
+			t.Fatalf("wire open %q: %v", query, err)
 		} else {
-			legs["wire-gob-stream"] = drainTagged(t, cur)
-		}
-		if cur, _, err := binClient.OpenQuery(binSess, query, true); err != nil {
-			t.Fatalf("wire binary open %q: %v", query, err)
-		} else {
-			legs["wire-binary-stream"] = drainTagged(t, cur)
+			legs["wire-stream"] = drainTagged(t, cur)
 		}
 
 		for leg, got := range legs {

@@ -65,9 +65,9 @@ func TestSessionChurnSnapshotRace(t *testing.T) {
 			default:
 			}
 			for _, table := range []string{"V$SESSION", "V$STMT", "V$POOL"} {
-				r, err := h.vt.Execute(lqp.Retrieve(table))
+				r, err := drainOpen(h.vt.Open(lqp.Retrieve(table)))
 				if err != nil {
-					t.Errorf("Execute(%s): %v", table, err)
+					t.Errorf("Open(%s): %v", table, err)
 					return
 				}
 				if table == "V$POOL" {

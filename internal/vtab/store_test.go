@@ -34,7 +34,7 @@ func TestStoreAndMemTables(t *testing.T) {
 	vt := New()
 	vt.Bind(Sources{Stores: store.Each, Memory: mem})
 
-	r, err := vt.Execute(lqp.Retrieve("V$STORE"))
+	r, err := drainOpen(vt.Open(lqp.Retrieve("V$STORE")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestStoreAndMemTables(t *testing.T) {
 		t.Fatal("BROKEN = true for a healthy store")
 	}
 
-	m, err := vt.Execute(lqp.Retrieve("V$MEM"))
+	m, err := drainOpen(vt.Open(lqp.Retrieve("V$MEM")))
 	if err != nil {
 		t.Fatal(err)
 	}

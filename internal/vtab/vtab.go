@@ -16,7 +16,7 @@
 // # Snapshot consistency contract
 //
 // Each reference to a V$ table in a query materializes an independent
-// snapshot at Execute/Open time. The snapshot is taken under the owning
+// snapshot at Open/OpenPlan time. The snapshot is taken under the owning
 // structure's own synchronization — the mediator's session-table lock and
 // each session's trail lock (one acquisition per session, so a session's
 // LAST_USED and statement rows agree), the plan cache's atomic counters,
@@ -92,11 +92,10 @@ type Sources struct {
 }
 
 // Tables is the synthetic LQP serving the V$ virtual tables. It implements
-// the full capability surface — lqp.LQP, lqp.Streamer, lqp.PlanRunner,
-// lqp.PlanStreamer, lqp.StatsProvider — by materializing the requested
-// table into a throwaway single-relation catalog.Database and delegating to
-// lqp.Local, so filters, projections and pushed-down subplans against V$
-// tables evaluate exactly like against any other local source.
+// lqp.LQP by materializing the requested table into a throwaway
+// single-relation catalog.Database and delegating to lqp.Local, so filters,
+// projections and pushed-down subplans against V$ tables evaluate exactly
+// like against any other local source.
 type Tables struct {
 	mu  sync.RWMutex
 	src Sources
@@ -464,16 +463,7 @@ func (v *Tables) Name() string { return SourceName }
 // Relations implements lqp.LQP.
 func (v *Tables) Relations() ([]string, error) { return TableNames(), nil }
 
-// Execute implements lqp.LQP against a fresh snapshot of the table.
-func (v *Tables) Execute(op lqp.Op) (*rel.Relation, error) {
-	db, err := v.snapshot(op.Relation)
-	if err != nil {
-		return nil, err
-	}
-	return lqp.NewLocal(db).Execute(op)
-}
-
-// Open implements lqp.Streamer: the cursor streams over the immutable
+// Open implements lqp.LQP: the cursor streams over the immutable
 // snapshot taken here, never over live state.
 func (v *Tables) Open(op lqp.Op) (rel.Cursor, error) {
 	db, err := v.snapshot(op.Relation)
@@ -483,20 +473,8 @@ func (v *Tables) Open(op lqp.Op) (rel.Cursor, error) {
 	return lqp.NewLocal(db).Open(op)
 }
 
-// ExecutePlan implements lqp.PlanRunner: one snapshot, then the pushed
-// pipeline folds over it in-process.
-func (v *Tables) ExecutePlan(p lqp.Plan) (*rel.Relation, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	db, err := v.snapshot(p.Relation())
-	if err != nil {
-		return nil, err
-	}
-	return lqp.NewLocal(db).ExecutePlan(p)
-}
-
-// OpenPlan implements lqp.PlanStreamer.
+// OpenPlan implements lqp.LQP: one snapshot, then the pushed pipeline
+// streams over it.
 func (v *Tables) OpenPlan(p lqp.Plan) (rel.Cursor, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -508,7 +486,7 @@ func (v *Tables) OpenPlan(p lqp.Plan) (rel.Cursor, error) {
 	return lqp.NewLocal(db).OpenPlan(p)
 }
 
-// Stats implements lqp.StatsProvider: one fresh snapshot per table. The
+// Stats implements lqp.LQP: one fresh snapshot per table. The
 // cardinalities are as volatile as the underlying counters; like every
 // statistic they only influence plan choice, never results.
 func (v *Tables) Stats() ([]lqp.RelationStats, error) {
@@ -524,13 +502,7 @@ func (v *Tables) Stats() ([]lqp.RelationStats, error) {
 	return out, nil
 }
 
-var (
-	_ lqp.LQP           = (*Tables)(nil)
-	_ lqp.Streamer      = (*Tables)(nil)
-	_ lqp.PlanRunner    = (*Tables)(nil)
-	_ lqp.PlanStreamer  = (*Tables)(nil)
-	_ lqp.StatsProvider = (*Tables)(nil)
-)
+var _ lqp.LQP = (*Tables)(nil)
 
 // Schemes returns the polygen schemes of the virtual tables: one
 // single-source scheme per table, every attribute mapping 1:1 to the V$

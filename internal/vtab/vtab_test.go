@@ -67,15 +67,23 @@ func TestAugmentSchemaRejectsClash(t *testing.T) {
 	}
 }
 
+// drainOpen drains an opened operation or plan into a relation.
+func drainOpen(cur rel.Cursor, err error) (*rel.Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rel.Drain(cur)
+}
+
 // TestUnboundTablesServeEmpty: a Tables before Bind answers every scan with
 // the right columns and no rows — except V$POOL, whose nil pool is the
 // valid single-worker pool.
 func TestUnboundTablesServeEmpty(t *testing.T) {
 	vt := New()
 	for _, sp := range specs {
-		r, err := vt.Execute(lqp.Retrieve(sp.name))
+		r, err := drainOpen(vt.Open(lqp.Retrieve(sp.name)))
 		if err != nil {
-			t.Fatalf("Execute(%s): %v", sp.name, err)
+			t.Fatalf("Open(%s): %v", sp.name, err)
 		}
 		if got := r.Schema.Len(); got != len(sp.columns) {
 			t.Errorf("%s has %d columns, want %d", sp.name, got, len(sp.columns))
@@ -93,8 +101,8 @@ func TestUnboundTablesServeEmpty(t *testing.T) {
 			}
 		}
 	}
-	if _, err := vt.Execute(lqp.Retrieve("V$NOPE")); err == nil {
-		t.Error("Execute(V$NOPE) succeeded, want error")
+	if _, err := drainOpen(vt.Open(lqp.Retrieve("V$NOPE"))); err == nil {
+		t.Error("Open(V$NOPE) succeeded, want error")
 	}
 }
 
@@ -127,9 +135,9 @@ func TestSnapshotImmutable(t *testing.T) {
 	}
 
 	// And an already-materialized snapshot never changes either.
-	before, err := h.vt.Execute(lqp.Retrieve("V$SESSION"))
+	before, err := drainOpen(h.vt.Open(lqp.Retrieve("V$SESSION")))
 	if err != nil {
-		t.Fatalf("Execute(V$SESSION): %v", err)
+		t.Fatalf("Open(V$SESSION): %v", err)
 	}
 	wantQueries := before.Tuples[0][3].IntVal()
 	if _, err := h.svc.Query(info.ID, q, true); err != nil {
@@ -152,14 +160,14 @@ func TestSelectProjectPushdown(t *testing.T) {
 		t.Fatalf("Query: %v", err)
 	}
 
-	r, err := h.vt.Execute(lqp.Select("V$SESSION", "SID", rel.ThetaEQ, rel.String(info.ID)))
+	r, err := drainOpen(h.vt.Open(lqp.Select("V$SESSION", "SID", rel.ThetaEQ, rel.String(info.ID))))
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
 	if len(r.Tuples) != 1 {
 		t.Fatalf("Select(SID = %s) returned %d rows, want 1", info.ID, len(r.Tuples))
 	}
-	r, err = h.vt.Execute(lqp.Select("V$SESSION", "SID", rel.ThetaEQ, rel.String("no-such-session")))
+	r, err = drainOpen(h.vt.Open(lqp.Select("V$SESSION", "SID", rel.ThetaEQ, rel.String("no-such-session"))))
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
@@ -167,7 +175,7 @@ func TestSelectProjectPushdown(t *testing.T) {
 		t.Fatalf("Select(no-such-session) returned %d rows, want 0", len(r.Tuples))
 	}
 
-	r, err = h.vt.Execute(lqp.Project("V$POOL", "WORKERS", "BUSY"))
+	r, err = drainOpen(h.vt.Open(lqp.Project("V$POOL", "WORKERS", "BUSY")))
 	if err != nil {
 		t.Fatalf("Project: %v", err)
 	}
@@ -179,7 +187,7 @@ func TestSelectProjectPushdown(t *testing.T) {
 	}
 }
 
-// TestStatsProvider: the statistics capability reports every table with its
+// TestStatsProvider: Stats reports every table with its
 // schema-order columns and current cardinality.
 func TestStatsProvider(t *testing.T) {
 	h := newHarness(t, mediator.Config{})

@@ -1,7 +1,7 @@
 package wire
 
-// The binary frame codec: the zero-copy columnar wire format that replaces
-// gob for the row frames of streamed results. Control messages (requests,
+// The binary frame codec: the zero-copy columnar wire format of every
+// streamed result's row frames. Control messages (requests,
 // responses, the frame envelope itself) stay gob — the codec's payload rides
 // inside the envelope as one opaque byte slice (frame.Bin), because a gob
 // decoder buffers ahead and cannot share a connection with raw interleaved
@@ -11,8 +11,8 @@ package wire
 // rel/codec.go for plain frames (0xC1), core/codec.go for source-tagged
 // frames (0xC2) — because the write-ahead segment log (internal/store) and
 // the spill files of the budgeted hash operators persist the very same
-// frames. This file only binds the codec into the protocol: the negotiation
-// token and the per-stream append/decode helpers.
+// frames. This file only binds the codec into the protocol: the per-stream
+// append/decode helpers.
 
 import (
 	"repro/internal/core"
@@ -21,12 +21,6 @@ import (
 )
 
 const (
-	// codecBinary is the negotiation token: a client asks for the binary
-	// frame codec by sending request.Codec = "bin"; a server that understands
-	// echoes it in the stream header's response.Codec. Old peers drop the
-	// unknown gob field silently, so either side falls back to gob frames.
-	codecBinary = "bin"
-
 	magicPlain  = rel.FrameMagicPlain   // untagged columnar frame (rel.ColBatch)
 	magicTagged = core.FrameMagicTagged // source-tagged columnar frame (core.ColBatch)
 )

@@ -17,9 +17,8 @@ import (
 
 // This file tests the binary frame codec of codec.go three ways: direct
 // encode/decode round trips over adversarially mixed values (NaN, -0, empty
-// strings, nulls, >64-source tag sets), an interop matrix proving the binary
-// and gob framings byte-for-answer identical (including old-peer fallback in
-// both directions), and a fuzzer (FuzzFrameRoundTrip) that both derives
+// strings, nulls, >64-source tag sets), streams over a real connection
+// checked against the in-process answer, and a fuzzer (FuzzFrameRoundTrip) that both derives
 // random batches from the fuzz input and throws the raw input at the
 // decoders, which must fail cleanly rather than panic or over-allocate.
 
@@ -202,7 +201,7 @@ func TestCoreFrameRoundTrip(t *testing.T) {
 }
 
 // fixedMediator serves one prebuilt tagged relation — enough mediator to
-// exercise the "queryopen" framing in both codecs.
+// exercise the "queryopen" framing.
 type fixedMediator struct {
 	p *core.Relation
 }
@@ -222,63 +221,43 @@ func (m *fixedMediator) OpenQuery(string, string, bool) (*MediatedStream, error)
 	}, nil
 }
 
-// TestBinaryStreamMatchesGob is the interop matrix: the same answers must
-// arrive byte-for-answer identical through every codec pairing — binary
-// client with binary server, legacy (gob) client with a new server, and a
-// binary-requesting client against a server refusing the codec (the
-// old-server fallback).
+// TestBinaryStreamMatchesGob: a "queryopen" stream delivers exactly the
+// mediator's tagged answer — every datum and both tag sets.
 func TestBinaryStreamMatchesGob(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	reg := sourceset.NewRegistry()
 	tagged := randomTaggedBatch(rng, reg, 3, 17).Relation()
 	tagged.Name = "ANS"
 
-	openAnswer := func(legacyClient, legacyServer bool) []string {
-		srv := NewMediatorServer(&fixedMediator{p: tagged})
-		srv.LegacyFrames = legacyServer
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		c.LegacyFrames = legacyClient
-		cur, _, err := c.OpenQuery("", "q", false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := core.Drain(cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderTagged(p)
+	srv := NewMediatorServer(&fixedMediator{p: tagged})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	want := renderTagged(tagged)
-	for _, tc := range []struct {
-		name                       string
-		legacyClient, legacyServer bool
-	}{
-		{"binary", false, false},
-		{"legacy-client", true, false},
-		{"legacy-server", false, true},
-		{"legacy-both", true, true},
-	} {
-		got := openAnswer(tc.legacyClient, tc.legacyServer)
-		if !sameLines(got, want) {
-			t.Fatalf("%s: streamed answer diverged from the source relation:\ngot:\n%s\nwant:\n%s",
-				tc.name, strings.Join(got, "\n"), strings.Join(want, "\n"))
-		}
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cur, _, err := c.OpenQuery("", "q", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Drain(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := renderTagged(p), renderTagged(tagged)
+	if !sameLines(got, want) {
+		t.Fatalf("streamed answer diverged from the source relation:\ngot:\n%s\nwant:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-// TestPlainStreamMatchesGob: the LQP-side "open" stream under both codecs
-// delivers the same rows, and the binary stream's cursor has the columnar
-// capability.
+// TestPlainStreamMatchesGob: the LQP-side "open" stream delivers, row for
+// row, what the in-process lqp.Local answers, and its cursor has the
+// columnar capability.
 func TestPlainStreamMatchesGob(t *testing.T) {
 	_, c := startStreamServer(t, 700)
 
@@ -303,17 +282,16 @@ func TestPlainStreamMatchesGob(t *testing.T) {
 	}
 	binCur.Close()
 
-	c.LegacyFrames = true
-	gobCur, err := c.Open(lqp.Retrieve("BIG"))
+	want, err := drainOpen(lqp.NewLocal(streamDB(700)).Open(lqp.Retrieve("BIG")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gob, err := rel.Drain(gobCur)
-	if err != nil {
-		t.Fatal(err)
+	if len(colRows) != len(want.Tuples) {
+		t.Fatalf("stream delivered %d rows, in-process answer has %d", len(colRows), len(want.Tuples))
 	}
-	bin := &rel.Relation{Schema: gob.Schema, Tuples: colRows}
-	if !sameLines(renderPlain(bin), renderPlain(gob)) {
-		t.Fatalf("binary stream (%d rows) diverged from gob stream (%d rows)", len(bin.Tuples), len(gob.Tuples))
+	for i, tup := range want.Tuples {
+		if !colRows[i].Identical(tup) {
+			t.Fatalf("row %d: stream %v, in-process %v", i, colRows[i], tup)
+		}
 	}
 }

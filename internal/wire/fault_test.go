@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/faultinject"
-	"repro/internal/lqp"
 	"repro/internal/rel"
 )
 
@@ -55,18 +54,18 @@ func TestPooledConnRetirementUnderTransportFaults(t *testing.T) {
 	// still surface — count, don't fail.
 	surfaced := 0
 	for i := 0; i < 40; i++ {
-		if _, err := c.Execute(lqp.Retrieve("FIRM")); err != nil {
+		if _, err := c.Stats(); err != nil {
 			surfaced++
 		}
 	}
 	// Whatever happened mid-loop, the client must answer now: every dead
 	// connection was retired, not re-pooled.
-	r, err := c.Execute(lqp.Retrieve("FIRM"))
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatalf("client did not recover after transport cuts: %v", err)
 	}
-	if r.Cardinality() != 2 {
-		t.Fatalf("recovered answer has %d rows, want 2", r.Cardinality())
+	if len(st) != 1 || st[0].Rows != 2 {
+		t.Fatalf("recovered answer = %+v, want FIRM with 2 rows", st)
 	}
 	if surfaced > 40/2 {
 		t.Errorf("%d of 40 calls failed; retirement plus retry should absorb most cuts", surfaced)

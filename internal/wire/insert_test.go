@@ -15,7 +15,7 @@ func TestClientInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.Execute(lqp.Retrieve("FIRM"))
+	r, err := drainOpen(c.Open(lqp.Retrieve("FIRM")))
 	if err != nil {
 		t.Fatal(err)
 	}

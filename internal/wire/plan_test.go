@@ -7,9 +7,15 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/lqp"
 	"repro/internal/rel"
+	"repro/internal/relalg"
 )
 
 func planFixture(t *testing.T) (*Server, *Client) {
+	t.Helper()
+	return serveDB(t, planDB(t))
+}
+
+func planDB(t *testing.T) *catalog.Database {
 	t.Helper()
 	db := catalog.NewDatabase("WD")
 	db.MustCreate("T", rel.SchemaOf("K", "C", "V"), "K")
@@ -24,6 +30,11 @@ func planFixture(t *testing.T) (*Server, *Client) {
 	if err := db.Insert("T", rows...); err != nil {
 		t.Fatal(err)
 	}
+	return db
+}
+
+func serveDB(t *testing.T, db *catalog.Database) (*Server, *Client) {
+	t.Helper()
 	srv := NewServer(db)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -38,7 +49,7 @@ func planFixture(t *testing.T) (*Server, *Client) {
 	return srv, client
 }
 
-// TestExecutePlanRoundTrip: the "execplan" request evaluates the whole
+// TestExecutePlanRoundTrip: the "openplan" request evaluates the whole
 // subplan server-side; only the filtered, narrowed relation crosses the
 // wire.
 func TestExecutePlanRoundTrip(t *testing.T) {
@@ -48,7 +59,7 @@ func TestExecutePlanRoundTrip(t *testing.T) {
 		lqp.Select("T", "C", rel.ThetaEQ, rel.String("b")),
 		lqp.Project("T", "V"),
 	)
-	r, err := client.ExecutePlan(p)
+	r, err := drainOpen(client.OpenPlan(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +67,57 @@ func TestExecutePlanRoundTrip(t *testing.T) {
 		t.Errorf("plan result %dx%d, want 200x1", len(r.Tuples), r.Schema.Len())
 	}
 	// An invalid plan fails client-side before touching the wire.
-	if _, err := client.ExecutePlan(lqp.Plan{}); err == nil {
+	if _, err := client.OpenPlan(lqp.Plan{}); err == nil {
 		t.Error("empty plan accepted")
 	}
 	// A server-side evaluation error comes back as an error response.
 	bad := lqp.PlanOf(lqp.Retrieve("T"), lqp.Select("T", "NOPE", rel.ThetaEQ, rel.String("x")))
-	if _, err := client.ExecutePlan(bad); err == nil {
+	if _, err := client.OpenPlan(bad); err == nil {
 		t.Error("plan referencing a missing attribute accepted")
+	}
+}
+
+// TestClientOpenPlanFiltersAfterProject: pushed plans that filter after a
+// Project stream back, row for row, what the same operations give over
+// the in-process relation.
+func TestClientOpenPlanFiltersAfterProject(t *testing.T) {
+	db := planDB(t)
+	_, client := serveDB(t, db)
+	plans := []lqp.Plan{
+		lqp.PlanOf(lqp.Retrieve("T"), lqp.Project("T", "C", "V"), lqp.Select("T", "V", rel.ThetaLT, rel.Int(300))),
+		lqp.PlanOf(lqp.Retrieve("T"), lqp.Project("T", "K", "V"), lqp.Restrict("T", "K", rel.ThetaLT, "V"), lqp.Project("T", "K")),
+		lqp.PlanOf(lqp.Retrieve("T"), lqp.Project("T", "C", "K"), lqp.Restrict("T", "K", rel.ThetaLE, "K"), lqp.Project("T", "C")),
+	}
+	for _, p := range plans {
+		got, err := drainOpen(client.OpenPlan(p))
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		want, err := db.Snapshot(p.Relation())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range p.Steps() {
+			switch op.Kind {
+			case lqp.OpSelect:
+				want, err = relalg.Select(want, op.Attr, op.Theta, op.Const)
+			case lqp.OpRestrict:
+				want, err = relalg.Restrict(want, op.Attr, op.Theta, op.Attr2)
+			case lqp.OpProject:
+				want, err = relalg.Project(want, op.Attrs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(want.Tuples) == 0 || len(got.Tuples) != len(want.Tuples) {
+			t.Fatalf("%s: %d rows over the wire, %d in-process", p, len(got.Tuples), len(want.Tuples))
+		}
+		for i, tup := range want.Tuples {
+			if !got.Tuples[i].Identical(tup) {
+				t.Fatalf("%s: row %d is %v over the wire, %v in-process", p, i, got.Tuples[i], tup)
+			}
+		}
 	}
 }
 

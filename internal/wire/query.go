@@ -6,10 +6,10 @@ package wire
 // A "session" request opens a server-side session (audit trail, federation
 // metadata for thin shells); "query" runs one polygen query and returns the
 // composite answer with its source tags; "queryopen" streams the answer as
-// tagged row-batch frames on a dedicated connection, reusing the frame
+// tagged columnar frames on a dedicated connection, reusing the frame
 // protocol of the LQP streams.
 //
-// Source tags travel as per-message directories: every tagged relation or
+// Source tags travel as per-message directories: every tagged answer or
 // frame carries the list of source names its cells reference, and cells
 // store small indexes into it. The client re-interns the names into its own
 // sourceset.Registry, so tag identity survives the wire without the client
@@ -326,37 +326,14 @@ func (s *Server) serveQueryStream(conn net.Conn, enc *gob.Encoder, req request) 
 		return s.send(conn, enc, response{Err: err.Error()})
 	}
 	defer ms.Cursor.Close()
-	binary := s.useBinary(req)
 	header := response{Poly: flatPoly{Name: ms.Cursor.Name(), Attrs: ms.Cursor.Attrs()}, HasPoly: true, PlanRows: ms.PlanRows, CacheHit: ms.CacheHit}
-	if binary {
-		header.Codec = codecBinary
-	}
 	if err := s.send(conn, enc, header); err != nil {
 		return err
 	}
-	reg := ms.Cursor.Registry()
 	cc, _ := ms.Cursor.(core.ColCursor)
 	var buf []byte
 	for {
-		if binary {
-			cb, err := nextCoreColBatch(ms.Cursor, cc)
-			if err == io.EOF {
-				done := frame{Done: true}
-				if ms.Diag != nil {
-					done.Diag = ms.Diag()
-				}
-				return s.send(conn, enc, done)
-			}
-			if err != nil {
-				return s.send(conn, enc, frame{Err: err.Error()})
-			}
-			buf = appendCoreFrame(buf[:0], cb)
-			if err := s.send(conn, enc, frame{Bin: buf}); err != nil {
-				return err
-			}
-			continue
-		}
-		batch, err := ms.Cursor.Next()
+		cb, err := nextCoreColBatch(ms.Cursor, cc)
 		if err == io.EOF {
 			done := frame{Done: true}
 			if ms.Diag != nil {
@@ -367,8 +344,8 @@ func (s *Server) serveQueryStream(conn net.Conn, enc *gob.Encoder, req request) 
 		if err != nil {
 			return s.send(conn, enc, frame{Err: err.Error()})
 		}
-		tuples, sources := flattenBatch(batch, reg)
-		if err := s.send(conn, enc, frame{Poly: tuples, Sources: sources}); err != nil {
+		buf = appendCoreFrame(buf[:0], cb)
+		if err := s.send(conn, enc, frame{Bin: buf}); err != nil {
 			return err
 		}
 	}
@@ -466,7 +443,7 @@ type Diagnosed interface {
 // plan (Relation is nil — the rows are in the cursor). The caller owns the
 // cursor and must Close it; Client.Close aborts it with the rest.
 func (c *Client) OpenQuery(session, text string, algebraic bool) (core.Cursor, *QueryAnswer, error) {
-	conn, dec, resp, err := c.startStream(request{Kind: "queryopen", Session: session, Text: text, Algebraic: algebraic, Codec: c.streamCodec()})
+	conn, dec, resp, err := c.startStream(request{Kind: "queryopen", Session: session, Text: text, Algebraic: algebraic})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -487,10 +464,9 @@ func (c *Client) OpenQuery(session, text string, algebraic bool) (core.Cursor, *
 }
 
 // polyStreamCursor decodes the tagged frames of one "queryopen" stream into
-// core.Cursor batches. It is a core.ColCursor: on a binary-codec stream
-// each frame maps onto column vectors plus a per-frame tag-set dictionary
-// with O(columns + distinct sets) allocations; on a gob stream the flat
-// cells are decoded as before.
+// core.Cursor batches. It is a core.ColCursor: each frame maps onto column
+// vectors plus a per-frame tag-set dictionary with O(columns + distinct
+// sets) allocations.
 type polyStreamCursor struct {
 	client  *Client
 	conn    net.Conn
@@ -514,11 +490,11 @@ func (pc *polyStreamCursor) Name() string                  { return pc.name }
 func (pc *polyStreamCursor) Attrs() []core.Attr            { return pc.attrs }
 func (pc *polyStreamCursor) Registry() *sourceset.Registry { return pc.client.Reg }
 
-// nextFrame decodes frames until a batch arrives, in whichever framing the
-// stream uses: exactly one of the returned batch forms is non-empty.
-func (pc *polyStreamCursor) nextFrame() ([]core.Tuple, *core.ColBatch, error) {
+// NextCol implements core.ColCursor: it decodes frames until a non-empty
+// batch arrives.
+func (pc *polyStreamCursor) NextCol() (*core.ColBatch, error) {
 	if pc.done || pc.closed {
-		return nil, nil, io.EOF
+		return nil, io.EOF
 	}
 	for {
 		pc.conn.SetReadDeadline(time.Now().Add(pc.timeout))
@@ -526,64 +502,37 @@ func (pc *polyStreamCursor) nextFrame() ([]core.Tuple, *core.ColBatch, error) {
 		if err := pc.dec.Decode(&f); err != nil {
 			pc.done = true
 			pc.Close()
-			return nil, nil, fmt.Errorf("wire: receive frame from %s: %w", pc.client.addr, err)
+			return nil, fmt.Errorf("wire: receive frame from %s: %w", pc.client.addr, err)
 		}
 		switch {
 		case f.Err != "":
 			pc.done = true
-			return nil, nil, errors.New(f.Err)
+			return nil, errors.New(f.Err)
 		case f.Done:
 			pc.done = true
 			pc.diag = f.Diag
 			pc.hasDiag = true
-			return nil, nil, io.EOF
+			return nil, io.EOF
 		case len(f.Bin) > 0:
 			cb, err := decodeCoreFrame(f.Bin, pc.name, pc.attrs, pc.client.Reg)
 			if err != nil {
 				pc.done = true
 				pc.Close()
-				return nil, nil, fmt.Errorf("wire: decode frame from %s: %w", pc.client.addr, err)
+				return nil, fmt.Errorf("wire: decode frame from %s: %w", pc.client.addr, err)
 			}
-			if cb.Len() == 0 {
-				continue
+			if cb.Len() > 0 {
+				return cb, nil
 			}
-			return nil, cb, nil
-		case len(f.Poly) > 0:
-			batch, err := unflattenBatch(f.Poly, f.Sources, pc.client.Reg, len(pc.attrs))
-			if err != nil {
-				pc.done = true
-				pc.Close()
-				return nil, nil, err
-			}
-			return batch, nil, nil
 		}
 	}
 }
 
 func (pc *polyStreamCursor) Next() ([]core.Tuple, error) {
-	batch, cb, err := pc.nextFrame()
+	cb, err := pc.NextCol()
 	if err != nil {
 		return nil, err
 	}
-	if cb != nil {
-		return cb.Rows(), nil
-	}
-	return batch, nil
-}
-
-// NextCol implements core.ColCursor.
-func (pc *polyStreamCursor) NextCol() (*core.ColBatch, error) {
-	batch, cb, err := pc.nextFrame()
-	if err != nil {
-		return nil, err
-	}
-	if cb == nil {
-		cb = core.NewColBatch(pc.name, pc.client.Reg, pc.attrs)
-		for _, t := range batch {
-			cb.AppendTuple(t)
-		}
-	}
-	return cb, nil
+	return cb.Rows(), nil
 }
 
 func (pc *polyStreamCursor) Close() error {

@@ -5,18 +5,17 @@
 // whole PQP (query.go — the paper's §V System P made networkable). Both are
 // gob-encoded messages over TCP in two shapes:
 //
-//   - request/response: one request carries one lqp.Op, one pushed-down
-//     lqp.Plan, a metadata query ("name", "relations", "stats"), or — on a
-//     mediator server — a whole polygen query; one response carries the
-//     materialized relation (plain or source-tagged), the statistics, or an
-//     error.
-//   - streaming: an "open"/"openplan" (or mediator "queryopen") request is
-//     answered by a schema header followed by row-batch frames and a final
-//     done frame, on a connection dedicated to that stream. The server
-//     starts framing as soon as the operation yields rows, so remote
-//     retrieval overlaps with client-side work; a pushed-down plan
-//     evaluates entirely server-side, so only the filtered, narrowed rows
-//     are framed at all.
+//   - request/response: one request carries a metadata query ("name",
+//     "relations", "stats"), an insert, or — on a mediator server — a whole
+//     polygen query; one response carries the statistics, the tagged
+//     answer, or an error.
+//   - streaming: an "open" (one lqp.Op), "openplan" (one pushed-down
+//     lqp.Plan) or mediator "queryopen" request is answered by a schema
+//     header followed by binary columnar frames (codec.go) and a final done
+//     frame, on a connection dedicated to that stream. The server starts
+//     framing as soon as the operation yields rows, so remote retrieval
+//     overlaps with client-side work; a pushed-down plan evaluates entirely
+//     server-side, so only the filtered, narrowed rows are framed at all.
 //
 // Both directions guard against stalled peers: the client sets read/write
 // deadlines around every exchange and every frame, the server sets write
@@ -25,14 +24,13 @@
 // hanging it forever.
 //
 // Server serves a catalog.Database (NewServer) and/or fronts a mediator
-// (NewMediatorServer); Client implements lqp.LQP plus every optional
-// capability (lqp.Streamer, lqp.PlanRunner, lqp.PlanStreamer,
-// lqp.StatsProvider), so the PQP — and the cost-based optimizer behind it —
-// is oblivious to whether an LQP is in-process or remote. A Client holds a
-// bounded pool of connections (DefaultMaxConns; DialPool sizes it), so
-// concurrent Execute/ExecutePlan/Stats round trips against one server
-// proceed in parallel instead of serializing on a single gob stream, and a
-// transport failure poisons only the connection it happened on. Streams
+// (NewMediatorServer); Client implements lqp.LQP, so the PQP — and the
+// cost-based optimizer behind it — is oblivious to whether an LQP is
+// in-process or remote. A Client holds a bounded pool of connections
+// (DefaultMaxConns; DialPool sizes it), so concurrent Stats, Insert and
+// Query round trips against one server proceed in parallel instead of
+// serializing on a single gob stream, and a transport failure poisons only
+// the connection it happened on. Streams
 // always run on their own dedicated connection, outside the pool.
 package wire
 
@@ -65,19 +63,19 @@ const DefaultMaxConns = 4
 
 // request is one client→server message.
 type request struct {
-	// Kind selects the operation: "name", "relations", "stats", "execute",
-	// "open", "execplan", "openplan", "insert" against an LQP server;
+	// Kind selects the operation: "name", "relations", "stats", "open",
+	// "openplan", "insert" against an LQP server;
 	// "session", "endsession", "query", "queryopen" against a mediator
 	// server; "ping" against either (the health-check probe: the cheapest
 	// possible round trip, answered without touching the database or the
 	// mediator).
 	Kind string
-	// Op is the local operation for Kind == "execute" / "open"; for
+	// Op is the local operation for Kind == "open"; for
 	// "insert" only Op.Relation is meaningful (the target relation).
 	Op lqp.Op
 	// Tuples carries the rows for Kind == "insert".
 	Tuples []rel.Tuple
-	// Plan is the pushed-down subplan for Kind == "execplan" / "openplan":
+	// Plan is the pushed-down subplan for Kind == "openplan":
 	// the whole pipeline evaluates server-side and only the filtered,
 	// narrowed rows cross the wire — the transfer saving the cost-based
 	// optimizer plans for.
@@ -93,11 +91,6 @@ type request struct {
 	// Policy is the degradation policy a "session" request asks for
 	// ("", "fail" or "partial"); the mediator's default applies when empty.
 	Policy string
-	// Codec asks for a frame codec on stream kinds ("bin" for the binary
-	// columnar codec of codec.go; empty for gob row frames). A server that
-	// does not understand the field — or refuses the codec — streams gob
-	// frames, and says so by omitting Codec from the stream header response.
-	Codec string
 }
 
 // response is one server→client message.
@@ -105,8 +98,10 @@ type response struct {
 	Err       string
 	Name      string
 	Relations []string
-	Relation  flatRelation
-	HasRel    bool
+	// Attrs / HasRel are the schema header of an "open"/"openplan"
+	// stream; the rows follow in frames.
+	Attrs  []rel.Attr
+	HasRel bool
 	// Stats carries the per-relation statistics for Kind == "stats".
 	Stats []lqp.RelationStats
 	// Session / Schemes answer a "session" request (query.go).
@@ -124,69 +119,27 @@ type response struct {
 	// used, and — under the partial degradation policy — the sources the
 	// answer is missing) for mediator "query" answers.
 	Diag federation.Report
-	// Codec, on a stream header, confirms the frame codec the server will
-	// use ("bin"); empty means gob row frames follow (the server is old or
-	// refused the requested codec).
-	Codec string
 }
 
 // frame is one row batch of a streamed result. A stream is a response
-// carrying the schema followed by frames until Done or Err. Tuples carries
-// plain rows ("open"/"openplan"); Poly carries source-tagged rows
-// ("queryopen"), each frame with its own source-name directory (query.go).
+// carrying the schema followed by frames until Done or Err.
 type frame struct {
-	Err    string
-	Done   bool
-	Tuples []rel.Tuple
-	// Poly / Sources carry one tagged batch (see flatPoly).
-	Poly    []flatTuple
-	Sources []string
+	Err  string
+	Done bool
 	// Diag rides the Done frame of a "queryopen" stream: the query's final
 	// fault-handling record, complete only once the answer has fully
 	// streamed (mid-stream failovers count into it).
 	Diag federation.Report
-	// Bin carries one binary columnar frame (codec.go) when the stream
-	// negotiated the "bin" codec; Tuples and Poly stay empty then. The
+	// Bin carries one binary columnar frame (codec.go): plain rows on an
+	// "open"/"openplan" stream, source-tagged rows on a "queryopen" one. The
 	// payload travels as one opaque byte slice inside the gob envelope
 	// because a gob decoder reads ahead and cannot share the connection
 	// with raw interleaved bytes.
 	Bin []byte
 }
 
-// flatRelation is the wire form of rel.Relation: schema flattened into the
-// exported Attr structs, values relying on rel.Value's gob encoding. In a
-// stream header Tuples is empty; the rows follow in frames.
-type flatRelation struct {
-	Name  string
-	Attrs []rel.Attr
-	// Tuples encodes identically to the [][]rel.Value it once was —
-	// rel.Tuple is []rel.Value — but needs no element-copy loop on either
-	// side: flatten shares the relation's tuple slice as-is.
-	Tuples []rel.Tuple
-}
-
-func flatten(r *rel.Relation) flatRelation {
-	return flatRelation{Name: r.Name, Attrs: r.Schema.Attrs(), Tuples: r.Tuples}
-}
-
-func (f flatRelation) unflatten() *rel.Relation {
-	r := rel.NewRelation(f.Name, rel.NewSchema(f.Attrs...))
-	r.Tuples = f.Tuples
-	return r
-}
-
-// LocalLQP is the full-capability LQP a Server serves: the base interface
-// plus the streaming, plan-pushdown and statistics capabilities. lqp.Local
-// satisfies it, and so does any wrapper that forwards all five interfaces —
-// faultinject.Flaky wraps a Local this way so cmd/lqpd can serve a
-// deliberately unreliable replica for chaos testing.
-type LocalLQP interface {
-	lqp.LQP
-	lqp.Streamer
-	lqp.PlanRunner
-	lqp.PlanStreamer
-	lqp.StatsProvider
-}
+// LocalLQP is the LQP a Server serves.
+type LocalLQP = lqp.LQP
 
 // Server exposes one local database as an LQP, a mediator as a query
 // service, or both, over TCP.
@@ -198,12 +151,6 @@ type Server struct {
 	// served — the fault-injection harness uses it to cut, stall or delay
 	// the transport mid-exchange (faultinject.FlakyConn). Set before Listen.
 	ConnHook func(net.Conn) net.Conn
-
-	// LegacyFrames refuses the binary frame codec: every stream falls back
-	// to gob row frames regardless of what clients request. An escape hatch
-	// (the daemons' -legacy-frames flag) for debugging and for proving the
-	// two framings byte-for-answer identical.
-	LegacyFrames bool
 
 	// WriteTimeout bounds every response or frame write (defaults to
 	// DefaultTimeout); a client that stops reading gets its connection
@@ -228,7 +175,7 @@ func NewServer(db *catalog.Database) *Server {
 	return NewServerFor(lqp.NewLocal(db))
 }
 
-// NewServerFor returns an LQP server for any full-capability LQP — the seam
+// NewServerFor returns an LQP server for any LQP — the seam
 // the fault-injection harness uses to serve a faultinject.Flaky-wrapped
 // database (cmd/lqpd's -chaos-* flags).
 func NewServerFor(l LocalLQP) *Server {
@@ -337,18 +284,16 @@ func (s *Server) serveConn(conn net.Conn) {
 func (s *Server) dispatch(conn net.Conn, enc *gob.Encoder, req request) error {
 	switch req.Kind {
 	case "open", "openplan":
-		open := func() (rel.Cursor, string, error) {
+		open := func() (rel.Cursor, error) {
 			if s.local == nil {
-				return nil, "", fmt.Errorf("wire: server %q does not serve local operations", s.serverName())
+				return nil, fmt.Errorf("wire: server %q does not serve local operations", s.serverName())
 			}
 			if req.Kind == "openplan" {
-				cur, err := s.local.OpenPlan(req.Plan)
-				return cur, req.Plan.Relation(), err
+				return s.local.OpenPlan(req.Plan)
 			}
-			cur, err := s.local.Open(req.Op)
-			return cur, req.Op.Relation, err
+			return s.local.Open(req.Op)
 		}
-		return s.serveStream(conn, enc, open, s.useBinary(req))
+		return s.serveStream(conn, enc, open)
 	case "queryopen":
 		return s.serveQueryStream(conn, enc, req)
 	default:
@@ -366,32 +311,23 @@ func (s *Server) send(conn net.Conn, enc *gob.Encoder, msg any) error {
 	return enc.Encode(msg)
 }
 
-// useBinary decides a stream's frame codec: binary when the client asked
-// for it and the server allows it.
-func (s *Server) useBinary(req request) bool {
-	return req.Codec == codecBinary && !s.LegacyFrames
-}
-
 // serveStream answers one "open"/"openplan" request: a schema header
 // response, then row-batch frames, then a done frame. A local-operation
 // error before any row is reported in the header; one mid-stream is
 // reported in an error frame. The returned error is non-nil only for
 // transport failures.
 //
-// With the binary codec negotiated, each batch ships as one columnar
-// payload: cursors with the columnar capability (rel.ColCursor) hand their
-// batches over as-is, others are columnarized per batch; the encode buffer
-// is reused across frames (gob copies the bytes into the envelope).
-func (s *Server) serveStream(conn net.Conn, enc *gob.Encoder, open func() (rel.Cursor, string, error), binary bool) error {
-	cur, name, err := open()
+// Each batch ships as one columnar payload: cursors with the columnar
+// capability (rel.ColCursor) hand their batches over as-is, others are
+// columnarized per batch; the encode buffer is reused across frames (gob
+// copies the bytes into the envelope).
+func (s *Server) serveStream(conn net.Conn, enc *gob.Encoder, open func() (rel.Cursor, error)) error {
+	cur, err := open()
 	if err != nil {
 		return s.send(conn, enc, response{Err: err.Error()})
 	}
 	defer cur.Close()
-	header := response{Relation: flatRelation{Name: name, Attrs: cur.Schema().Attrs()}, HasRel: true}
-	if binary {
-		header.Codec = codecBinary
-	}
+	header := response{Attrs: cur.Schema().Attrs(), HasRel: true}
 	if err := s.send(conn, enc, header); err != nil {
 		return err
 	}
@@ -399,28 +335,15 @@ func (s *Server) serveStream(conn net.Conn, enc *gob.Encoder, open func() (rel.C
 	cc, _ := cur.(rel.ColCursor)
 	var buf []byte
 	for {
-		if binary {
-			cb, err := nextRelColBatch(cur, cc, schema)
-			if err == io.EOF {
-				return s.send(conn, enc, frame{Done: true})
-			}
-			if err != nil {
-				return s.send(conn, enc, frame{Err: err.Error()})
-			}
-			buf = appendRelFrame(buf[:0], cb)
-			if err := s.send(conn, enc, frame{Bin: buf}); err != nil {
-				return err
-			}
-			continue
-		}
-		batch, err := cur.Next()
+		cb, err := nextRelColBatch(cur, cc, schema)
 		if err == io.EOF {
 			return s.send(conn, enc, frame{Done: true})
 		}
 		if err != nil {
 			return s.send(conn, enc, frame{Err: err.Error()})
 		}
-		if err := s.send(conn, enc, frame{Tuples: batch}); err != nil {
+		buf = appendRelFrame(buf[:0], cb)
+		if err := s.send(conn, enc, frame{Bin: buf}); err != nil {
 			return err
 		}
 	}
@@ -459,18 +382,6 @@ func (s *Server) handle(req request) response {
 			return response{Err: err.Error()}
 		}
 		return response{Relations: rels}
-	case "execute":
-		r, err := s.local.Execute(req.Op)
-		if err != nil {
-			return response{Err: err.Error()}
-		}
-		return response{Relation: flatten(r), HasRel: true}
-	case "execplan":
-		r, err := s.local.ExecutePlan(req.Plan)
-		if err != nil {
-			return response{Err: err.Error()}
-		}
-		return response{Relation: flatten(r), HasRel: true}
 	case "stats":
 		st, err := s.local.Stats()
 		if err != nil {
@@ -556,8 +467,8 @@ func (s *Server) Shutdown(d time.Duration) error {
 }
 
 // Client is a remote LQP or a mediator-service client. It holds a bounded
-// pool of TCP connections: concurrent round trips (Execute, ExecutePlan,
-// Stats, Query, ...) each check a connection out of the pool, dialing new
+// pool of TCP connections: concurrent round trips (Stats, Insert, Query,
+// ...) each check a connection out of the pool, dialing new
 // ones up to the bound and queueing beyond it, so calls against one server
 // proceed in parallel instead of serializing on a single gob stream. A
 // transport failure closes only the connection it happened on; the next
@@ -575,11 +486,6 @@ type Client struct {
 	// a fresh registry; replace it (before first use) to share one registry
 	// across clients.
 	Reg *sourceset.Registry
-	// LegacyFrames stops the client from requesting the binary frame codec:
-	// streams carry gob row frames, as pre-codec clients sent them. Set it
-	// before opening streams; the negotiation is per stream, so old servers
-	// fall back to gob automatically even when this is false.
-	LegacyFrames bool
 
 	addr     string
 	name     string
@@ -843,34 +749,6 @@ func (c *Client) Relations() ([]string, error) {
 	return resp.Relations, nil
 }
 
-// Execute implements lqp.LQP.
-func (c *Client) Execute(op lqp.Op) (*rel.Relation, error) {
-	resp, err := c.roundTrip(request{Kind: "execute", Op: op})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.HasRel {
-		return nil, fmt.Errorf("wire: execute response carried no relation")
-	}
-	return resp.Relation.unflatten(), nil
-}
-
-// ExecutePlan implements lqp.PlanRunner: the whole pushed-down subplan
-// evaluates server-side and only its final result crosses the wire.
-func (c *Client) ExecutePlan(p lqp.Plan) (*rel.Relation, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(request{Kind: "execplan", Plan: p})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.HasRel {
-		return nil, fmt.Errorf("wire: execplan response carried no relation")
-	}
-	return resp.Relation.unflatten(), nil
-}
-
 // Insert implements lqp.Inserter over the wire: a nil return means the
 // server acknowledged the write (durably, if it serves a -data-dir store
 // with fsync=always). A transport error leaves the outcome unknown — the
@@ -881,7 +759,7 @@ func (c *Client) Insert(relation string, tuples []rel.Tuple) error {
 	return err
 }
 
-// Stats implements lqp.StatsProvider over the wire.
+// Stats implements lqp.LQP over the wire.
 func (c *Client) Stats() ([]lqp.RelationStats, error) {
 	resp, err := c.roundTrip(request{Kind: "stats"})
 	if err != nil {
@@ -890,7 +768,7 @@ func (c *Client) Stats() ([]lqp.RelationStats, error) {
 	return resp.Stats, nil
 }
 
-// Open implements lqp.Streamer: the operation is evaluated remotely and its
+// Open implements lqp.LQP: the operation is evaluated remotely and its
 // rows arrive as frames on a connection dedicated to this stream, so the
 // server transfers ahead (into the sockets' buffers) while the caller
 // consumes — remote retrieval overlaps with PQP-side work. The cursor must
@@ -900,7 +778,7 @@ func (c *Client) Open(op lqp.Op) (rel.Cursor, error) {
 	return c.openStream(request{Kind: "open", Op: op})
 }
 
-// OpenPlan implements lqp.PlanStreamer: the subplan evaluates remotely and
+// OpenPlan implements lqp.LQP: the subplan evaluates remotely and
 // only the filtered row batches stream back.
 func (c *Client) OpenPlan(p lqp.Plan) (rel.Cursor, error) {
 	if err := p.Validate(); err != nil {
@@ -957,16 +835,7 @@ func (c *Client) unregisterStream(conn net.Conn) {
 	c.mu.Unlock()
 }
 
-// streamCodec is the frame codec a client requests for its streams.
-func (c *Client) streamCodec() string {
-	if c.LegacyFrames {
-		return ""
-	}
-	return codecBinary
-}
-
 func (c *Client) openStream(req request) (rel.Cursor, error) {
-	req.Codec = c.streamCodec()
 	conn, dec, resp, err := c.startStream(req)
 	if err != nil {
 		return nil, err
@@ -980,16 +849,14 @@ func (c *Client) openStream(req request) (rel.Cursor, error) {
 		client:  c,
 		conn:    conn,
 		dec:     dec,
-		schema:  rel.NewSchema(resp.Relation.Attrs...),
+		schema:  rel.NewSchema(resp.Attrs...),
 		timeout: c.timeout(),
 	}, nil
 }
 
 // streamCursor decodes the frames of one streamed result. It is a
-// rel.ColCursor: on a binary-codec stream NextCol maps each frame onto
-// column vectors with O(columns) allocations and Next is the batch's cached
-// row view; on a gob stream Next returns the decoded rows as before and
-// NextCol columnarizes them.
+// rel.ColCursor: NextCol maps each frame onto column vectors with
+// O(columns) allocations and Next is the batch's cached row view.
 type streamCursor struct {
 	client  *Client
 	conn    net.Conn
@@ -1002,11 +869,11 @@ type streamCursor struct {
 
 func (sc *streamCursor) Schema() *rel.Schema { return sc.schema }
 
-// nextFrame decodes frames until a batch arrives, in whichever framing the
-// stream uses: exactly one of the returned batch forms is non-empty.
-func (sc *streamCursor) nextFrame() ([]rel.Tuple, *rel.ColBatch, error) {
+// NextCol implements rel.ColCursor: it decodes frames until a non-empty
+// batch arrives.
+func (sc *streamCursor) NextCol() (*rel.ColBatch, error) {
 	if sc.done || sc.closed {
-		return nil, nil, io.EOF
+		return nil, io.EOF
 	}
 	for {
 		sc.conn.SetReadDeadline(time.Now().Add(sc.timeout))
@@ -1014,53 +881,35 @@ func (sc *streamCursor) nextFrame() ([]rel.Tuple, *rel.ColBatch, error) {
 		if err := sc.dec.Decode(&f); err != nil {
 			sc.done = true
 			sc.Close()
-			return nil, nil, fmt.Errorf("wire: receive frame from %s: %w", sc.client.addr, err)
+			return nil, fmt.Errorf("wire: receive frame from %s: %w", sc.client.addr, err)
 		}
 		switch {
 		case f.Err != "":
 			sc.done = true
-			return nil, nil, errors.New(f.Err)
+			return nil, errors.New(f.Err)
 		case f.Done:
 			sc.done = true
-			return nil, nil, io.EOF
+			return nil, io.EOF
 		case len(f.Bin) > 0:
 			cb, err := decodeRelFrame(f.Bin, sc.schema)
 			if err != nil {
 				sc.done = true
 				sc.Close()
-				return nil, nil, fmt.Errorf("wire: decode frame from %s: %w", sc.client.addr, err)
+				return nil, fmt.Errorf("wire: decode frame from %s: %w", sc.client.addr, err)
 			}
-			if cb.Len() == 0 {
-				continue
+			if cb.Len() > 0 {
+				return cb, nil
 			}
-			return nil, cb, nil
-		case len(f.Tuples) > 0:
-			return f.Tuples, nil, nil
 		}
 	}
 }
 
 func (sc *streamCursor) Next() ([]rel.Tuple, error) {
-	batch, cb, err := sc.nextFrame()
+	cb, err := sc.NextCol()
 	if err != nil {
 		return nil, err
 	}
-	if cb != nil {
-		return cb.Rows(), nil
-	}
-	return batch, nil
-}
-
-// NextCol implements rel.ColCursor.
-func (sc *streamCursor) NextCol() (*rel.ColBatch, error) {
-	batch, cb, err := sc.nextFrame()
-	if err != nil {
-		return nil, err
-	}
-	if cb == nil {
-		cb = rel.FromTuples(sc.schema, batch)
-	}
-	return cb, nil
+	return cb.Rows(), nil
 }
 
 func (sc *streamCursor) Close() error {
@@ -1102,10 +951,6 @@ func (c *Client) Close() error {
 }
 
 var (
-	_ lqp.LQP           = (*Client)(nil)
-	_ lqp.Streamer      = (*Client)(nil)
-	_ lqp.PlanRunner    = (*Client)(nil)
-	_ lqp.PlanStreamer  = (*Client)(nil)
-	_ lqp.StatsProvider = (*Client)(nil)
-	_ rel.ColCursor     = (*streamCursor)(nil)
+	_ lqp.LQP       = (*Client)(nil)
+	_ rel.ColCursor = (*streamCursor)(nil)
 )

@@ -37,6 +37,14 @@ func serve(t *testing.T) (*Server, *Client) {
 	return srv, c
 }
 
+// drainOpen drains an opened operation or plan into a relation.
+func drainOpen(cur rel.Cursor, err error) (*rel.Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rel.Drain(cur)
+}
+
 func TestClientName(t *testing.T) {
 	_, c := serve(t)
 	if c.Name() != "CD" {
@@ -54,15 +62,12 @@ func TestClientRelations(t *testing.T) {
 
 func TestClientRetrieve(t *testing.T) {
 	_, c := serve(t)
-	r, err := c.Execute(lqp.Retrieve("FIRM"))
+	r, err := drainOpen(c.Open(lqp.Retrieve("FIRM")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Cardinality() != 3 || r.Schema.Len() != 3 {
 		t.Errorf("retrieved %dx%d", r.Cardinality(), r.Schema.Len())
-	}
-	if r.Name != "FIRM" {
-		t.Errorf("relation name = %q", r.Name)
 	}
 	if r.Tuples[0][0].Str() != "IBM" {
 		t.Errorf("first tuple = %v", r.Tuples[0])
@@ -71,7 +76,7 @@ func TestClientRetrieve(t *testing.T) {
 
 func TestClientSelect(t *testing.T) {
 	_, c := serve(t)
-	r, err := c.Execute(lqp.Select("FIRM", "FNAME", rel.ThetaEQ, rel.String("DEC")))
+	r, err := drainOpen(c.Open(lqp.Select("FIRM", "FNAME", rel.ThetaEQ, rel.String("DEC"))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +87,7 @@ func TestClientSelect(t *testing.T) {
 
 func TestClientProject(t *testing.T) {
 	_, c := serve(t)
-	r, err := c.Execute(lqp.Project("FIRM", "CEO"))
+	r, err := drainOpen(c.Open(lqp.Project("FIRM", "CEO")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +98,12 @@ func TestClientProject(t *testing.T) {
 
 func TestServerErrorPropagates(t *testing.T) {
 	_, c := serve(t)
-	_, err := c.Execute(lqp.Retrieve("MISSING"))
+	_, err := c.Open(lqp.Retrieve("MISSING"))
 	if err == nil {
 		t.Fatal("expected error for missing relation")
 	}
-	// The connection must survive an application-level error.
-	if _, err := c.Execute(lqp.Retrieve("FIRM")); err != nil {
+	// The client must survive an application-level error.
+	if _, err := drainOpen(c.Open(lqp.Retrieve("FIRM"))); err != nil {
 		t.Fatalf("connection unusable after error: %v", err)
 	}
 }
@@ -119,7 +124,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for j := 0; j < 10; j++ {
-				r, err := c.Execute(lqp.Retrieve("FIRM"))
+				r, err := drainOpen(c.Open(lqp.Retrieve("FIRM")))
 				if err != nil {
 					errs <- err
 					return
@@ -145,8 +150,8 @@ func TestConcurrentRequestsOneClient(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.Execute(lqp.Retrieve("FIRM")); err != nil {
-				t.Errorf("concurrent execute: %v", err)
+			if _, err := c.Stats(); err != nil {
+				t.Errorf("concurrent round trip: %v", err)
 			}
 		}()
 	}
@@ -172,8 +177,8 @@ func TestServerCloseIdempotent(t *testing.T) {
 func TestClientAfterServerClose(t *testing.T) {
 	srv, c := serve(t)
 	srv.Close()
-	if _, err := c.Execute(lqp.Retrieve("FIRM")); err == nil {
-		t.Error("execute after server close should fail")
+	if _, err := c.Open(lqp.Retrieve("FIRM")); err == nil {
+		t.Error("open after server close should fail")
 	}
 }
 
@@ -192,7 +197,7 @@ func TestValueKindsSurviveWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	r, err := c.Execute(lqp.Retrieve("T"))
+	r, err := drainOpen(c.Open(lqp.Retrieve("T")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +238,7 @@ func TestLargeRelationTransfer(t *testing.T) {
 	}
 	defer c.Close()
 	for round := 0; round < 2; round++ {
-		r, err := c.Execute(lqp.Retrieve("T"))
+		r, err := drainOpen(c.Open(lqp.Retrieve("T")))
 		if err != nil {
 			t.Fatal(err)
 		}

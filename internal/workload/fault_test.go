@@ -310,13 +310,13 @@ func TestFaultPartialMergedScheme(t *testing.T) {
 	}
 }
 
-// deadLQP fails every call — a replica that is down from the start.
-type deadLQP struct{ inner lqp.LQP }
+// deadLQP fails every call but Name — a replica that is down from the
+// start.
+type deadLQP struct{ lqp.LQP }
 
-func (d deadLQP) Name() string { return d.inner.Name() }
-func (d deadLQP) Relations() ([]string, error) {
-	return nil, errors.New("deadLQP: connection refused")
-}
-func (d deadLQP) Execute(lqp.Op) (*rel.Relation, error) {
-	return nil, errors.New("deadLQP: connection refused")
-}
+var errRefused = errors.New("deadLQP: connection refused")
+
+func (deadLQP) Relations() ([]string, error)          { return nil, errRefused }
+func (deadLQP) Open(lqp.Op) (rel.Cursor, error)       { return nil, errRefused }
+func (deadLQP) OpenPlan(lqp.Plan) (rel.Cursor, error) { return nil, errRefused }
+func (deadLQP) Stats() ([]lqp.RelationStats, error)   { return nil, errRefused }

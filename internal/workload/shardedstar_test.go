@@ -62,6 +62,14 @@ func TestShardedStarSlicesReconstruct(t *testing.T) {
 	}
 }
 
+// drainOpen drains an opened operation into a relation.
+func drainOpen(cur rel.Cursor, err error) (*rel.Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rel.Drain(cur)
+}
+
 // TestShardedStarServesStarAnswers spot-checks the scatter-gather LQPs
 // against the single-copy star: a full retrieve and a pruned key select per
 // source.
@@ -78,11 +86,11 @@ func TestShardedStarServesStarAnswers(t *testing.T) {
 	}
 	for name, l := range ss.LQPs() {
 		for _, op := range ops[name] {
-			want, err := plain[name].Execute(op)
+			want, err := drainOpen(plain[name].Open(op))
 			if err != nil {
 				t.Fatalf("%s plain %v: %v", name, op, err)
 			}
-			got, err := l.Execute(op)
+			got, err := drainOpen(l.Open(op))
 			if err != nil {
 				t.Fatalf("%s sharded %v: %v", name, op, err)
 			}

@@ -12,7 +12,7 @@
 #          faults: scenario latency percentiles,
 #          hedge/retry fire rates, deadline bound)
 #   col    B-COL (columnar hash kernels vs the row    -> BENCH_col.json
-#          engine, binary vs gob stream framing);
+#          engine, binary stream-frame codec);
 #          also guards the columnar alloc win: the
 #          col-engine Union at n=100000 must stay
 #          >=5x below BENCH_par's row-engine allocs

@@ -180,7 +180,11 @@ func BenchmarkTableA5PrimaryJoin(b *testing.B) {
 	alg, a1, a2, _ := appendixInputs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := alg.OuterNaturalPrimaryJoin(a1, "BNAME", a2, "CNAME", "ONAME"); err != nil {
+		oj, err := alg.OuterJoin(a1, "BNAME", a2, "CNAME")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := alg.Coalesce(oj, "BNAME", "CNAME", "ONAME"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -193,7 +197,7 @@ func BenchmarkTableA6TotalJoin(b *testing.B) {
 	alg, a1, a2, _ := appendixInputs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := alg.OuterNaturalTotalJoin(a1, a2, scheme); err != nil {
+		if _, err := alg.Merge(scheme, a1, a2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,7 +216,7 @@ func BenchmarkTableA7toA9SecondTotalJoin(b *testing.B) {
 	a6, a3 := art.A[6], art.A[3]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := alg.OuterNaturalTotalJoin(a6, a3, scheme); err != nil {
+		if _, err := alg.Merge(scheme, a6, a3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -715,28 +719,6 @@ func BenchmarkParallelMediatorLatency(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkMergeStrategy ablates the Merge fold shape: the paper's left
-// fold vs the balanced pairwise tree, at 16 sources.
-func BenchmarkMergeStrategy(b *testing.B) {
-	f := workload.New(workload.Config{Databases: 16, Entities: 2000, Overlap: 0.5, Categories: 10, Seed: 42})
-	alg := core.NewAlgebra(nil)
-	frags := f.TaggedFragments()
-	b.Run("fold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := alg.Merge(f.Scheme, frags...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("balanced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := alg.MergeBalanced(f.Scheme, frags...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // ---------------------------------------------------------------------------

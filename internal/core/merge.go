@@ -38,16 +38,39 @@ func (a *Algebra) resolveConflict(x, y Cell) Cell {
 // is kept, matching Table A5. Conflicting non-nil data — undefined in the
 // paper — go through the ConflictHandler.
 func (a *Algebra) Coalesce(p *Relation, x, y, w string) (*Relation, error) {
-	xi, err := p.Col(x)
+	xi, yi, out, err := coalesceOutput(p, x, y, w)
 	if err != nil {
 		return nil, err
 	}
-	yi, err := p.Col(y)
-	if err != nil {
-		return nil, err
+	for _, t := range p.Tuples {
+		cw := a.coalesceCell(t[xi], t[yi])
+		row := out.NewRow(len(t) - 1)[:0]
+		for i, c := range t {
+			switch i {
+			case xi:
+				row = append(row, cw)
+			case yi:
+				// dropped
+			default:
+				row = append(row, c)
+			}
+		}
+		out.Tuples = append(out.Tuples, row)
+	}
+	return out, nil
+}
+
+// coalesceOutput resolves Coalesce's columns x and y in p and returns the
+// empty result: p's attributes with x's renamed to w and y's dropped.
+func coalesceOutput(p *Relation, x, y, w string) (xi, yi int, out *Relation, err error) {
+	if xi, err = p.Col(x); err != nil {
+		return
+	}
+	if yi, err = p.Col(y); err != nil {
+		return
 	}
 	if xi == yi {
-		return nil, fmt.Errorf("core: coalesce of attribute %q with itself", x)
+		return 0, 0, nil, fmt.Errorf("core: coalesce of attribute %q with itself", x)
 	}
 	attrs := make([]Attr, 0, len(p.Attrs)-1)
 	for i, at := range p.Attrs {
@@ -64,34 +87,21 @@ func (a *Algebra) Coalesce(p *Relation, x, y, w string) (*Relation, error) {
 			attrs = append(attrs, at)
 		}
 	}
-	out := NewRelation("", p.Reg, attrs...)
-	for _, t := range p.Tuples {
-		cx, cy := t[xi], t[yi]
-		var cw Cell
-		switch {
-		case cy.D.IsNull():
-			cw = cx
-		case cx.D.IsNull():
-			cw = cy
-		case a.same(cx.D, cy.D):
-			cw = Cell{D: cx.D, O: cx.O.Union(cy.O), I: cx.I.Union(cy.I)}
-		default:
-			cw = a.resolveConflict(cx, cy)
-		}
-		row := out.NewRow(len(t) - 1)[:0]
-		for i, c := range t {
-			switch i {
-			case xi:
-				row = append(row, cw)
-			case yi:
-				// dropped
-			default:
-				row = append(row, c)
-			}
-		}
-		out.Tuples = append(out.Tuples, row)
+	return xi, yi, NewRelation("", p.Reg, attrs...), nil
+}
+
+// coalesceCell is Coalesce's rule for one tuple's pair of cells.
+func (a *Algebra) coalesceCell(cx, cy Cell) Cell {
+	switch {
+	case cy.D.IsNull():
+		return cx
+	case cx.D.IsNull():
+		return cy
+	case a.same(cx.D, cy.D):
+		return Cell{D: cx.D, O: cx.O.Union(cy.O), I: cx.I.Union(cy.I)}
+	default:
+		return a.resolveConflict(cx, cy)
 	}
-	return out, nil
 }
 
 // OuterJoin computes the full outer equi-join of p1 and p2 on x = y (instance
@@ -166,79 +176,8 @@ func (a *Algebra) OuterJoin(p1 *Relation, x string, p2 *Relation, y string) (*Re
 	return out, nil
 }
 
-// OuterNaturalPrimaryJoin is an outer join on the two operands' columns for
-// the polygen key attribute, with those columns coalesced into one column
-// named after the key (paper §II: "an Outer Natural Join on the primary key
-// of a polygen relation"). x and y name the key columns in p1 and p2; w is
-// the coalesced (polygen key) name.
-func (a *Algebra) OuterNaturalPrimaryJoin(p1 *Relation, x string, p2 *Relation, y string, w string) (*Relation, error) {
-	oj, err := a.OuterJoin(p1, x, p2, y)
-	if err != nil {
-		return nil, err
-	}
-	// The right key column may have been renamed by disambiguation; address
-	// it by position.
-	xi, err := p1.Col(x)
-	if err != nil {
-		return nil, err
-	}
-	yi, err := p2.Col(y)
-	if err != nil {
-		return nil, err
-	}
-	xName := oj.Attrs[xi].Name
-	yName := oj.Attrs[len(p1.Attrs)+yi].Name
-	return a.Coalesce(oj, xName, yName, w)
-}
-
-// OuterNaturalTotalJoin performs the Outer Natural Primary Join of p1 and p2
-// on the scheme's key and then coalesces every other polygen attribute both
-// operands carry, renaming single-sided local columns to their polygen
-// names (Appendix A, steps (1)–(3)). Both operands' columns must be
-// annotated with the polygen attributes they map to — Retrieve establishes
-// the annotation from the polygen schema.
-func (a *Algebra) OuterNaturalTotalJoin(p1, p2 *Relation, scheme *Scheme) (*Relation, error) {
-	x, err := colByPolygen(p1, scheme.Key)
-	if err != nil {
-		return nil, fmt.Errorf("core: ONTJ left operand: %w", err)
-	}
-	y, err := colByPolygen(p2, scheme.Key)
-	if err != nil {
-		return nil, fmt.Errorf("core: ONTJ right operand: %w", err)
-	}
-	cur, err := a.OuterNaturalPrimaryJoin(p1, p1.Attrs[x].Name, p2, p2.Attrs[y].Name, scheme.Key)
-	if err != nil {
-		return nil, err
-	}
-	for _, pa := range scheme.Attrs {
-		if pa.Name == scheme.Key {
-			continue
-		}
-		cols := colsByPolygen(cur, pa.Name)
-		switch len(cols) {
-		case 0:
-			// Neither operand carries this polygen attribute.
-		case 1:
-			if cur.Attrs[cols[0]].Name != pa.Name {
-				cur, err = a.Rename(cur, cur.Attrs[cols[0]].Name, pa.Name)
-				if err != nil {
-					return nil, err
-				}
-			}
-		case 2:
-			cur, err = a.Coalesce(cur, cur.Attrs[cols[0]].Name, cur.Attrs[cols[1]].Name, pa.Name)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("core: ONTJ: polygen attribute %q appears in %d columns", pa.Name, len(cols))
-		}
-	}
-	return cur, nil
-}
-
 func colByPolygen(p *Relation, pa string) (int, error) {
-	cols := colsByPolygen(p, pa)
+	cols := colsByPolygen(p.Attrs, pa)
 	switch len(cols) {
 	case 1:
 		return cols[0], nil
@@ -249,9 +188,9 @@ func colByPolygen(p *Relation, pa string) (int, error) {
 	}
 }
 
-func colsByPolygen(p *Relation, pa string) []int {
+func colsByPolygen(attrs []Attr, pa string) []int {
 	var out []int
-	for i, at := range p.Attrs {
+	for i, at := range attrs {
 		if at.Polygen == pa {
 			out = append(out, i)
 		}
@@ -260,57 +199,183 @@ func colsByPolygen(p *Relation, pa string) []int {
 }
 
 // Merge extends the Outer Natural Total Join to any number of polygen
-// relations belonging to one polygen scheme (§II): a left fold of ONTJ. With
-// a single operand it normalizes the column names to the polygen attribute
-// names, which is what the total join would have produced. §II notes the
-// fold order is immaterial; TestMergeOrderIndependence checks the instance-
-// level form of that claim.
+// relations of one scheme (§II): the left fold of ONTJ over rels, computed
+// in one keyed pass. The outer join on the key never lets rows with
+// different canonical key IDs interact, so a hash table keeps each key's
+// rows and every fragment's step is replayed on them in place; a step that
+// lacks the key is applied when the key is next met. A single operand only
+// has its columns renamed to their polygen attributes.
 func (a *Algebra) Merge(scheme *Scheme, rels ...*Relation) (*Relation, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("core: merge of zero relations for scheme %q", scheme.Name)
 	}
+	m, err := newMerger(a, scheme, rels)
+	if err != nil {
+		return nil, err
+	}
 	if len(rels) == 1 {
 		return a.normalizeToScheme(rels[0], scheme)
 	}
-	cur := rels[0]
-	var err error
-	for _, next := range rels[1:] {
-		cur, err = a.OuterNaturalTotalJoin(cur, next, scheme)
-		if err != nil {
-			return nil, err
+	total := 0
+	for _, p := range rels {
+		total += len(p.Tuples)
+	}
+	m.groups, m.first = make([]mergeGroup, 0, total), make([]Tuple, total)
+	res := a.Resolver()
+	ids := make(map[uint64]int32, total)
+	next := make([]int32, total)
+	var touched []int32
+	for j, p := range rels {
+		touched = touched[:0]
+		for i, t := range p.Tuples {
+			g := int32(len(m.groups))
+			if k := t[m.key[j]].D; !k.IsNull() {
+				id := res.CanonicalID(k)
+				if h, ok := ids[id]; ok {
+					g = h
+				} else {
+					ids[id] = g
+				}
+			}
+			if int(g) == len(m.groups) {
+				// A new key starts as one all-nil row.
+				m.first[g] = m.out.NewRow(len(m.out.Attrs))
+				m.groups = append(m.groups, mergeGroup{rows: m.first[g : g+1 : g+1], done: int32(j - 1), head: -1})
+			}
+			grp := &m.groups[g]
+			if grp.head < 0 {
+				grp.head = int32(i)
+				touched = append(touched, g)
+			} else {
+				next[grp.tail] = int32(i)
+			}
+			grp.tail, next[i] = int32(i), -1
+		}
+		for _, g := range touched {
+			m.join(&m.groups[g], j, p.Tuples, next)
 		}
 	}
-	return cur, nil
+	m.out.Tuples = make([]Tuple, 0, len(m.groups))
+	for g := range m.groups {
+		m.catchUp(&m.groups[g], len(rels))
+		m.out.Tuples = append(m.out.Tuples, m.groups[g].rows...)
+	}
+	return m.out, nil
 }
 
-// MergeBalanced computes the same Merge as a balanced pairwise tree instead
-// of a left fold: each round total-joins adjacent pairs, halving the operand
-// count. The left fold rescans the whole accumulated relation at every step
-// (Σᵢ O(N·i) work for i sources); the tree does O(N log J). §II's
-// order-independence makes the two equivalent at the instance level —
-// TestMergeBalancedMatchesFold checks it — and the B-SRC ablation bench
-// measures the gap.
-func (a *Algebra) MergeBalanced(scheme *Scheme, rels ...*Relation) (*Relation, error) {
-	if len(rels) == 0 {
-		return nil, fmt.Errorf("core: merge of zero relations for scheme %q", scheme.Name)
+// merger is one Merge: where fragments' keys and columns land in the output
+// row, and a group per key (per row for a null key, which never matches).
+type merger struct {
+	a      *Algebra
+	out    *Relation
+	key    []int   // each fragment's key column
+	cols   [][]int // each fragment column's output column
+	width  []int   // output columns before each fragment, then in all
+	groups []mergeGroup
+	first  []Tuple // backs each group's first row
+}
+
+// mergeGroup holds the fold's rows for one key after fragments 0..done;
+// head..tail chain, through next, the current fragment's rows of the key.
+type mergeGroup struct {
+	rows             []Tuple
+	done, head, tail int32
+}
+
+// newMerger lays out the output as the fold does: fragment 0's columns,
+// then each later fragment's columns whose scheme attribute is new, named
+// as productAttrs names them with scheme columns renamed to the attribute.
+// It rejects an operand carrying one scheme attribute twice.
+func newMerger(a *Algebra, scheme *Scheme, rels []*Relation) (*merger, error) {
+	inScheme := func(pa string) bool {
+		_, ok := scheme.Attr(pa)
+		return pa != "" && (ok || pa == scheme.Key)
 	}
-	work := append([]*Relation(nil), rels...)
-	for len(work) > 1 {
-		next := make([]*Relation, 0, (len(work)+1)/2)
-		for i := 0; i < len(work); i += 2 {
-			if i+1 == len(work) {
-				next = append(next, work[i])
+	m := &merger{a: a, key: make([]int, len(rels)), cols: make([][]int, len(rels)), width: make([]int, len(rels)+1)}
+	var cur []Attr
+	for j, p := range rels {
+		m.key[j] = -1
+		for c, at := range p.Attrs {
+			if inScheme(at.Polygen) && len(colsByPolygen(p.Attrs, at.Polygen)) > 1 {
+				return nil, fmt.Errorf("core: merge for scheme %q: polygen attribute %q appears twice in %s", scheme.Name, at.Polygen, p.describe())
+			} else if at.Polygen == scheme.Key {
+				m.key[j] = c
+			}
+		}
+		if m.key[j] < 0 && len(rels) > 1 {
+			return nil, fmt.Errorf("core: merge for scheme %q: no column maps to key %q in %s", scheme.Name, scheme.Key, p.describe())
+		}
+		all := productAttrs(cur, p.Name, p.Attrs)
+		m.cols[j] = make([]int, len(p.Attrs))
+		n := len(cur)
+		for c, at := range p.Attrs {
+			if prev := colsByPolygen(cur, at.Polygen); len(prev) == 1 && inScheme(at.Polygen) {
+				m.cols[j][c] = prev[0]
 				continue
 			}
-			m, err := a.OuterNaturalTotalJoin(work[i], work[i+1], scheme)
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, m)
+			m.cols[j][c], all[n] = n, all[len(cur)+c]
+			n++
 		}
-		work = next
+		cur = all[:n]
+		for i, at := range cur {
+			if j > 0 && inScheme(at.Polygen) {
+				cur[i] = Attr{Name: at.Polygen, Polygen: at.Polygen}
+			}
+		}
+		m.width[j+1] = n
 	}
-	return a.normalizeToScheme(work[0], scheme)
+	m.out = NewRelation("", rels[0].Reg, cur...)
+	return m, nil
+}
+
+// join replays fragment j's step on a group it has rows for: each row
+// pairs with every one of them (a repeated key is a cross product).
+func (m *merger) join(grp *mergeGroup, j int, frag []Tuple, next []int32) {
+	m.catchUp(grp, j)
+	for _, r := range grp.rows {
+		for i := next[grp.head]; i >= 0; i = next[i] {
+			nr := m.out.NewRow(len(r))
+			copy(nr, r)
+			m.extend(nr, frag[i], j)
+			grp.rows = append(grp.rows, nr)
+		}
+		m.extend(r, frag[grp.head], j)
+	}
+	grp.done, grp.head = int32(j), -1
+}
+
+// extend joins fragment j's tuple f onto row r: both key origins mediate
+// every cell, and f's cells coalesce into older columns or fill new ones.
+func (m *merger) extend(r, f Tuple, j int) {
+	if j == 0 {
+		copy(r, f)
+		return
+	}
+	med := r[m.key[0]].O.Union(f[m.key[j]].O)
+	for oc := range r[:m.width[j]] {
+		r[oc].I = r[oc].I.Union(med)
+	}
+	for c, oc := range m.cols[j] {
+		cell := f[c].WithIntermediate(med)
+		if oc < m.width[j] {
+			cell = m.a.coalesceCell(r[oc], cell)
+		}
+		r[oc] = cell
+	}
+}
+
+// catchUp replays on the group the fragments before j that lack its key:
+// each adds the row's key origin to every cell's intermediate set.
+func (m *merger) catchUp(grp *mergeGroup, j int) {
+	if int(grp.done)+1 < j {
+		for _, r := range grp.rows {
+			med := r[m.key[0]].O
+			for oc := range r[:m.width[j]] {
+				r[oc].I = r[oc].I.Union(med)
+			}
+		}
+	}
+	grp.done = int32(j - 1)
 }
 
 // normalizeToScheme renames every polygen-annotated column of p to its

@@ -168,6 +168,9 @@ func TestOuterJoinNullKeysNeverMatch(t *testing.T) {
 	}
 }
 
+// TestOuterNaturalPrimaryJoin: the Outer Natural Primary Join is a
+// two-operand Merge over a scheme that holds only the key — the key columns
+// coalesce, every other column is kept side by side.
 func TestOuterNaturalPrimaryJoin(t *testing.T) {
 	e := newEnv()
 	alg := NewAlgebra(nil)
@@ -177,7 +180,8 @@ func TestOuterNaturalPrimaryJoin(t *testing.T) {
 	r := e.prel("R", sourceset.Of(e.pd), attrs("CNAME/ONAME", "TRADE/INDUSTRY"),
 		[]any{"IBM", "High Tech"},
 	)
-	got, err := alg.OuterNaturalPrimaryJoin(l, "BNAME", r, "CNAME", "ONAME")
+	keyOnly := &Scheme{Name: "PORG", Key: "ONAME", Attrs: []PolygenAttr{{Name: "ONAME"}}}
+	got, err := alg.Merge(keyOnly, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +230,13 @@ func (e *testEnv) orgRelations() (*Relation, *Relation, *Relation) {
 	return business, corp, firm
 }
 
+// TestOuterNaturalTotalJoin: the Outer Natural Total Join is the
+// two-operand Merge.
 func TestOuterNaturalTotalJoin(t *testing.T) {
 	e := newEnv()
 	alg := NewAlgebra(nil)
 	business, corp, _ := e.orgRelations()
-	got, err := alg.OuterNaturalTotalJoin(business, corp, orgScheme())
+	got, err := alg.Merge(orgScheme(), business, corp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,73 +281,13 @@ func TestMergeZeroRelationsFails(t *testing.T) {
 	}
 }
 
-// TestMergeOrderIndependence checks §II's claim: "the order in which Outer
-// Natural Total Join are performed over a set of polygen relations in a
-// Merge is immaterial". Column order follows the fold, so the comparison
-// projects each result onto the scheme's attribute order; datum spellings
-// are compared under the instance resolver (the first operand's spelling
-// wins presentationally).
-func TestMergeOrderIndependence(t *testing.T) {
-	e := newEnv()
-	alg := NewAlgebra(identity.CaseFold{})
-	b, c, f := e.orgRelations()
-	orders := [][3]*Relation{
-		{b, c, f}, {b, f, c}, {c, b, f}, {c, f, b}, {f, b, c}, {f, c, b},
-	}
-	scheme := orgScheme()
-	var reference []string
-	for oi, ord := range orders {
-		m, err := alg.Merge(scheme, ord[0], ord[1], ord[2])
-		if err != nil {
-			t.Fatalf("order %d: %v", oi, err)
-		}
-		proj, err := alg.Project(m, scheme.AttrNames())
-		if err != nil {
-			t.Fatalf("order %d: project: %v", oi, err)
-		}
-		rows := render(proj)
-		canon := make([]string, len(rows))
-		for i, r := range rows {
-			canon[i] = strings.ToLower(r)
-		}
-		if oi == 0 {
-			reference = canon
-			continue
-		}
-		if d := diffMultiset(reference, canon); d != "" {
-			t.Errorf("order %d differs from order 0:\n%s", oi, d)
-		}
-	}
-}
-
-func diffMultiset(want, got []string) string {
-	seen := make(map[string]int)
-	for _, w := range want {
-		seen[w]++
-	}
-	var b strings.Builder
-	for _, g := range got {
-		if seen[g] == 0 {
-			b.WriteString("extra: " + g + "\n")
-			continue
-		}
-		seen[g]--
-	}
-	for w, n := range seen {
-		for i := 0; i < n; i++ {
-			b.WriteString("missing: " + w + "\n")
-		}
-	}
-	return b.String()
-}
-
 func TestONTJErrorsWithoutKeyAnnotation(t *testing.T) {
 	e := newEnv()
 	alg := NewAlgebra(nil)
 	// No polygen annotations at all: the key cannot be located.
 	l := e.prel("L", sourceset.Of(e.ad), attrs("A"), []any{"x"})
 	r := e.prel("R", sourceset.Of(e.pd), attrs("B"), []any{"y"})
-	if _, err := alg.OuterNaturalTotalJoin(l, r, orgScheme()); err == nil {
+	if _, err := alg.Merge(orgScheme(), l, r); err == nil {
 		t.Error("ONTJ without key annotations accepted")
 	}
 }
@@ -375,54 +321,21 @@ func TestSchemeLocalAttrsOf(t *testing.T) {
 	}
 }
 
-// TestMergeBalancedMatchesFold: the balanced tree computes the same merged
-// relation as the paper's left fold, modulo instance spelling (compared
-// case-folded) and column order (projected onto scheme order).
-func TestMergeBalancedMatchesFold(t *testing.T) {
+// TestMergeRejectsRepeatedSchemeAttr: an operand carrying one scheme
+// attribute in two columns has no defined Merge — with one operand the
+// normalized names would collide, with more the fold would coalesce the
+// operand with itself — so Merge refuses it.
+func TestMergeRejectsRepeatedSchemeAttr(t *testing.T) {
 	e := newEnv()
-	alg := NewAlgebra(identity.CaseFold{})
-	scheme := orgScheme()
-	b, c, f := e.orgRelations()
-	for _, rels := range [][]*Relation{
-		{b}, {b, c}, {b, c, f}, {f, c, b},
-	} {
-		fold, err := alg.Merge(scheme, rels...)
-		if err != nil {
-			t.Fatal(err)
+	alg := NewAlgebra(nil)
+	business, corp, _ := e.orgRelations()
+	twice := e.prel("CORPORATION", sourceset.Of(e.pd), attrs("CNAME/ONAME", "TRADE/INDUSTRY", "SECTOR/INDUSTRY"),
+		[]any{"IBM", "High Tech", "Computers"},
+	)
+	for _, rels := range [][]*Relation{{twice}, {business, twice}, {twice, corp, business}} {
+		_, err := alg.Merge(orgScheme(), rels...)
+		if err == nil || !strings.Contains(err.Error(), `"INDUSTRY" appears twice`) {
+			t.Errorf("merge of %d operands with INDUSTRY twice: err = %v", len(rels), err)
 		}
-		bal, err := alg.MergeBalanced(scheme, rels...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		attrs := []string{}
-		for _, pa := range scheme.Attrs {
-			if _, err := fold.Col(pa.Name); err == nil {
-				attrs = append(attrs, pa.Name)
-			}
-		}
-		pf, err := alg.Project(fold, attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := alg.Project(bal, attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lf, lb := render(pf), render(pb)
-		for i := range lf {
-			lf[i] = strings.ToLower(lf[i])
-		}
-		for i := range lb {
-			lb[i] = strings.ToLower(lb[i])
-		}
-		if d := diffMultiset(lf, lb); d != "" {
-			t.Errorf("balanced merge of %d relations differs:\n%s", len(rels), d)
-		}
-	}
-}
-
-func TestMergeBalancedZeroFails(t *testing.T) {
-	if _, err := NewAlgebra(nil).MergeBalanced(orgScheme()); err == nil {
-		t.Error("balanced merge of zero relations accepted")
 	}
 }

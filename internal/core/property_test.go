@@ -613,6 +613,79 @@ func TestPropertyHashMergeMatchesReference(t *testing.T) {
 	}
 }
 
+// mergeScheme is the scheme of the n-way Merge property cases.
+var mergeScheme = &Scheme{
+	Name:  "PG",
+	Key:   "K",
+	Attrs: []PolygenAttr{{Name: "K"}, {Name: "A"}, {Name: "B"}, {Name: "C"}},
+}
+
+// mergeFragment draws one Merge operand: the key plus a random subset of
+// A/B/C in random order, each under its polygen name or a local one, and
+// sometimes an unannotated column, over wide cells.
+func (g *gen) mergeFragment(reg *sourceset.Registry) *Relation {
+	local := func(pa string) string {
+		if g.r.Intn(2) == 0 {
+			return pa + "/" + pa
+		}
+		return "L" + pa + "/" + pa
+	}
+	names := []string{local("K")}
+	for _, i := range g.r.Perm(3)[:g.r.Intn(4)] {
+		names = append(names, local(string(rune('A'+i))))
+	}
+	if g.r.Intn(3) == 0 {
+		names = append(names, "U")
+	}
+	g.r.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+	return g.wideRelation(reg, names...)
+}
+
+// TestPropertyMergeNWayMatchesReference holds the keyed Merge to the
+// reference fold of string-keyed Outer Natural Total Joins over 1–8
+// operands — duplicate and null keys, NaN and -0, tags past ID 64 — under
+// the default and a custom conflict handler: the same attribute list, and
+// the same rows cell for cell.
+func TestPropertyMergeNWayMatchesReference(t *testing.T) {
+	handlers := []ConflictHandler{nil, func(x, y Cell) Cell {
+		return Cell{D: y.D, O: y.O.Union(x.O), I: x.I}
+	}}
+	for hi, h := range handlers {
+		g, reg := newWideGen(int64(90 + hi))
+		alg := NewAlgebra(identity.CaseFold{})
+		alg.SetConflictHandler(h)
+		for i := 0; i < 400; i++ {
+			rels := make([]*Relation, 1+g.r.Intn(8))
+			for k := range rels {
+				rels[k] = g.mergeFragment(reg)
+			}
+			got, err := alg.Merge(mergeScheme, rels...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := alg.RefMerge(mergeScheme, rels...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSameAttrs(t, i, got, ref)
+			wantSameRendered(t, "n-way merge", i, got, ref)
+		}
+	}
+}
+
+// wantSameAttrs asserts two relations have identical attribute lists.
+func wantSameAttrs(t *testing.T, i int, got, ref *Relation) {
+	t.Helper()
+	if len(got.Attrs) != len(ref.Attrs) {
+		t.Fatalf("iteration %d: attrs %v, reference %v", i, got.Attrs, ref.Attrs)
+	}
+	for k := range got.Attrs {
+		if got.Attrs[k] != ref.Attrs[k] {
+			t.Fatalf("iteration %d: attrs %v, reference %v", i, got.Attrs, ref.Attrs)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Streaming operators vs. reference, across batch boundaries.
 //
@@ -820,7 +893,7 @@ func TestPropertyStreamMergeMatchesEngines(t *testing.T) {
 		p1 := g.wideRelation(reg, "K/K", "A/A")
 		p2 := g.wideRelation(reg, "K2/K", "B/B")
 		p3 := g.wideRelation(reg, "K3/K", "A2/A")
-		str := mustDrain(alg.StreamMerge(scheme, false, cursorOver(p1), cursorOver(p2), cursorOver(p3)))
+		str := mustDrain(alg.StreamMerge(scheme, cursorOver(p1), cursorOver(p2), cursorOver(p3)))
 		ref, err := alg.RefMerge(scheme, p1, p2, p3)
 		if err != nil {
 			t.Fatal(err)

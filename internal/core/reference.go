@@ -290,33 +290,10 @@ func (a *Algebra) RefOuterJoin(p1 *Relation, x string, p2 *Relation, y string) (
 
 // RefCoalesce is Coalesce with instance equality via canonical strings.
 func (a *Algebra) RefCoalesce(p *Relation, x, y, w string) (*Relation, error) {
-	xi, err := p.Col(x)
+	xi, yi, out, err := coalesceOutput(p, x, y, w)
 	if err != nil {
 		return nil, err
 	}
-	yi, err := p.Col(y)
-	if err != nil {
-		return nil, err
-	}
-	if xi == yi {
-		return nil, fmt.Errorf("core: coalesce of attribute %q with itself", x)
-	}
-	attrs := make([]Attr, 0, len(p.Attrs)-1)
-	for i, at := range p.Attrs {
-		switch i {
-		case xi:
-			pg := at.Polygen
-			if pg == "" {
-				pg = p.Attrs[yi].Polygen
-			}
-			attrs = append(attrs, Attr{Name: w, Polygen: pg})
-		case yi:
-			// dropped
-		default:
-			attrs = append(attrs, at)
-		}
-	}
-	out := NewRelation("", p.Reg, attrs...)
 	for _, t := range p.Tuples {
 		cx, cy := t[xi], t[yi]
 		var cw Cell
@@ -371,7 +348,7 @@ func (a *Algebra) RefOuterNaturalTotalJoin(p1, p2 *Relation, scheme *Scheme) (*R
 		if pa.Name == scheme.Key {
 			continue
 		}
-		cols := colsByPolygen(cur, pa.Name)
+		cols := colsByPolygen(cur.Attrs, pa.Name)
 		switch len(cols) {
 		case 0:
 		case 1:

@@ -156,7 +156,9 @@ type SchemeAttr struct {
 
 // NewSchema builds a schema from schemes. Scheme keys default to the first
 // attribute. It fails on duplicate scheme names, empty schemes, unknown key
-// attributes, or attributes with empty mapping sets.
+// attributes, attributes with empty mapping sets, or an attribute mapping
+// two attributes of one local relation (a Retrieve of that relation would
+// carry the polygen attribute twice, which Merge cannot coalesce).
 func NewSchema(schemes ...*Scheme) (*Schema, error) {
 	s := &Schema{
 		schemes:   make(map[string]*Scheme, len(schemes)),
@@ -185,7 +187,13 @@ func NewSchema(schemes ...*Scheme) (*Schema, error) {
 			if len(a.Mapping) == 0 {
 				return nil, fmt.Errorf("core: scheme %q attribute %q has an empty mapping set", p.Name, a.Name)
 			}
-			for _, la := range a.Mapping {
+			for i, la := range a.Mapping {
+				for _, prev := range a.Mapping[:i] {
+					if prev.DB == la.DB && prev.Scheme == la.Scheme {
+						return nil, fmt.Errorf("core: scheme %q attribute %q maps two attributes (%s, %s) of local relation %s.%s",
+							p.Name, a.Name, prev.Attr, la.Attr, la.DB, la.Scheme)
+					}
+				}
 				s.reverse[la] = append(s.reverse[la], SchemeAttr{Scheme: p.Name, Attr: a.Name})
 			}
 		}

@@ -37,6 +37,13 @@ func TestNewSchemaValidation(t *testing.T) {
 	if _, err := NewSchema(ok, &Scheme{Name: "P", Attrs: ok.Attrs}); err == nil {
 		t.Error("duplicate scheme name accepted")
 	}
+	twice := &Scheme{Name: "W", Attrs: []PolygenAttr{{Name: "A", Mapping: []LocalAttr{
+		la, {DB: "PD", Scheme: "T", Attr: "A"}, {DB: "AD", Scheme: "T", Attr: "B"},
+	}}}}
+	_, err = NewSchema(twice)
+	if err == nil || !strings.Contains(err.Error(), `scheme "W" attribute "A" maps two attributes (A, B) of local relation AD.T`) {
+		t.Errorf("one local relation mapped twice into one attribute: err = %v", err)
+	}
 }
 
 func TestMustSchemaPanics(t *testing.T) {

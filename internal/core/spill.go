@@ -39,7 +39,7 @@ import (
 //     accumulated while draining, so it is exact regardless of residency.
 //
 // Intersect and Merge keep their in-memory builds (Intersect's state is
-// bounded by the smaller operand, Merge's fold rescans its accumulator), as
+// bounded by the smaller operand, Merge's keyed pass holds every fragment), as
 // does the non-equality Join fallback. Row order differs from the in-memory
 // path (spilled partitions emit last); the polygen algebra is set-semantic,
 // and the property suites compare order-insensitively.

@@ -23,9 +23,9 @@ import (
 //     tag sets into already-accepted tuples (paper §II), so no tuple's tags
 //     are final until all input has been seen. Their memory is bounded by
 //     the deduplicated output, not by the inputs.
-//   - Merge is a pipeline breaker: the Outer Natural Total Join fold rescans
-//     its accumulator, so the operands are materialized and the merged
-//     result is streamed out.
+//   - Merge is a pipeline breaker: a key's merged row is final only once
+//     every fragment has been seen, so the operands are materialized, merged
+//     in one keyed pass and the result is streamed out.
 //
 // These are the algebra's only implementations of the hash operators: the
 // relation-at-a-time entry points (Project, Union, Join, ...) drain them.
@@ -936,11 +936,10 @@ func (c *productStream) Next() ([]Tuple, error) {
 	}
 }
 
-// StreamMerge is the streaming face of Merge: the Outer Natural Total Join
-// fold rescans its accumulator, so the operands are drained (batch-at-a-
-// time) and merged eagerly, and the merged relation is streamed out. With
-// balanced set the fold is the balanced pairwise tree (MergeBalanced).
-func (a *Algebra) StreamMerge(scheme *Scheme, balanced bool, ins ...Cursor) (Cursor, error) {
+// StreamMerge is the streaming face of Merge: no key's rows are final until
+// every fragment has been seen, so the operands are drained (batch-at-a-
+// time) into one keyed pass and the merged relation is streamed out.
+func (a *Algebra) StreamMerge(scheme *Scheme, ins ...Cursor) (Cursor, error) {
 	rels := make([]*Relation, len(ins))
 	for i, c := range ins {
 		p, err := Drain(c)
@@ -950,13 +949,7 @@ func (a *Algebra) StreamMerge(scheme *Scheme, balanced bool, ins ...Cursor) (Cur
 		}
 		rels[i] = p
 	}
-	var m *Relation
-	var err error
-	if balanced {
-		m, err = a.MergeBalanced(scheme, rels...)
-	} else {
-		m, err = a.Merge(scheme, rels...)
-	}
+	m, err := a.Merge(scheme, rels...)
 	if err != nil {
 		return nil, err
 	}

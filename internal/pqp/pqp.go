@@ -90,10 +90,6 @@ type PQP struct {
 	// calculus records evaluation order; see translate.Options). Data and
 	// origin tags are unaffected. Off by default.
 	RelaxedJoinReorder bool
-	// BalancedMerge evaluates Merge rows with the balanced pairwise tree
-	// (core.MergeBalanced) instead of the paper's left fold; the answers are
-	// instance-identical and wide merges get cheaper (B-SRC ablation).
-	BalancedMerge bool
 	// Degrade is the default degradation policy for queries run without an
 	// explicit one (RunPolicy/OpenPolicy override per call). PolicyFail —
 	// the zero value — fails the whole query when a source exhausts all of
@@ -115,7 +111,7 @@ type PQP struct {
 	Trace func(format string, args ...any)
 }
 
-// The flag fields above (Optimize, Stats, RelaxedJoinReorder, BalancedMerge,
+// The flag fields above (Optimize, Stats, RelaxedJoinReorder, Degrade,
 // Plans, Trace) are configuration: set them while wiring the federation,
 // before the PQP is shared. After that one PQP instance serves any number of
 // goroutines concurrently — QuerySQL, QueryAlgebra, Run and Open are safe

@@ -453,24 +453,3 @@ func TestInterviewJoinsOrganizations(t *testing.T) {
 		}
 	}
 }
-
-// TestBalancedMergeFlag: the PQP yields the same answer with the balanced
-// merge strategy (the paper's federation has consistent spellings only up
-// to case, so compare case-folded).
-func TestBalancedMergeFlag(t *testing.T) {
-	q := newPQP(t)
-	res, err := q.QuerySQL(`SELECT ONAME, CEO FROM PORGANIZATION WHERE INDUSTRY = "Banking"`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.BalancedMerge = true
-	res2, err := q.QuerySQL(`SELECT ONAME, CEO FROM PORGANIZATION WHERE INDUSTRY = "Banking"`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := strings.ToLower(strings.Join(render(res.Relation), "\n"))
-	b := strings.ToLower(strings.Join(render(res2.Relation), "\n"))
-	if a != b {
-		t.Errorf("balanced merge changed the answer:\n%s\nvs\n%s", a, b)
-	}
-}

@@ -240,7 +240,7 @@ func (q *PQP) openRow(row translate.Row, takeReg func(int) (core.Cursor, error),
 			}
 			ins = append(ins, c)
 		}
-		return q.alg.StreamMerge(scheme, q.BalancedMerge, ins...)
+		return q.alg.StreamMerge(scheme, ins...)
 	case translate.OpUnion:
 		return binary(q.alg.StreamUnion)
 	case translate.OpDifference:

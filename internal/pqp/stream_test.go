@@ -58,6 +58,31 @@ func TestStreamingMatchesMaterializedOnWorkload(t *testing.T) {
 	wantReference(t, q, "workload", res.Plan, res.Relation)
 }
 
+// TestMergeFanoutMatchesReference: reference parity on the shape of the
+// benchmark's merge-fanout workload — six overlapping sources with data
+// conflicts, merged by every query. The benchmark checks its answers
+// against retain mode, which runs the same Merge kernel as the engine; here
+// the Merge rows are evaluated by the reference fold (RefMerge) instead.
+func TestMergeFanoutMatchesReference(t *testing.T) {
+	f := workload.New(workload.Config{Databases: 6, Entities: 2000, Overlap: 0.5, Categories: 8, ConflictRate: 0.1})
+	q := New(f.Schema, f.Registry, identity.Exact{}, f.LQPs())
+	for _, query := range []string{
+		`PENTITY`,
+		`(PENTITY [CAT = "cat1"]) [KEY, CAT, V0]`,
+		`(PENTITY [CAT = "cat2"]) [KEY, V1, V3]`,
+		`(PENTITY [CAT = "cat3"]) [KEY >= "E000500"]`,
+	} {
+		res, err := q.QueryAlgebra(query)
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		if res.Relation.Cardinality() == 0 {
+			t.Fatalf("%s: empty answer", query)
+		}
+		wantReference(t, q, query, res.Plan, res.Relation)
+	}
+}
+
 // TestStreamingSharedRegister: a register consumed twice (self-join)
 // materializes once and feeds both operands; the answer matches the
 // reference evaluation.

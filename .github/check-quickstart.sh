@@ -44,7 +44,7 @@ echo "$out" | grep -q 'V\$' || { echo "ERROR: V\$SESSION answer carries no V\$ t
 /tmp/check-polygen -connect 127.0.0.1:7391 \
     -alg '(V$STMT [SID = SID] V$SESSION) [STMT_ID, STMT_TEXT, POLICY]' >/dev/null
 /tmp/check-polygen -connect 127.0.0.1:7391 \
-    -alg '(V$POOL [POOL <> ONAME] PORGANIZATION) [POOL, WORKERS, ONAME]' | grep -q '{V\$}' \
+    -alg '(V$PLAN_CACHE [CACHE <> ONAME] PORGANIZATION) [CACHE, CAPACITY, ONAME]' | grep -q '{V\$}' \
     || { echo "ERROR: V\$ x real join lost the V\$ origin tag" >&2; exit 1; }
 
 metrics=$(curl -sf http://127.0.0.1:7392/metrics)

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/federation"
 	"repro/internal/identity"
 	"repro/internal/lqp"
@@ -617,111 +616,6 @@ func BenchmarkWireRetrieve(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// B-PAR (intra-operator): the hash operators at relation granularity. The
-// fixture is the B-KEY input (3 columns, 100 sources, duplicate entities,
-// half-overlapping relations) so serial numbers are directly comparable to
-// that family. workers=1 is the serial path of all five operators;
-// workers=N runs Join and Difference — the operators whose build sides
-// partition — radix-partitioned into N partitions on an N-worker pool
-// (threshold 1: every input goes parallel). On a single-core host the
-// sweep measures partitioning overhead rather than speedup — scaling
-// numbers belong to multi-core runs (EXPERIMENTS.md B-PAR).
-
-func BenchmarkParallelHashOps(b *testing.B) {
-	for _, n := range []int{10000, 100000} {
-		p1, p2 := keyAblationInput(100, n)
-		cols := []string{"KEY", "CAT"}
-		for _, w := range []int{1, 2, 4} {
-			alg := core.NewAlgebra(nil)
-			if w > 1 {
-				alg.SetParallel(&core.Parallel{Pool: exec.NewPool(w), Threshold: 1})
-			}
-			type op struct {
-				name       string
-				partitions bool
-				run        func() error
-			}
-			ops := []op{
-				{"Union", false, func() error { _, err := alg.Union(p1, p2); return err }},
-				{"Join", true, func() error { _, err := alg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY"); return err }},
-				{"Project", false, func() error { _, err := alg.Project(p1, cols); return err }},
-				{"Difference", true, func() error { _, err := alg.Difference(p1, p2); return err }},
-				{"Intersect", false, func() error { _, err := alg.Intersect(p1, p2); return err }},
-			}
-			for _, o := range ops {
-				if w > 1 && !o.partitions {
-					continue
-				}
-				b.Run(fmt.Sprintf("op=%s/n=%d/workers=%d", o.name, n, w), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if err := o.run(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkParallelStreamJoin (B-PAR): the streaming engine's parallel
-// path — partitioned build plus the ParallelCursor probe — against the
-// serial streaming join, on the same B-KEY fixture.
-func BenchmarkParallelStreamJoin(b *testing.B) {
-	const n = 100000
-	p1, p2 := keyAblationInput(100, n)
-	for _, w := range []int{1, 2, 4} {
-		alg := core.NewAlgebra(nil)
-		if w > 1 {
-			alg.SetParallel(&core.Parallel{Pool: exec.NewPool(w), Threshold: 1})
-		}
-		b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cur, err := alg.StreamJoin(core.CursorOf(p1), "KEY", rel.ThetaEQ, core.CursorOf(p2), "KEY")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := core.Drain(cur); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelMediatorLatency (B-PAR): what intra-operator
-// parallelism buys a single mediator client — the latency of one heavy
-// difference query (a ~4/5 selection minus a ~1/5 one over a 30k-entity
-// two-database federation; the Difference build side partitions) through
-// the full session path, at pool sizes 1 (parallel path disabled) and 4. Every other B-PAR point measures an operator in
-// isolation; this one includes translation, retrieval, tagging and the
-// mediator bookkeeping that dilute Amdahl's parallel fraction.
-func BenchmarkParallelMediatorLatency(b *testing.B) {
-	f := workload.New(workload.Config{Databases: 2, Entities: 30000, Overlap: 0.6, Categories: 5, Seed: 9})
-	const query = `(PENTITY [CAT >= "cat1"]) MINUS (PENTITY [CAT = "cat2"])`
-	for _, w := range []int{1, 4} {
-		q := pqp.New(f.Schema, f.Registry, nil, f.LQPs())
-		if w > 1 {
-			q.SetParallel(w, 1024)
-		} else {
-			q.SetParallel(-1, 0)
-		}
-		svc := mediator.New(q, mediator.Config{Federation: "ent"})
-		if _, err := svc.Query("", query, true); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := svc.Query("", query, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
 // B-KEY: key-representation ablation — the string-keyed engine the algebra
 // shipped with (Tuple.DataKey / Resolver.Canonical, one make per row; kept
 // as the Ref* operators in core/reference.go) against the hash-native engine
@@ -1089,8 +983,7 @@ func serveClients(b *testing.B, addr string, n int) ([]*wire.Client, []string) {
 func BenchmarkServeThroughput(b *testing.B) {
 	const latency = time.Millisecond
 	queries := workload.StarQueries()
-	// The serving PQP's intra-operator worker pool defaults to GOMAXPROCS;
-	// the label carries it so runs from different machines compare.
+	// The label carries GOMAXPROCS so runs from different machines compare.
 	workers := runtime.GOMAXPROCS(0)
 	for _, nclients := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("clients=%d/workers=%d", nclients, workers), func(b *testing.B) {
@@ -1265,8 +1158,9 @@ func BenchmarkFaultDeadline(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // B-COL: columnar execution. Two families: the column-major hash kernels
-// against the row engine on the B-KEY fixture (same input as B-PAR
-// workers=1, so numbers line up across the three BENCH files), and the
+// against the row engine on the B-KEY fixture (the same input as the
+// committed BENCH_par.json workers=1 rows, so numbers line up across the
+// BENCH files), and the
 // binary stream-frame codec over a real TCP stream. ColBatch inputs are built outside the timer — the kernels are
 // measured, not the row-to-column conversion (which the wire decode path
 // never pays: binary frames arrive columnar).
@@ -1601,7 +1495,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkSpillJoin (B-STORE): the B-PAR join fixture under a memory
+// BenchmarkSpillJoin (B-STORE): the B-KEY join fixture under a memory
 // budget. engine=mem is the unbudgeted in-memory build; engine=hybrid
 // spills the overflow partitions and probes the resident ones in memory;
 // engine=spill forces essentially every build partition through a temp

@@ -70,7 +70,7 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", wire.DefaultTimeout, "per-message write deadline (a client that stops reading is dropped)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = keep idle connections open)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
-	maxProcs := flag.Int("max-procs", 0, "cap the daemon's scheduler parallelism (GOMAXPROCS; 0 = all cores) — on shared hosts, the cores left over are what a co-located polygend's worker pool gets")
+	maxProcs := flag.Int("max-procs", 0, "cap the daemon's scheduler parallelism (GOMAXPROCS; 0 = all cores) — on shared hosts, the cores left over are what a co-located polygend gets")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the deterministic fault-injection cadence")
 	chaosErrEvery := flag.Int("chaos-err-every", 0, "inject a transient error every Nth LQP call (0 = off)")
 	chaosSlowEvery := flag.Int("chaos-slow-every", 0, "inject -chaos-latency before every Nth LQP call (0 = off)")

@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -69,9 +70,7 @@ func main() {
 	noOptimize := flag.Bool("no-optimize", false, "disable the cost-based query optimizer")
 	relaxed := flag.Bool("relaxed-reorder", false, "permit tag-relaxed join reordering (see translate.Options)")
 	collect := flag.Bool("collect-stats", true, "probe LQP statistics at startup to seed the optimizer")
-	parWorkers := flag.Int("parallel-workers", 0, "intra-operator worker pool size shared by all sessions (0 = GOMAXPROCS, -1 disables the parallel path)")
-	parThreshold := flag.Int("parallel-threshold", 0, "minimum input tuples before a hash operator runs partitioned (0 = engine default)")
-	memBudget := flag.String("mem-budget", "", `per-query memory budget for blocking hash operators, e.g. "64M" or "1G" (K/M/G suffixes; empty disables): partitions past the budget grace-spill to checksummed temp segments and are processed from disk; mutually exclusive with the parallel path — a budgeted engine builds serially`)
+	memBudget := flag.String("mem-budget", "", `per-query memory budget for blocking hash operators, e.g. "64M" or "1G" (K/M/G suffixes; empty disables): partitions past the budget grace-spill to checksummed temp segments and are processed from disk`)
 	spillDir := flag.String("spill-dir", "", "directory for -mem-budget spill segments (empty = the OS temp dir)")
 	maxSessions := flag.Int("max-sessions", 0, "session table bound (0 = default)")
 	sessionIdle := flag.Duration("session-idle", 0, "idle session expiry (0 = default 1h)")
@@ -183,7 +182,6 @@ func main() {
 
 	processor.Optimize = !*noOptimize
 	processor.RelaxedJoinReorder = *relaxed
-	processor.SetParallel(*parWorkers, *parThreshold)
 	if *memBudget != "" {
 		budget, err := parseBytes(*memBudget)
 		if err != nil {
@@ -217,7 +215,6 @@ func main() {
 	vt.Bind(vtab.Sources{
 		Sessions: svc,
 		Plans:    processor.Plans,
-		Pool:     processor.Pool(),
 		Stats:    func() *stats.Catalog { return processor.Stats },
 		Faults:   faults,
 		Registry: fedReg,
@@ -235,8 +232,8 @@ func main() {
 	if m := processor.MemoryConfig(); m != nil {
 		memNote = fmt.Sprintf(", mem budget %dB", m.Budget)
 	}
-	fmt.Printf("polygend: serving federation %q on %s (plan cache %d, optimizer %v, parallel workers %d, degrade %s%s)\n",
-		fedName, bound, *cacheSize, processor.Optimize, processor.ParallelWorkers(), policy, memNote)
+	fmt.Printf("polygend: serving federation %q on %s (plan cache %d, optimizer %v, degrade %s%s)\n",
+		fedName, bound, *cacheSize, processor.Optimize, policy, memNote)
 
 	if *metricsAddr != "" {
 		mln, err := net.Listen("tcp", *metricsAddr)
@@ -254,24 +251,28 @@ func main() {
 	fmt.Println("polygend: bye")
 }
 
-// parseBytes parses a byte count with an optional K/M/G binary suffix
-// ("64M" = 64 MiB). Plain digits are bytes.
+// parseBytes parses a positive byte count with an optional K/M/G binary
+// suffix ("64M" = 64 MiB). Plain digits are bytes. A count whose scaled
+// value overflows int64 is rejected rather than wrapped.
 func parseBytes(s string) (int64, error) {
-	mult := int64(1)
+	digits, mult := s, int64(1)
 	switch {
 	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, s[:len(s)-1]
+		digits, mult = s[:len(s)-1], 1<<10
 	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, s[:len(s)-1]
+		digits, mult = s[:len(s)-1], 1<<20
 	case strings.HasSuffix(s, "G"), strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, s[:len(s)-1]
+		digits, mult = s[:len(s)-1], 1<<30
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
+	n, err := strconv.ParseInt(digits, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("%q is not a byte count (want digits with optional K/M/G suffix)", s)
 	}
 	if n <= 0 {
 		return 0, fmt.Errorf("byte count must be positive, got %q", s)
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("byte count %q overflows int64", s)
 	}
 	return n * mult, nil
 }

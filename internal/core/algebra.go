@@ -16,16 +16,10 @@ type Algebra struct {
 	resolver identity.Resolver
 	conflict ConflictHandler
 	exact    bool
-	// par, when non-nil, enables morsel-driven intra-operator parallelism:
-	// Join and Difference build sides at or above the cost threshold
-	// partition by hash and fan out across the shared worker pool
-	// (parallel.go). Set while wiring, before the Algebra is shared; nil
-	// means serial.
-	par *Parallel
 	// mem, when non-nil with a positive budget, bounds the blocking state
 	// of the streaming hash operators: partitions past the budget
 	// grace-spill to checksummed temp segments and are processed from disk
-	// (spill.go). A budgeted algebra builds serially.
+	// (spill.go).
 	mem *Memory
 }
 

@@ -9,14 +9,13 @@ import (
 
 // This file implements the columnar kernels: Union, Difference and
 // Intersection over ColBatch operands, cell-for-cell and tag-for-tag
-// identical to the serial row operators (algebra.go) — same first-occurrence
+// identical to the row operators (algebra.go) — same first-occurrence
 // row order, same tag merges — but running per-column over vectors. Hashing
 // is a column-stripe pass (DataHashes), tag sets are dictionary indexes
 // merged through a per-pair memo instead of per-cell Set unions, and output
 // rows are appended to growing column vectors instead of boxed Cell rows.
-// The parity suite (columnar_test.go) proves the equivalence property-style,
-// making the columnar path the fifth engine beside serial, streaming,
-// parallel and the string-keyed reference.
+// The parity suite (columnar_test.go) proves the equivalence property-style
+// against the streaming engine and the string-keyed reference.
 
 // tagMerger memoizes tag-set unions inside one output batch: merging two
 // dictionary indexes is computed once per distinct (a, b) pair, then reused

@@ -43,10 +43,6 @@ import (
 // does the non-equality Join fallback. Row order differs from the in-memory
 // path (spilled partitions emit last); the polygen algebra is set-semantic,
 // and the property suites compare order-insensitively.
-//
-// A budgeted Algebra builds serially: the budget decides residency
-// per-partition, which the parallel fan-out paths (parallel.go) assume away
-// by holding the whole build in memory. Configure one or the other.
 
 // DefaultSpillPartitions is the spill fan-out when Memory.Partitions is
 // unset: enough that a single resident partition is ~1/16 of the input.
@@ -79,8 +75,8 @@ type Memory struct {
 	Reloads      atomic.Int64
 }
 
-// SetMemory configures the memory budget. Like SetParallel it must be
-// called while wiring, before the Algebra is shared.
+// SetMemory configures the memory budget. It must be called while wiring,
+// before the Algebra is shared.
 func (a *Algebra) SetMemory(m *Memory) { a.mem = m }
 
 // Memory returns the configured budget, nil if none.
@@ -242,6 +238,16 @@ func newSpillParts(mem *Memory, name string, attrs []Attr, reg *sourceset.Regist
 }
 
 func (sp *spillParts) parts() int { return len(sp.rows) }
+
+// idPartMix spreads the resolver's dense sequential canonical IDs across
+// the 64-bit space (Fibonacci hashing) so rel.PartitionOf — which reads
+// high bits — balances the join's ID partitions.
+const idPartMix = 0x9E3779B97F4A7C15
+
+// idPartOf is the spill partition of a canonical join-key ID.
+func idPartOf(id uint64, parts int) int {
+	return rel.PartitionOf(id*idPartMix, parts)
+}
 
 func (sp *spillParts) add(p int, t Tuple) error {
 	if f := sp.files[p]; f != nil {

@@ -358,10 +358,7 @@ type differenceStream struct {
 	spillDone bool
 }
 
-// StreamDifference is the streaming Difference primitive. On a
-// parallel-configured algebra, a build side at or above the cost threshold
-// is hashed and radix-partitioned across the worker pool (the probe stays
-// serial: its first-occurrence dedup is inherently sequential state).
+// StreamDifference is the streaming Difference primitive.
 func (a *Algebra) StreamDifference(l, r Cursor) (Cursor, error) {
 	if len(l.Attrs()) != len(r.Attrs()) {
 		closeAll([]Cursor{l, r})
@@ -395,25 +392,15 @@ func (c *differenceStream) Next() ([]Tuple, error) {
 		if err != nil {
 			return c.fail(err)
 		}
-		if parts := c.a.parParts(len(p2.Tuples)); parts > 1 {
-			pool := c.a.parPool()
-			ix := buildPartitionedDataIndex(pool, parts, p2.Tuples)
-			c.drop = func(t Tuple, h uint64) bool {
-				_, gone := ix.Find(h, func(at int) bool { return p2.Tuples[at].DataEqual(t) })
-				return gone
-			}
-			c.p2o = originUnionPar(pool, p2)
-		} else {
-			ix := newDataIndex(len(p2.Tuples))
-			for i, t := range p2.Tuples {
-				ix.add(t.DataHash64(), i)
-			}
-			c.drop = func(t Tuple, h uint64) bool {
-				_, gone := ix.find(p2.Tuples, t, h)
-				return gone
-			}
-			c.p2o = p2.OriginUnion()
+		ix := newDataIndex(len(p2.Tuples))
+		for i, t := range p2.Tuples {
+			ix.add(t.DataHash64(), i)
 		}
+		c.drop = func(t Tuple, h uint64) bool {
+			_, gone := ix.find(p2.Tuples, t, h)
+			return gone
+		}
+		c.p2o = p2.OriginUnion()
 	}
 	return c.probe()
 }
@@ -577,11 +564,7 @@ type joinStream struct {
 	coalesce bool
 	out      *Relation
 	p2       *Relation
-	index    joinIndex
-	// delegate, when set after the build, is the parallel probe path: a
-	// ParallelCursor fanning left batches out to pool workers and
-	// re-sequencing their joined rows to input order.
-	delegate Cursor
+	index    idIndex
 	cur      []Tuple // current left batch
 	li       int     // current left tuple within cur
 	matches  []int32 // pending build-side matches of cur[li]
@@ -666,25 +649,8 @@ func (c *joinStream) Next() ([]Tuple, error) {
 				return c.fail(err)
 			}
 			c.p2 = p2
-			if parts := c.a.parParts(len(p2.Tuples)); parts > 1 {
-				// Parallel partitioned build, then fan the probe out: each left
-				// batch joins against the (now read-only) index on a pool
-				// worker; re-sequencing keeps the serial engine's row order.
-				pool := c.a.parPool()
-				c.index = buildParIDIndex(pool, parts, c.a.Resolver(), p2.Tuples, c.yi)
-				c.delegate = ParallelCursor(c.l, pool, 2*pool.Workers(), c.probeBatch)
-			} else {
-				c.index = newIDIndex(c.a.Resolver(), p2.Tuples, c.yi)
-			}
+			c.index = newIDIndex(c.a.Resolver(), p2.Tuples, c.yi)
 		}
-	}
-	if c.delegate != nil {
-		rows, err := c.delegate.Next()
-		if err != nil {
-			c.err = err
-			return nil, err
-		}
-		return rows, nil
 	}
 	res := c.a.Resolver()
 	rows := make([]Tuple, 0, rel.DefaultBatchSize)
@@ -731,7 +697,7 @@ func (c *joinStream) Next() ([]Tuple, error) {
 // buildSpilled drains the build side into a budget-bounded partition set
 // keyed by canonical join-key ID (null keys, which can never match, ride in
 // partition 0), then indexes the resident rows. If nothing overflowed, the
-// result is the plain serial hash join over exactly the drained rows.
+// result is the plain in-memory hash join over exactly the drained rows.
 func (c *joinStream) buildSpilled(mem *Memory) error {
 	res := c.a.Resolver()
 	name, attrs, reg := c.r.Name(), c.r.Attrs(), c.r.Registry()
@@ -815,50 +781,13 @@ func (c *joinStream) nextProbe() ([]Tuple, error) {
 	return nil, io.EOF
 }
 
-// probeBatch is the ParallelCursor fn of the parallel probe path: join one
-// left batch against the built index, emitting DefaultBatchSize-capped
-// chunks so a high-fanout key streams through the cursor's flow control
-// instead of materializing a batch's whole expansion (the serial path's
-// bounded-batch guarantee, kept). Rows are carved from a batch-local arena
-// (concurrent workers must not share one relation's arena); the resolver's
-// canonical-ID interner is safe for concurrent probes.
-func (c *joinStream) probeBatch(batch []Tuple, emit func([]Tuple) bool) error {
-	res := c.a.Resolver()
-	scratch := NewRelation("", c.reg, c.attrs...)
-	rows := make([]Tuple, 0, rel.DefaultBatchSize)
-	for _, t1 := range batch {
-		if t1[c.xi].D.IsNull() {
-			continue
-		}
-		for _, pi := range c.index.lookup(res.CanonicalID(t1[c.xi].D)) {
-			rows = append(rows, c.a.joinRow(scratch, t1, c.xi, c.p2.Tuples[pi], c.yi, c.coalesce))
-			if len(rows) >= rel.DefaultBatchSize {
-				if !emit(rows) {
-					return nil // cursor closing: abandon the batch
-				}
-				rows = make([]Tuple, 0, rel.DefaultBatchSize)
-			}
-		}
-	}
-	emit(rows)
-	return nil
-}
-
-// Close overrides probeStream.Close: once the parallel probe is delegated,
-// the ParallelCursor owns the left cursor (its dispatcher may be inside
-// l.Next) and must be the one to close it.
+// Close releases any spill segments still on disk.
 func (c *joinStream) Close() error {
 	c.bspill.release()
 	for _, f := range c.probes {
 		f.discard()
 	}
 	c.probes = nil
-	if c.delegate != nil {
-		c.err = io.EOF
-		err := c.delegate.Close()
-		// built is true whenever delegate is set; r was drained already.
-		return err
-	}
 	return c.probeStream.Close()
 }
 

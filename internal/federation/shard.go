@@ -13,8 +13,7 @@ package federation
 // over Value.Key(), the canonical, normalized rendering of a datum
 // (-0 folds into 0, every kind is prefixed). rel.Seed cannot serve here: it
 // is deliberately per-process. The hash feeds rel.PartitionOf, the same
-// multiply-shift range reduction the parallel engine partitions by, so
-// engine partitioning and shard placement agree on which hashes co-locate.
+// multiply-shift range reduction the engine's spill partitions use.
 //
 // Gather is shard-major: shard 0's rows, then shard 1's, each leg prefetched
 // on its own goroutine so all shards stream concurrently under a bounded

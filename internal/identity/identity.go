@@ -37,8 +37,8 @@ type Resolver interface {
 	// CanonicalID returns an interned identifier for the value's canonical
 	// form: two values denote the same real-world instance iff their IDs are
 	// equal. IDs are only comparable across calls to the same resolver.
-	// Implementations are safe for concurrent use (the parallel executor
-	// probes one shared resolver from many goroutines).
+	// Implementations are safe for concurrent use (one PQP's concurrent
+	// queries probe one shared resolver from many goroutines).
 	CanonicalID(v rel.Value) uint64
 }
 

@@ -121,8 +121,8 @@ func TestCanonicalIDAgreesWithCanonical(t *testing.T) {
 	}
 }
 
-// TestCanonicalIDStableAcrossGoroutines: the parallel executor probes one
-// shared resolver concurrently; every goroutine must see the same ID.
+// TestCanonicalIDStableAcrossGoroutines: concurrent queries probe one
+// shared resolver; every goroutine must see the same ID.
 func TestCanonicalIDStableAcrossGoroutines(t *testing.T) {
 	s := NewSynonyms(CaseFold{}, []rel.Value{rel.String("IBM"), rel.String("Big Blue")})
 	const goroutines = 8

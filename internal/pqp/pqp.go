@@ -22,13 +22,6 @@
 // queries, so canonical IDs warm up once per federation rather than once
 // per query.
 //
-// Within one query, the build sides of Join and Difference at or above a
-// cost threshold additionally run partitioned (core/parallel.go):
-// radix-partitioned builds and the join's probe fan out across a worker
-// pool shared by all of the PQP's concurrent sessions (SetParallel), with
-// results — row order included — identical to the serial path's. Small
-// inputs never leave the serial path.
-//
 // Before execution, Run hands the IOM to the cost-based Query Optimizer
 // (translate.OptimizeWithOptions) with the federation knowledge the PQP
 // holds: the polygen schema, which databases have an LQP to push to, the
@@ -48,7 +41,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/federation"
 	"repro/internal/identity"
 	"repro/internal/lqp"
@@ -126,7 +118,7 @@ type PQP struct {
 // paper's worked example needs identity.CaseFold to match "CitiCorp" with
 // "Citicorp".
 func New(schema *core.Schema, reg *sourceset.Registry, resolver identity.Resolver, lqps map[string]lqp.LQP) *PQP {
-	q := &PQP{
+	return &PQP{
 		id:       nextPQPID.Add(1),
 		schema:   schema,
 		reg:      reg,
@@ -135,40 +127,14 @@ func New(schema *core.Schema, reg *sourceset.Registry, resolver identity.Resolve
 		Optimize: true,
 		Plans:    translate.NewPlanCache(0),
 	}
-	// Morsel-driven intra-operator parallelism is on by default: one
-	// GOMAXPROCS-sized pool per PQP, shared by every concurrent session's
-	// operators, with the cost threshold keeping small inputs — the paper's
-	// worked example among them — on the untouched serial path. On a
-	// single-core box the pool has one worker and the engine never leaves
-	// that path.
-	q.SetParallel(0, 0)
-	return q
-}
-
-// SetParallel configures morsel-driven intra-operator parallelism: the
-// hash operators (Union, Join, Project, Intersect, Difference — and the
-// streaming Join/Difference build sides) of inputs at or above threshold
-// tuples radix-partition their work across a worker pool shared by all of
-// this PQP's concurrent queries. workers bounds the pool (0 = GOMAXPROCS);
-// workers < 0 disables the parallel path entirely. threshold <= 0 means
-// core.DefaultParallelThreshold. Like the flag fields, this is wiring-time
-// configuration: call it before the PQP is shared across goroutines.
-func (q *PQP) SetParallel(workers, threshold int) {
-	if workers < 0 {
-		q.alg.SetParallel(nil)
-		return
-	}
-	q.alg.SetParallel(&core.Parallel{Pool: exec.NewPool(workers), Threshold: threshold})
 }
 
 // SetMemoryBudget bounds the blocking tuple state of every hash operator
 // run by this PQP: past budget bytes, overflow partitions grace-spill to
 // checksummed temp segments under tempDir ("" = the OS temp dir) and are
 // processed from disk, so a query's working set no longer has to fit in
-// memory (core/spill.go). budget <= 0 removes the bound. A budgeted PQP's
-// operators build serially — the budget and the intra-operator parallel
-// path (SetParallel) are mutually exclusive, and the budget wins. Like
-// SetParallel this is wiring-time configuration: call it before the PQP is
+// memory (core/spill.go). budget <= 0 removes the bound. Like the flag
+// fields, this is wiring-time configuration: call it before the PQP is
 // shared across goroutines.
 func (q *PQP) SetMemoryBudget(budget int64, tempDir string) {
 	if budget <= 0 {
@@ -181,29 +147,6 @@ func (q *PQP) SetMemoryBudget(budget int64, tempDir string) {
 // MemoryConfig returns the PQP's spill budget, nil if none — the
 // observability layer reads its counters into V$MEM and /metrics.
 func (q *PQP) MemoryConfig() *core.Memory { return q.alg.Memory() }
-
-// ParallelWorkers reports the size of the PQP's intra-operator worker pool
-// (1 when the parallel path is disabled or single-worker) — benchmark
-// labels include it so results are comparable across machines.
-func (q *PQP) ParallelWorkers() int {
-	par := q.alg.ParallelConfig()
-	if par == nil {
-		return 1
-	}
-	return par.Pool.Workers()
-}
-
-// Pool returns the intra-operator worker pool shared by all of this PQP's
-// concurrent queries, or nil when the parallel path is disabled — the
-// observability layer (V$POOL, /metrics) snapshots its occupancy through
-// exec.Pool.Snapshot, which accepts the nil pool.
-func (q *PQP) Pool() *exec.Pool {
-	par := q.alg.ParallelConfig()
-	if par == nil {
-		return nil
-	}
-	return par.Pool
-}
 
 // nextPQPID hands out process-unique planner IDs.
 var nextPQPID atomic.Uint64

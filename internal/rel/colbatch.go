@@ -296,8 +296,7 @@ func (b *ColBatch) Rows() []Tuple {
 // ColCursor is the columnar capability of a Cursor: NextCol yields the next
 // batch in column-major form (nil, io.EOF when exhausted). Interleaving
 // NextCol and Next calls is allowed — both advance the same stream; Next is
-// NextCol plus the row view. Prefetch and the parallel cursor stages hand
-// the row views along, which alias the column batch rather than re-boxing
+// NextCol plus the row view. Prefetch hands the row views along, which alias the column batch rather than re-boxing
 // it.
 type ColCursor interface {
 	Cursor

@@ -202,79 +202,17 @@ func (ix BucketIndex) ForEach(h uint64, fn func(pos int) bool) {
 	}
 }
 
-// Bucket returns every position bucketed under h in insertion order. It
-// allocates the result slice — tests and diagnostics use it; hot paths use
-// ForEach.
-func (ix BucketIndex) Bucket(h uint64) []int {
-	var out []int
-	ix.ForEach(h, func(pos int) bool { out = append(out, pos); return true })
-	return out
-}
-
 // PartitionOf maps a 64-bit hash to one of parts radix partitions using a
 // multiply-shift range reduction over the hash's high 32 bits, so the hash
 // space splits into parts contiguous disjoint ranges for any partition
 // count — powers of two are not required. Equal hashes always land in the
-// same partition, which is what lets partitioned hash operators give each
-// worker exclusive ownership of its buckets: every tuple that could
-// collide, deduplicate or join with another shares its partition.
+// same partition, which is what lets the spilling hash operators process
+// one partition at a time and the federation layer route a key to one
+// shard: every tuple that could collide, deduplicate or join with another
+// shares its partition.
 func PartitionOf(h uint64, parts int) int {
 	if parts <= 1 {
 		return 0
 	}
 	return int(((h >> 32) * uint64(parts)) >> 32)
-}
-
-// PartitionedBucketIndex is a BucketIndex sharded by PartitionOf: partition
-// w owns the w-th contiguous range of the hash space. A build where worker
-// w only Adds hashes with Partition(h) == w touches no shared state —
-// per-partition builds and probes need no locks — while Find/ForEach route
-// any hash to its owning shard, so a fully built index reads like one
-// BucketIndex.
-type PartitionedBucketIndex struct {
-	shards []BucketIndex
-}
-
-// NewPartitionedBucketIndex returns an index with parts shards (parts < 1
-// means 1), each sized for about capacity entries.
-func NewPartitionedBucketIndex(parts, capacity int) *PartitionedBucketIndex {
-	if parts < 1 {
-		parts = 1
-	}
-	shards := make([]BucketIndex, parts)
-	for i := range shards {
-		shards[i] = NewBucketIndex(capacity)
-	}
-	return &PartitionedBucketIndex{shards: shards}
-}
-
-// Parts returns the number of shards.
-func (ix *PartitionedBucketIndex) Parts() int { return len(ix.shards) }
-
-// Partition returns the shard owning hash h.
-func (ix *PartitionedBucketIndex) Partition(h uint64) int {
-	return PartitionOf(h, len(ix.shards))
-}
-
-// Find routes to the owning shard's Find.
-func (ix *PartitionedBucketIndex) Find(h uint64, same func(pos int) bool) (int, bool) {
-	return ix.shards[ix.Partition(h)].Find(h, same)
-}
-
-// ForEach routes to the owning shard's ForEach.
-func (ix *PartitionedBucketIndex) ForEach(h uint64, fn func(pos int) bool) {
-	ix.shards[ix.Partition(h)].ForEach(h, fn)
-}
-
-// Bucket routes to the owning shard's Bucket (allocates; see
-// BucketIndex.Bucket).
-func (ix *PartitionedBucketIndex) Bucket(h uint64) []int {
-	return ix.shards[ix.Partition(h)].Bucket(h)
-}
-
-// Add buckets pos under h in the owning shard. Concurrent Adds are safe iff
-// each concurrent caller only adds hashes of one distinct partition — the
-// contract of a partitioned parallel build.
-func (ix *PartitionedBucketIndex) Add(h uint64, pos int) {
-	ix.shards[ix.Partition(h)].Add(h, pos)
 }

@@ -76,8 +76,8 @@ func TestTupleHash64Quick(t *testing.T) {
 }
 
 // TestPartitionOf: partitions are in range, deterministic, and — for the
-// partitioned hash operators' ownership invariant — a function of the hash
-// alone, including at non-power-of-two counts.
+// spill partitions' co-location invariant — a function of the hash alone,
+// including at non-power-of-two counts.
 func TestPartitionOf(t *testing.T) {
 	for _, parts := range []int{1, 2, 3, 7, 16, 64} {
 		counts := make([]int, parts)
@@ -107,46 +107,6 @@ func TestPartitionOf(t *testing.T) {
 	}
 	if PartitionOf(12345, 0) != 0 || PartitionOf(12345, -1) != 0 {
 		t.Fatalf("parts < 1 must collapse to partition 0")
-	}
-}
-
-// TestPartitionedBucketIndexMatchesFlat: a partitioned index behaves like
-// one flat BucketIndex — same Find results, same Bucket contents in the
-// same order — at partition counts including non-powers of two.
-func TestPartitionedBucketIndexMatchesFlat(t *testing.T) {
-	tuples := make([]Tuple, 300)
-	for i := range tuples {
-		tuples[i] = Tuple{Int(int64(i % 50)), String("x")} // heavy duplicates
-	}
-	for _, parts := range []int{1, 2, 7, 16} {
-		flat := NewBucketIndex(len(tuples))
-		sharded := NewPartitionedBucketIndex(parts, len(tuples)/parts+1)
-		if sharded.Parts() != parts {
-			t.Fatalf("Parts() = %d, want %d", sharded.Parts(), parts)
-		}
-		for i, tup := range tuples {
-			h := tup.Hash64(Seed)
-			flat.Add(h, i)
-			sharded.Add(h, i)
-		}
-		for i, tup := range tuples {
-			h := tup.Hash64(Seed)
-			fb, sb := flat.Bucket(h), sharded.Bucket(h)
-			if len(fb) != len(sb) {
-				t.Fatalf("parts=%d: bucket sizes differ for tuple %d: %d vs %d", parts, i, len(fb), len(sb))
-			}
-			for j := range fb {
-				if fb[j] != sb[j] {
-					t.Fatalf("parts=%d: bucket order differs for tuple %d", parts, i)
-				}
-			}
-			same := func(pos int) bool { return tuples[pos].Identical(tup) }
-			fpos, fok := flat.Find(h, same)
-			spos, sok := sharded.Find(h, same)
-			if fok != sok || fpos != spos {
-				t.Fatalf("parts=%d: Find(%d) = (%d,%v) sharded vs (%d,%v) flat", parts, i, spos, sok, fpos, fok)
-			}
-		}
 	}
 }
 

@@ -35,7 +35,7 @@ type harness struct {
 }
 
 // harnessStarConfig keeps the data small enough for tight test loops but
-// large enough that star joins multi-batch and the parallel path engages.
+// large enough that star joins multi-batch.
 func harnessStarConfig() workload.StarConfig {
 	return workload.StarConfig{Facts: 600, Dims: 20, Mids: 10, Categories: 5, Seed: 11}
 }
@@ -87,13 +87,11 @@ func newHarness(t *testing.T, medCfg mediator.Config) *harness {
 	}
 	star.Registry.Intern(SourceName)
 	proc := pqp.New(schema, star.Registry, nil, lqps)
-	proc.SetParallel(4, 0)
 	proc.Plans = translate.NewPlanCache(32)
 	svc := mediator.New(proc, medCfg)
 	vt.Bind(Sources{
 		Sessions: svc,
 		Plans:    proc.Plans,
-		Pool:     proc.Pool(),
 		Stats:    func() *stats.Catalog { return proc.Stats },
 		Faults:   faults,
 		Registry: reg,

@@ -109,12 +109,6 @@ func (v *Tables) writeMetrics(b *strings.Builder) {
 		gauge(b, "polygen_plan_cache_capacity", "Plan cache capacity bound.", num(int64(s.Plans.Cap())))
 	}
 
-	ps := s.Pool.Snapshot()
-	gauge(b, "polygen_pool_workers", "Intra-operator worker pool parallelism bound.", num(int64(ps.Workers)))
-	gauge(b, "polygen_pool_busy", "Helper slots currently held (always below polygen_pool_workers).", num(ps.Busy))
-	counter(b, "polygen_pool_helpers_total", "Helper goroutines ever started.", num(ps.Helpers))
-	counter(b, "polygen_pool_submits_total", "Pipeline-stage submissions (inline runs included).", num(ps.Submits))
-
 	if s.Registry != nil {
 		var healthy, breaker, calls, mean, p95 []sample
 		for _, h := range s.Registry.Health() {

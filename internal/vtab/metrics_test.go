@@ -104,9 +104,6 @@ func TestMetricsFormat(t *testing.T) {
 	if got, want := intValue("polygen_queries_total"), int64(h.svc.Counters().Queries); got != want {
 		t.Errorf("polygen_queries_total = %d, service reports %d", got, want)
 	}
-	if got, want := intValue("polygen_pool_workers"), int64(4); got != want {
-		t.Errorf("polygen_pool_workers = %d, want %d", got, want)
-	}
 	for _, labelled := range []string{"polygen_replica_healthy", "polygen_replica_calls_total"} {
 		if !declared[labelled] {
 			t.Errorf("exposition lacks the %s family", labelled)

@@ -1,12 +1,12 @@
 package vtab
 
-// Satellite property suite: every V$ relation round-trips the full engine
-// matrix — serial materializing, streaming, morsel-parallel — and the wire
-// (the unary tagged answer and the binary columnar stream) cell- and
-// tag-identically. The observed sources are frozen before the matrix runs:
-// the parity queries execute on separate PQPs with their own plan caches,
-// pools and (absent) statistics catalogs, so every leg re-snapshots the
-// same immutable counters and must render the same lines.
+// Satellite property suite: every V$ relation round-trips the engine —
+// in process, materialized and streaming — and the wire (the unary tagged
+// answer and the binary columnar stream) cell- and tag-identically. The
+// observed sources are frozen before the matrix runs: the parity queries
+// execute on separate PQPs with their own plan caches and (absent)
+// statistics catalogs, so every leg re-snapshots the same immutable
+// counters and must render the same lines.
 
 import (
 	"reflect"
@@ -19,18 +19,20 @@ import (
 	"repro/internal/wire"
 )
 
-// parityQueries covers every V$ table plus the join shapes the issue calls
-// out: V$ x V$ and V$ x real federated relation.
+// crossSourceQuery joins a V$ table with a real federated relation.
+const crossSourceQuery = `(V$PLAN_CACHE [CACHE <> DCAT] (PDIM [DCAT = "dcat0"])) [CACHE, CAPACITY, DCAT]`
+
+// parityQueries covers every V$ table plus the join shapes V$ x V$ and
+// V$ x real federated relation.
 var parityQueries = []string{
 	`V$SESSION [SID, CREATED, LAST_USED, QUERIES, ERRORS, CACHE_HITS, POLICY]`,
 	`V$STMT [STMT_ID, SID, SEQ, STARTED, KIND, STMT_TEXT, DURATION_US, ROWS, CACHE_HIT, MISSING, ERROR]`,
 	`V$PLAN_CACHE [CACHE, CAPACITY, ENTRIES, HITS, MISSES, EVICTIONS]`,
-	`V$POOL [POOL, WORKERS, BUSY, HELPERS, SUBMITS]`,
 	`V$SOURCE_STATS [SOURCE, REPLICA, HEALTHY, BREAKER_OPEN, CALLS, MEAN_US, P95_US, LINK_EWMA_US, LAST_ERROR]`,
 	`V$FAULT [SOURCE, ERRORS, RETRIES, HEDGES]`,
 	`(V$STMT [SID = SID] V$SESSION) [STMT_ID, SEQ, KIND, POLICY]`,
 	`(V$FAULT [SOURCE = SOURCE] V$SOURCE_STATS) [SOURCE, ERRORS, REPLICA, HEALTHY]`,
-	`(V$POOL [POOL <> DCAT] (PDIM [DCAT = "dcat0"])) [POOL, WORKERS, DCAT]`,
+	crossSourceQuery,
 	`V$SHARD [SOURCE, SHARD, SHARDS, REPLICA, HEALTHY, ROWS]`,
 }
 
@@ -55,24 +57,21 @@ func TestEngineMatrixParity(t *testing.T) {
 	}
 
 	// Separate querying engines over the same frozen sources: private plan
-	// caches, private pools, no statistics catalog — nothing they do moves
-	// the counters the V$ snapshots read.
-	newQueryPQP := func(workers, threshold int) *pqp.PQP {
+	// caches, no statistics catalog — nothing they do moves the counters
+	// the V$ snapshots read.
+	newQueryPQP := func() *pqp.PQP {
 		lqps := h.star.LQPs()
 		lqps[SourceName] = h.vt
 		schema, err := AugmentSchema(h.star.Schema)
 		if err != nil {
 			t.Fatalf("AugmentSchema: %v", err)
 		}
-		q := pqp.New(schema, h.star.Registry, nil, lqps)
-		q.SetParallel(workers, threshold)
-		return q
+		return pqp.New(schema, h.star.Registry, nil, lqps)
 	}
-	serial := newQueryPQP(-1, 0)
-	parallel := newQueryPQP(4, 1) // threshold 1 forces the partitioned path
+	local := newQueryPQP()
 
 	// Wire legs: a second mediator over its own PQP serves the same vt.
-	wireSvc := mediator.New(newQueryPQP(4, 1), mediator.Config{Federation: "parity-wire"})
+	wireSvc := mediator.New(newQueryPQP(), mediator.Config{Federation: "parity-wire"})
 	srv := wire.NewMediatorServer(wireSvc)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -96,27 +95,17 @@ func TestEngineMatrixParity(t *testing.T) {
 			t.Fatalf("parse %q: %v", query, err)
 		}
 
-		res, err := serial.Run(expr)
+		res, err := local.Run(expr)
 		if err != nil {
-			t.Fatalf("serial run %q: %v", query, err)
+			t.Fatalf("run %q: %v", query, err)
 		}
 		want := taggedRows(res.Relation)
 
 		legs := map[string][]string{}
-		if cur, _, err := serial.Open(expr); err != nil {
-			t.Fatalf("serial open %q: %v", query, err)
+		if cur, _, err := local.Open(expr); err != nil {
+			t.Fatalf("open %q: %v", query, err)
 		} else {
-			legs["serial-stream"] = drainTagged(t, cur)
-		}
-		if res, err := parallel.Run(expr); err != nil {
-			t.Fatalf("parallel run %q: %v", query, err)
-		} else {
-			legs["parallel-materialized"] = taggedRows(res.Relation)
-		}
-		if cur, _, err := parallel.Open(expr); err != nil {
-			t.Fatalf("parallel open %q: %v", query, err)
-		} else {
-			legs["parallel-stream"] = drainTagged(t, cur)
+			legs["in-process-stream"] = drainTagged(t, cur)
 		}
 		if ans, err := client.Query(sess, query, true); err != nil {
 			t.Fatalf("wire query %q: %v", query, err)
@@ -131,7 +120,7 @@ func TestEngineMatrixParity(t *testing.T) {
 
 		for leg, got := range legs {
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s diverges on %q:\n  serial: %v\n  %s: %v", leg, query, want, leg, got)
+				t.Errorf("%s diverges on %q:\n  in-process: %v\n  %s: %v", leg, query, want, leg, got)
 			}
 		}
 		if len(want) == 0 {
@@ -141,7 +130,7 @@ func TestEngineMatrixParity(t *testing.T) {
 
 	// The V$ x real join must compose tags across source kinds: the V$
 	// origin and the dimension source in one tuple.
-	res, err := serial.QueryAlgebra(parityQueries[8])
+	res, err := local.QueryAlgebra(crossSourceQuery)
 	if err != nil {
 		t.Fatalf("tag query: %v", err)
 	}

@@ -2,11 +2,11 @@ package vtab
 
 // Satellite race coverage for the snapshot-consistency fix: every V$
 // snapshot is taken under the owning structure's own lock and is immutable
-// afterward. This test hammers V$SESSION, V$STMT and V$POOL reads — direct
-// and through the polygen engine — while sessions churn and parallel
-// queries keep the worker pool busy. Its value is under -race (the CI soak
-// step runs the package with it); the assertions here are the cheap
-// consistency checks that stay valid mid-churn.
+// afterward. This test hammers V$SESSION and V$STMT reads — direct and
+// through the polygen engine — while sessions churn and queries run. Its
+// value is under -race (the CI soak step runs the package with it); the
+// assertions here are the cheap consistency checks that stay valid
+// mid-churn.
 
 import (
 	"sync"
@@ -19,7 +19,6 @@ import (
 
 func TestSessionChurnSnapshotRace(t *testing.T) {
 	h := newHarness(t, mediator.Config{Federation: "churn"})
-	h.proc.SetParallel(4, 1) // force the partitioned path: pool occupancy moves
 
 	const (
 		churners          = 3
@@ -64,18 +63,10 @@ func TestSessionChurnSnapshotRace(t *testing.T) {
 				return
 			default:
 			}
-			for _, table := range []string{"V$SESSION", "V$STMT", "V$POOL"} {
-				r, err := drainOpen(h.vt.Open(lqp.Retrieve(table)))
-				if err != nil {
+			for _, table := range []string{"V$SESSION", "V$STMT"} {
+				if _, err := drainOpen(h.vt.Open(lqp.Retrieve(table))); err != nil {
 					t.Errorf("Open(%s): %v", table, err)
 					return
-				}
-				if table == "V$POOL" {
-					busy, workers := r.Tuples[0][2].IntVal(), r.Tuples[0][1].IntVal()
-					if busy < 0 || busy >= workers {
-						t.Errorf("V$POOL BUSY = %d outside [0, WORKERS-1], WORKERS = %d", busy, workers)
-						return
-					}
 				}
 			}
 		}

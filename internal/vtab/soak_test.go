@@ -7,7 +7,6 @@ package vtab
 //   - sessions open == rows in V$SESSION
 //   - V$PLAN_CACHE hits+misses == statements issued (exact at quiesce,
 //     an upper bound while the loop runs)
-//   - V$POOL busy stays below the worker bound
 //   - V$SOURCE_STATS latency estimators are finite with monotone call counts
 //   - V$FAULT matches the federation diagnostics (all-zero: no faults here)
 //
@@ -109,7 +108,7 @@ func TestSoakObservability(t *testing.T) {
 	obsWG.Add(1)
 	go func() {
 		defer obsWG.Done()
-		var prevGets, prevSubmits uint64
+		var prevGets uint64
 		prevCalls := map[string]int64{}
 		for round := 0; ; round++ {
 			select {
@@ -118,23 +117,7 @@ func TestSoakObservability(t *testing.T) {
 			default:
 			}
 
-			ans := observe(`V$POOL [POOL, WORKERS, BUSY, HELPERS, SUBMITS]`)
-			p := ans.Relation
-			if len(p.Tuples) != 1 {
-				t.Errorf("V$POOL has %d rows, want 1", len(p.Tuples))
-				return
-			}
-			busy, poolWorkers := intCol(t, p, 0, "BUSY"), intCol(t, p, 0, "WORKERS")
-			if busy < 0 || busy >= poolWorkers {
-				t.Errorf("V$POOL BUSY = %d outside [0, WORKERS-1] with WORKERS = %d", busy, poolWorkers)
-			}
-			if submits := intCol(t, p, 0, "SUBMITS"); uint64(submits) < prevSubmits {
-				t.Errorf("V$POOL SUBMITS shrank: %d -> %d", prevSubmits, submits)
-			} else {
-				prevSubmits = uint64(submits)
-			}
-
-			ans = observe(`V$SESSION [SID, QUERIES, ERRORS]`)
+			ans := observe(`V$SESSION [SID, QUERIES, ERRORS]`)
 			// The workload's sessions all pre-exist the loop; the observer is
 			// sessionless — so V$SESSION must hold exactly the open sessions.
 			if got := len(ans.Relation.Tuples); got != clients+1 { // +1: the observer's (idle) session

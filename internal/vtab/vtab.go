@@ -1,17 +1,16 @@
 // Package vtab serves the mediator's own operational state — sessions and
-// their audited statements, plan-cache counters, worker-pool occupancy,
-// per-source latency estimates and fault counters — as ordinary read-only
-// relations under a synthetic LQP named "V$". Operators introspect the
-// running federation with polygen queries themselves: the V$ tables join
-// against each other and against real federated relations, and the tag
-// calculus applies unchanged (every V$ cell carries origin {V$}), so the
-// engine dogfoods its own machinery on a new kind of source — small, hot,
-// constantly mutating tables.
+// their audited statements, plan-cache counters, per-source latency
+// estimates and fault counters — as ordinary read-only relations under a
+// synthetic LQP named "V$". Operators introspect the running federation
+// with polygen queries themselves: the V$ tables join against each other
+// and against real federated relations, and the tag calculus applies
+// unchanged (every V$ cell carries origin {V$}), so the engine dogfoods its
+// own machinery on a new kind of source — small, hot, constantly mutating
+// tables.
 //
-// The nine tables are V$SESSION, V$STMT, V$PLAN_CACHE, V$POOL,
-// V$SOURCE_STATS, V$FAULT, V$SHARD, V$STORE and V$MEM; see the specs below
-// (and the schema reference table in docs/ARCHITECTURE.md) for their
-// columns.
+// The eight tables are V$SESSION, V$STMT, V$PLAN_CACHE, V$SOURCE_STATS,
+// V$FAULT, V$SHARD, V$STORE and V$MEM; see the specs below (and the schema
+// reference table in docs/ARCHITECTURE.md) for their columns.
 //
 // # Snapshot consistency contract
 //
@@ -20,19 +19,18 @@
 // structure's own synchronization — the mediator's session-table lock and
 // each session's trail lock (one acquisition per session, so a session's
 // LAST_USED and statement rows agree), the plan cache's atomic counters,
-// the pool's atomic occupancy gauges, the statistics catalog's lock, the
-// registry's per-replica state — and is immutable afterward: the rows are
-// freshly built tuples owned by the snapshot, never aliases of live state.
-// Two references to the same table in one query (or in two concurrent
-// queries) may therefore observe different counter values; within one
-// snapshot the rows of one owner are mutually consistent.
+// the statistics catalog's lock, the registry's per-replica state — and is
+// immutable afterward: the rows are freshly built tuples owned by the
+// snapshot, never aliases of live state. Two references to the same table
+// in one query (or in two concurrent queries) may therefore observe
+// different counter values; within one snapshot the rows of one owner are
+// mutually consistent.
 //
 // Tables reads its sources through a Bind-installed Sources value: the
 // mediator service exists only after the PQP it serves, so polygend builds
 // the Tables first (its schemes must be in the PQP's schema), registers it
 // as an LQP, and binds the live sources once they all exist. Every source
-// is optional; an unbound or nil source contributes no rows (V$POOL, whose
-// nil pool is the valid "no helpers" pool, reports the single-worker pool).
+// is optional; an unbound or nil source contributes no rows.
 package vtab
 
 import (
@@ -44,7 +42,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/federation"
 	"repro/internal/lqp"
 	"repro/internal/mediator"
@@ -67,8 +64,6 @@ type Sources struct {
 	Sessions *mediator.Service
 	// Plans feeds V$PLAN_CACHE.
 	Plans *translate.PlanCache
-	// Pool feeds V$POOL (nil is the valid single-worker pool).
-	Pool *exec.Pool
 	// Stats returns the current optimizer statistics catalog; it is a
 	// closure because pqp.CollectStats replaces the catalog instance.
 	// It feeds the LINK_EWMA_US column of V$SOURCE_STATS.
@@ -147,11 +142,6 @@ var specs = []tableSpec{
 		name:    "V$PLAN_CACHE",
 		columns: []string{"CACHE", "CAPACITY", "ENTRIES", "HITS", "MISSES", "EVICTIONS"},
 		build:   buildPlanCache,
-	},
-	{
-		name:    "V$POOL",
-		columns: []string{"POOL", "WORKERS", "BUSY", "HELPERS", "SUBMITS"},
-		build:   buildPool,
 	},
 	{
 		name: "V$SOURCE_STATS",
@@ -286,17 +276,6 @@ func buildPlanCache(s Sources) []rel.Tuple {
 		rel.Int(int64(st.Hits)),
 		rel.Int(int64(st.Misses)),
 		rel.Int(int64(st.Evictions)),
-	}}
-}
-
-func buildPool(s Sources) []rel.Tuple {
-	ps := s.Pool.Snapshot() // nil-safe: the nil pool is the 1-worker pool
-	return []rel.Tuple{{
-		rel.String("parallel"),
-		rel.Int(int64(ps.Workers)),
-		rel.Int(ps.Busy),
-		rel.Int(ps.Helpers),
-		rel.Int(ps.Submits),
 	}}
 }
 

@@ -14,7 +14,7 @@ import (
 
 func TestTableNames(t *testing.T) {
 	names := TableNames()
-	want := []string{"V$SESSION", "V$STMT", "V$PLAN_CACHE", "V$POOL", "V$SOURCE_STATS", "V$FAULT", "V$SHARD", "V$STORE", "V$MEM"}
+	want := []string{"V$SESSION", "V$STMT", "V$PLAN_CACHE", "V$SOURCE_STATS", "V$FAULT", "V$SHARD", "V$STORE", "V$MEM"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("TableNames() = %v, want %v", names, want)
 	}
@@ -55,7 +55,7 @@ func TestSchemes(t *testing.T) {
 
 func TestAugmentSchemaRejectsClash(t *testing.T) {
 	base := core.MustSchema(&core.Scheme{
-		Name: "V$POOL",
+		Name: "V$PLAN_CACHE",
 		Key:  "X",
 		Attrs: []core.PolygenAttr{{
 			Name:    "X",
@@ -63,7 +63,7 @@ func TestAugmentSchemaRejectsClash(t *testing.T) {
 		}},
 	})
 	if _, err := AugmentSchema(base); err == nil {
-		t.Fatal("AugmentSchema accepted a base schema that already defines V$POOL")
+		t.Fatal("AugmentSchema accepted a base schema that already defines V$PLAN_CACHE")
 	}
 }
 
@@ -76,8 +76,7 @@ func drainOpen(cur rel.Cursor, err error) (*rel.Relation, error) {
 }
 
 // TestUnboundTablesServeEmpty: a Tables before Bind answers every scan with
-// the right columns and no rows — except V$POOL, whose nil pool is the
-// valid single-worker pool.
+// the right columns and no rows.
 func TestUnboundTablesServeEmpty(t *testing.T) {
 	vt := New()
 	for _, sp := range specs {
@@ -88,17 +87,8 @@ func TestUnboundTablesServeEmpty(t *testing.T) {
 		if got := r.Schema.Len(); got != len(sp.columns) {
 			t.Errorf("%s has %d columns, want %d", sp.name, got, len(sp.columns))
 		}
-		wantRows := 0
-		if sp.name == "V$POOL" {
-			wantRows = 1
-		}
-		if len(r.Tuples) != wantRows {
-			t.Errorf("%s unbound has %d rows, want %d", sp.name, len(r.Tuples), wantRows)
-		}
-		if sp.name == "V$POOL" {
-			if workers := r.Tuples[0][1].IntVal(); workers != 1 {
-				t.Errorf("unbound V$POOL WORKERS = %d, want 1 (nil pool)", workers)
-			}
+		if len(r.Tuples) != 0 {
+			t.Errorf("%s unbound has %d rows, want 0", sp.name, len(r.Tuples))
 		}
 	}
 	if _, err := drainOpen(vt.Open(lqp.Retrieve("V$NOPE"))); err == nil {
@@ -175,15 +165,15 @@ func TestSelectProjectPushdown(t *testing.T) {
 		t.Fatalf("Select(no-such-session) returned %d rows, want 0", len(r.Tuples))
 	}
 
-	r, err = drainOpen(h.vt.Open(lqp.Project("V$POOL", "WORKERS", "BUSY")))
+	r, err = drainOpen(h.vt.Open(lqp.Project("V$PLAN_CACHE", "CAPACITY", "ENTRIES")))
 	if err != nil {
 		t.Fatalf("Project: %v", err)
 	}
 	if r.Schema.Len() != 2 || len(r.Tuples) != 1 {
-		t.Fatalf("Project(V$POOL) = %d cols x %d rows, want 2x1", r.Schema.Len(), len(r.Tuples))
+		t.Fatalf("Project(V$PLAN_CACHE) = %d cols x %d rows, want 2x1", r.Schema.Len(), len(r.Tuples))
 	}
-	if workers := r.Tuples[0][0].IntVal(); workers != 4 {
-		t.Errorf("V$POOL WORKERS = %d, want the harness's 4", workers)
+	if capacity := r.Tuples[0][0].IntVal(); capacity != 32 {
+		t.Errorf("V$PLAN_CACHE CAPACITY = %d, want the harness's 32", capacity)
 	}
 }
 
@@ -218,8 +208,8 @@ func TestStatsProvider(t *testing.T) {
 	if byName["V$SESSION"].Rows != 1 {
 		t.Errorf("V$SESSION cardinality %d, want 1 open session", byName["V$SESSION"].Rows)
 	}
-	if byName["V$POOL"].Rows != 1 {
-		t.Errorf("V$POOL cardinality %d, want 1", byName["V$POOL"].Rows)
+	if byName["V$PLAN_CACHE"].Rows != 1 {
+		t.Errorf("V$PLAN_CACHE cardinality %d, want 1", byName["V$PLAN_CACHE"].Rows)
 	}
 }
 

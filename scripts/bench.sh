@@ -5,9 +5,6 @@
 # across commits:
 #
 #   serve  B-KEY / B-STREAM / B-OPT / B-SERVE        -> BENCH_serve.json
-#   par    B-PAR (hash ops with partitioned Join/    -> BENCH_par.json
-#          Difference builds, parallel stream join,
-#          mediator latency)
 #   fault  B-FAULT (replicated star under injected   -> BENCH_fault.json
 #          faults: scenario latency percentiles,
 #          hedge/retry fire rates, deadline bound)
@@ -15,7 +12,8 @@
 #          engine, binary stream-frame codec);
 #          also guards the columnar alloc win: the
 #          col-engine Union at n=100000 must stay
-#          >=5x below BENCH_par's row-engine allocs
+#          >=5x below the row-engine allocs recorded
+#          in the committed BENCH_par.json
 #   shard  B-SHARD (scatter-gather federation at      -> BENCH_shard.json
 #          1/2/4/8 shards vs single-endpoint:
 #          latency, cells-per-shard, key pruning)
@@ -32,7 +30,7 @@
 # Usage:
 #   scripts/bench.sh [suite ...]        # default: all suites
 #   BENCHTIME=2s scripts/bench.sh       # real measurement run
-#   BENCHTIME=1x scripts/bench.sh par   # smoke one suite (default: 100x)
+#   BENCHTIME=1x scripts/bench.sh col   # smoke one suite (default: 100x)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,19 +39,17 @@ benchtime=${BENCHTIME:-100x}
 suite_pattern() {
     case "$1" in
     serve) echo 'BenchmarkKeyRepresentation|BenchmarkStreaming|BenchmarkFederatedPushdown|BenchmarkFederatedJoinOrder|BenchmarkServe' ;;
-    par) echo 'BenchmarkParallelHashOps|BenchmarkParallelStreamJoin|BenchmarkParallelMediatorLatency' ;;
     fault) echo 'BenchmarkFaultScenarios|BenchmarkFaultDeadline' ;;
     col) echo 'BenchmarkColumnarHashOps|BenchmarkColumnarWireStream' ;;
     shard) echo 'BenchmarkShardScatterGather|BenchmarkShardPrunedRetrieve' ;;
     store) echo 'BenchmarkStoreReplay|BenchmarkStoreAppend|BenchmarkSpillJoin' ;;
-    *) echo "ERROR: unknown suite '$1' (want: serve par fault col shard store)" >&2; return 1 ;;
+    *) echo "ERROR: unknown suite '$1' (want: serve fault col shard store)" >&2; return 1 ;;
     esac
 }
 
 suite_out() {
     case "$1" in
     serve) echo BENCH_serve.json ;;
-    par) echo BENCH_par.json ;;
     fault) echo BENCH_fault.json ;;
     col) echo BENCH_col.json ;;
     shard) echo BENCH_shard.json ;;
@@ -76,8 +72,9 @@ host_record() {
 
 # The columnar suite carries a regression guard: the col-engine Union at
 # n=100000 must allocate at least 5x less often than the row engine's
-# recorded baseline in BENCH_par.json (workers=1). A refactor that quietly
-# reintroduces per-row allocation fails the run.
+# recorded baseline in BENCH_par.json (workers=1), a file the benchmarks no
+# longer regenerate: it is the fixed row-engine baseline. A refactor that
+# quietly reintroduces per-row allocation fails the run.
 check_col_guard() {
     [ -f BENCH_par.json ] || { echo "== col guard: no BENCH_par.json baseline, skipping" >&2; return 0; }
     python3 - <<'EOF'
@@ -156,7 +153,7 @@ run_suite() {
 
 suites=("$@")
 if [ ${#suites[@]} -eq 0 ]; then
-    suites=(serve par fault col shard store)
+    suites=(serve fault col shard store)
 fi
 failed=0
 for s in "${suites[@]}"; do

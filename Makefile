@@ -31,9 +31,10 @@ fmt:
 	gofmt -l .
 
 # bench runs the headline benchmark suites (serve: B-KEY/B-STREAM/B-OPT/
-# B-SERVE -> BENCH_serve.json; fault, col, shard and store likewise — see
+# B-SERVE -> BENCH_serve.json; fault, shard and store likewise — see
 # scripts/bench.sh), one merged machine-readable JSON file per suite, and
-# fails if any suite produced no records. BENCHTIME=2s make bench   for a real measurement run.
+# fails if any suite produced no records. BENCHTIME=2s make bench   for a
+# real measurement run.
 bench:
 	bash scripts/bench.sh
 

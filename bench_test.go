@@ -1157,99 +1157,6 @@ func BenchmarkFaultDeadline(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// B-COL: columnar execution. Two families: the column-major hash kernels
-// against the row engine on the B-KEY fixture (the same input as the
-// committed BENCH_par.json workers=1 rows, so numbers line up across the
-// BENCH files), and the
-// binary stream-frame codec over a real TCP stream. ColBatch inputs are built outside the timer — the kernels are
-// measured, not the row-to-column conversion (which the wire decode path
-// never pays: binary frames arrive columnar).
-
-func BenchmarkColumnarHashOps(b *testing.B) {
-	for _, n := range []int{10000, 100000} {
-		p1, p2 := keyAblationInput(100, n)
-		c1, c2 := core.FromRelation(p1), core.FromRelation(p2)
-		alg := core.NewAlgebra(nil)
-		type op struct {
-			name string
-			row  func() error
-			col  func() error
-		}
-		ops := []op{
-			{"Union",
-				func() error { _, err := alg.Union(p1, p2); return err },
-				func() error { _, err := core.ColUnion(c1, c2); return err }},
-			{"Difference",
-				func() error { _, err := alg.Difference(p1, p2); return err },
-				func() error { _, err := core.ColDifference(c1, c2); return err }},
-			{"Intersect",
-				func() error { _, err := alg.Intersect(p1, p2); return err },
-				func() error { _, err := core.ColIntersect(c1, c2); return err }},
-		}
-		for _, o := range ops {
-			for _, eng := range []struct {
-				name string
-				run  func() error
-			}{{"row", o.row}, {"col", o.col}} {
-				b.Run(fmt.Sprintf("op=%s/n=%d/engine=%s", o.name, n, eng.name), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if err := eng.run(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkColumnarWireStream (B-COL): one full LQP stream — open, drain,
-// close — over loopback TCP. The binary frame codec decodes O(columns)
-// allocations per frame, so allocs/op tracks frames, not cells.
-func BenchmarkColumnarWireStream(b *testing.B) {
-	const n = 100000
-	db := catalog.NewDatabase("BD")
-	db.MustCreate("BIG", rel.SchemaOf("KEY", "CAT", "VAL"))
-	for i := 0; i < n; i++ {
-		if err := db.Insert("BIG", rel.Tuple{
-			rel.String(fmt.Sprintf("E%07d", i/2)),
-			rel.String(fmt.Sprintf("cat%d", i%97)),
-			rel.Int(int64(i)),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	srv := wire.NewServer(db)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := wire.Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	b.Run(fmt.Sprintf("codec=bin/n=%d", n), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cur, err := client.Open(lqp.Retrieve("BIG"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, err := rel.Drain(cur)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(r.Tuples) != n {
-				b.Fatalf("streamed %d tuples, want %d", len(r.Tuples), n)
-			}
-		}
-	})
-}
-
-// ---------------------------------------------------------------------------
 // B-SHARD: the sharded scatter-gather federation. The star workload runs
 // against one logical federation dealt across N shard slices per source
 // (every shard behind a Counting meter, so the simulated bytes-on-wire per

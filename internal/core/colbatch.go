@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"slices"
 
 	"repro/internal/rel"
 	"repro/internal/sourceset"
@@ -16,8 +14,9 @@ import (
 // Dictionary encoding is what keeps tag columns cheap: a federation query
 // touches a handful of distinct tag sets, repeated across hundreds of
 // thousands of cells, so each cell's two tags cost eight bytes instead of
-// two 32-byte Set headers — and tag-set unions in the columnar kernels are
-// memoized per distinct index pair instead of recomputed per cell.
+// two 32-byte Set headers. The batch is a frame format, not an execution
+// form: it carries the mediator's queryopen stream and the spill segments,
+// and every operator runs over the row view (Rows).
 
 // ColBatch is a column-major polygen batch: one data vector plus two tag
 // index columns per attribute, all rows the same length.
@@ -109,17 +108,6 @@ func (b *ColBatch) Len() int { return b.n }
 // Degree returns the number of attributes.
 func (b *ColBatch) Degree() int { return len(b.Attrs) }
 
-// Grow reserves capacity for n more rows in every data and tag vector —
-// the kernels call it with their output bound so the append loops don't pay
-// the growth series.
-func (b *ColBatch) Grow(n int) {
-	for ci := range b.Data {
-		b.Data[ci].Grow(n)
-		b.OTag[ci] = slices.Grow(b.OTag[ci], n)
-		b.ITag[ci] = slices.Grow(b.ITag[ci], n)
-	}
-}
-
 // InternSet returns the dictionary index of s, adding it on first use.
 func (b *ColBatch) InternSet(s sourceset.Set) uint32 {
 	if s.IsEmpty() {
@@ -145,44 +133,6 @@ func (b *ColBatch) AppendTuple(t Tuple) {
 	}
 	b.n++
 	b.rows = nil
-}
-
-// Cell reconstructs the polygen cell at (row, col).
-func (b *ColBatch) Cell(row, col int) Cell {
-	return Cell{
-		D: b.Data[col].Value(row),
-		O: b.Sets[b.OTag[col][row]],
-		I: b.Sets[b.ITag[col][row]],
-	}
-}
-
-// DataHashes fills dst (grown if needed) with Tuple.DataHash64 of every row,
-// one column stripe at a time, and returns the filled slice. The result is
-// bit-identical to the row-major hash, so columnar and row-built indexes
-// interoperate.
-func (b *ColBatch) DataHashes(dst []uint64) []uint64 {
-	if cap(dst) < b.n {
-		dst = make([]uint64, b.n)
-	}
-	dst = dst[:b.n]
-	for i := range dst {
-		dst[i] = rel.HashFoldInit
-	}
-	for ci := range b.Data {
-		b.Data[ci].HashFoldInto(rel.Seed, dst)
-	}
-	return dst
-}
-
-// dataEqualAt reports whether row i of a and row j of c have identical data
-// portions — the columnar form of Tuple.DataEqual.
-func dataEqualAt(a *ColBatch, i int, c *ColBatch, j int) bool {
-	for ci := range a.Data {
-		if !a.Data[ci].Value(i).Identical(c.Data[ci].Value(j)) {
-			return false
-		}
-	}
-	return true
 }
 
 // Rows returns row views over the batch: cell tuples carved from one
@@ -266,87 +216,4 @@ func TagColumns(name string, reg *sourceset.Registry, attrs []Attr, rb *rel.ColB
 type ColCursor interface {
 	Cursor
 	NextCol() (*ColBatch, error)
-}
-
-// colBatchCursor streams prebuilt tagged column batches.
-type colBatchCursor struct {
-	header
-	batches []*ColBatch
-	at      int
-}
-
-// NewColBatchCursor returns a cursor over a sequence of tagged column
-// batches. Empty batches are skipped.
-func NewColBatchCursor(name string, reg *sourceset.Registry, attrs []Attr, batches []*ColBatch) ColCursor {
-	return &colBatchCursor{header: header{name: name, attrs: attrs, reg: reg}, batches: batches}
-}
-
-func (c *colBatchCursor) NextCol() (*ColBatch, error) {
-	for c.at < len(c.batches) {
-		b := c.batches[c.at]
-		c.at++
-		if b.Len() > 0 {
-			return b, nil
-		}
-	}
-	return nil, io.EOF
-}
-
-func (c *colBatchCursor) Next() ([]Tuple, error) {
-	b, err := c.NextCol()
-	if err != nil {
-		return nil, err
-	}
-	return b.Rows(), nil
-}
-
-func (c *colBatchCursor) Close() error {
-	c.at = len(c.batches)
-	return nil
-}
-
-// colSliceCursor cuts a tuple slice into tagged column batches.
-type colSliceCursor struct {
-	header
-	tuples []Tuple
-	at     int
-	batch  int
-}
-
-// NewColSliceCursor returns a columnar cursor over a relation's tuples with
-// the given batch size (values < 1 mean rel.DefaultBatchSize).
-func NewColSliceCursor(p *Relation, batch int) ColCursor {
-	if batch < 1 {
-		batch = rel.DefaultBatchSize
-	}
-	return &colSliceCursor{header: header{name: p.Name, attrs: p.Attrs, reg: p.Reg}, tuples: p.Tuples, batch: batch}
-}
-
-func (c *colSliceCursor) NextCol() (*ColBatch, error) {
-	if c.at >= len(c.tuples) {
-		return nil, io.EOF
-	}
-	end := c.at + c.batch
-	if end > len(c.tuples) {
-		end = len(c.tuples)
-	}
-	b := NewColBatch(c.name, c.reg, c.attrs)
-	for _, t := range c.tuples[c.at:end] {
-		b.AppendTuple(t)
-	}
-	c.at = end
-	return b, nil
-}
-
-func (c *colSliceCursor) Next() ([]Tuple, error) {
-	b, err := c.NextCol()
-	if err != nil {
-		return nil, err
-	}
-	return b.Rows(), nil
-}
-
-func (c *colSliceCursor) Close() error {
-	c.at = len(c.tuples)
-	return nil
 }

@@ -4,20 +4,15 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/rel"
 	"repro/internal/sourceset"
 )
 
-// The columnar kernels are the fifth engine of the parity contract: every
-// ColBatch operator must equal the serial row operator cell for cell AND row
-// for row (the columnar kernels reproduce first-occurrence order exactly),
-// on inputs covering mixed kinds, NaN/-0 and >64-source overflow tag sets.
-
-// colOver converts a relation to a single tagged column batch.
-func colOver(p *Relation) *ColBatch { return FromRelation(p) }
+// ColBatch is the tagged frame format of the mediator's queryopen stream and
+// of spill segments: a relation must survive the trip through it tag for
+// tag, and the columnar cursor capability must cut batches correctly.
 
 // cellsSame compares rows datum-identically (all NaNs are one datum — the
 // engine's identity notion; Value.Equal would make NaN rows incomparable)
@@ -35,75 +30,8 @@ func cellsSame(a, b Tuple) bool {
 	return true
 }
 
-func wantSameOrderedCol(t *testing.T, label string, i int, got *ColBatch, ref *Relation) {
-	t.Helper()
-	gr, rr := render(got.Relation()), render(ref)
-	if !equalStrings(gr, rr) {
-		t.Fatalf("iteration %d: %s: columnar row order or cells diverged from serial:\ncol:\n%s\nserial:\n%s",
-			i, label, strings.Join(gr, "\n"), strings.Join(rr, "\n"))
-	}
-}
-
-// TestPropertyColOpsMatchAllEngines: for random wide inputs every columnar
-// kernel must equal the serial operator row for row and the string-keyed
-// reference engine cell for cell.
-func TestPropertyColOpsMatchAllEngines(t *testing.T) {
-	g, reg := newWideGen(90)
-	alg := NewAlgebra(nil)
-	for i := 0; i < 300; i++ {
-		p1 := g.wideRelation(reg, "A", "B")
-		p2 := g.wideRelation(reg, "A", "B")
-
-		ser, err := alg.Union(p1, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col, err := ColUnion(colOver(p1), colOver(p2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameOrderedCol(t, "col union", i, col, ser)
-		ref, err := alg.RefUnion(p1, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameRendered(t, "col union vs reference", i, col.Relation(), ref)
-
-		ser, err = alg.Difference(p1, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col, err = ColDifference(colOver(p1), colOver(p2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameOrderedCol(t, "col difference", i, col, ser)
-		ref, err = alg.RefDifference(p1, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameRendered(t, "col difference vs reference", i, col.Relation(), ref)
-
-		ser, err = alg.Intersect(p1, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col, err = ColIntersect(colOver(p1), colOver(p2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameOrderedCol(t, "col intersect", i, col, ser)
-		ref, err = alg.RefIntersect(p1, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameRendered(t, "col intersect vs reference", i, col.Relation(), ref)
-	}
-}
-
 // TestColBatchRoundTrip: relation -> ColBatch -> Rows is the identity, tags
-// included, and the columnar data hashes match the row-major DataHash64
-// bit for bit (the combinable-hash contract).
+// included.
 func TestColBatchRoundTrip(t *testing.T) {
 	g, reg := newWideGen(91)
 	for i := 0; i < 200; i++ {
@@ -116,18 +44,6 @@ func TestColBatchRoundTrip(t *testing.T) {
 		for ri, want := range p.Tuples {
 			if !cellsSame(rows[ri], want) {
 				t.Fatalf("iteration %d: row %d diverged:\ncol: %v\nrow: %v", i, ri, rows[ri], want)
-			}
-			for ci := range want {
-				c := b.Cell(ri, ci)
-				if !cellsSame(Tuple{c}, Tuple{want[ci]}) {
-					t.Fatalf("iteration %d: cell (%d,%d) diverged: %v vs %v", i, ri, ci, c, want[ci])
-				}
-			}
-		}
-		hashes := b.DataHashes(nil)
-		for ri, want := range p.Tuples {
-			if hashes[ri] != want.DataHash64() {
-				t.Fatalf("iteration %d: row %d columnar hash %x != row hash %x", i, ri, hashes[ri], want.DataHash64())
 			}
 		}
 	}
@@ -164,16 +80,11 @@ func TestColBatchSpecialValues(t *testing.T) {
 	if math.Copysign(1, got[1][0].D.FloatVal()) != -1 {
 		t.Fatal("-0 lost its sign through the columnar round trip")
 	}
-	// NaN hashes like every NaN.
-	h := b.DataHashes(nil)
-	alt := Tuple{Cell{D: rel.Float(math.NaN())}, Cell{D: rel.String("")}}
-	if h[0] != alt.DataHash64() {
-		t.Fatal("columnar NaN hash diverges from unified row NaN hash")
-	}
 }
 
-// TestColCursorBatchEdges: the tagged columnar cursors across batch size 1,
-// empty input, a final short batch, and mid-batch Close.
+// TestColCursorBatchEdges: the relation cursor's columnar capability across
+// batch size 1, empty input, a final short batch, interleaved Next/NextCol,
+// and mid-batch Close.
 func TestColCursorBatchEdges(t *testing.T) {
 	g, reg := newWideGen(92)
 	p := g.wideRelation(reg, "A", "B")
@@ -183,7 +94,7 @@ func TestColCursorBatchEdges(t *testing.T) {
 	p.Tuples = p.Tuples[:7]
 
 	// Batch size 1: seven singleton batches, rows in order.
-	c := NewColSliceCursor(p, 1)
+	c := NewRelationCursor(p, 1).(ColCursor)
 	var rows []Tuple
 	for {
 		b, err := c.NextCol()
@@ -212,7 +123,7 @@ func TestColCursorBatchEdges(t *testing.T) {
 
 	// Empty input: immediate EOF on both row and columnar forms.
 	empty := NewRelation("E", reg, Attr{Name: "A"}, Attr{Name: "B"})
-	c = NewColSliceCursor(empty, 3)
+	c = NewRelationCursor(empty, 3).(ColCursor)
 	if _, err := c.NextCol(); err != io.EOF {
 		t.Fatalf("empty columnar cursor: err %v, want EOF", err)
 	}
@@ -224,7 +135,7 @@ func TestColCursorBatchEdges(t *testing.T) {
 	}
 
 	// Final short batch: 7 rows at batch 3 is 3+3+1.
-	c = NewColSliceCursor(p, 3)
+	c = NewRelationCursor(p, 3).(ColCursor)
 	var sizes []int
 	for {
 		b, err := c.NextCol()
@@ -242,7 +153,7 @@ func TestColCursorBatchEdges(t *testing.T) {
 	c.Close()
 
 	// Mid-batch Close: Close after the first batch ends the stream.
-	c = NewColSliceCursor(p, 3)
+	c = NewRelationCursor(p, 3).(ColCursor)
 	if _, err := c.NextCol(); err != nil {
 		t.Fatal(err)
 	}
@@ -253,17 +164,28 @@ func TestColCursorBatchEdges(t *testing.T) {
 		t.Fatalf("NextCol after Close: err %v, want EOF", err)
 	}
 
-	// Prebuilt batch cursor skips empty batches and interleaves Next with
-	// NextCol (both advance the same stream).
-	b1 := FromRelation(p)
-	e := NewColBatch("", reg, p.Attrs)
-	bc := NewColBatchCursor("", reg, p.Attrs, []*ColBatch{e, b1, e})
-	batch, err := bc.Next()
-	if err != nil || len(batch) != 7 {
-		t.Fatalf("batch cursor: %d rows, err %v", len(batch), err)
+	// Interleaving: Next and NextCol advance the same stream, 3 + 3 + 1.
+	c = NewRelationCursor(p, 3).(ColCursor)
+	b1, err := c.NextCol()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := bc.NextCol(); err != io.EOF {
-		t.Fatalf("batch cursor after last: err %v, want EOF", err)
+	r2, err := c.Next()
+	if err != nil {
+		t.Fatal(err)
 	}
-	bc.Close()
+	b3, err := c.NextCol()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b1.Len() != 3 || len(r2) != 3 || b3.Len() != 1 {
+		t.Fatalf("interleaved sizes %d/%d/%d, want 3/3/1", b1.Len(), len(r2), b3.Len())
+	}
+	if !cellsSame(b3.Rows()[0], p.Tuples[6]) {
+		t.Fatal("final interleaved batch does not start at row 6")
+	}
+	if _, err := c.Next(); err != io.EOF {
+		t.Fatalf("after exhaustion: err %v, want EOF", err)
+	}
+	c.Close()
 }

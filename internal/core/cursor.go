@@ -102,7 +102,10 @@ func (c *relationCursor) NextCol() (*ColBatch, error) {
 	return b, nil
 }
 
-func (c *relationCursor) Close() error { return nil }
+func (c *relationCursor) Close() error {
+	c.at = len(c.tuples)
+	return nil
+}
 
 var _ ColCursor = (*relationCursor)(nil)
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/rel"
 	"repro/internal/segment"
@@ -104,12 +105,13 @@ func (m *Memory) dir() string {
 	return os.TempDir()
 }
 
-// approxTupleBytes estimates the resident cost of a tuple: the cell structs
-// plus string payloads. Tag sets are interned and shared, so they are
-// charged at header cost only. The budget is a soft target; the estimate
-// errs cheap so spilling engages before, not after, real pressure.
+// approxTupleBytes estimates the resident cost of a tuple: its slice header,
+// the cell structs and the string payloads. Tag sets are interned and shared,
+// so they are charged at header cost only (inside the cell). The budget is a
+// soft target; the estimate errs cheap so spilling engages before, not
+// after, real pressure.
 func approxTupleBytes(t Tuple) int64 {
-	n := int64(48 * len(t))
+	n := int64(unsafe.Sizeof(Tuple{})) + int64(len(t))*int64(unsafe.Sizeof(Cell{}))
 	for _, c := range t {
 		n += int64(len(c.D.Str()))
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"testing"
+	"unsafe"
 
 	"repro/internal/identity"
 	"repro/internal/rel"
@@ -193,4 +194,16 @@ func must(c Cursor, err error) Cursor {
 		panic(err)
 	}
 	return c
+}
+
+// TestApproxTupleBytesChargesWholeCells: the budget charge covers every
+// cell's full struct (value plus both tag-set headers) and the string bytes,
+// so a budget is not overrun several times before the first spill.
+func TestApproxTupleBytesChargesWholeCells(t *testing.T) {
+	tup := Tuple{{D: rel.Int(1)}, {D: rel.String("abcd")}, {D: rel.Null()}}
+	got := approxTupleBytes(tup)
+	want := int64(3*unsafe.Sizeof(Cell{})) + 4
+	if got < want {
+		t.Fatalf("3-cell tuple charged %d bytes, want at least %d (Cell is %d bytes)", got, want, unsafe.Sizeof(Cell{}))
+	}
 }

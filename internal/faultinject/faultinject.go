@@ -128,9 +128,6 @@ func New(inner lqp.LQP, p Profile) *Flaky {
 // Name implements lqp.LQP.
 func (f *Flaky) Name() string { return f.inner.Name() }
 
-// Inner returns the wrapped LQP.
-func (f *Flaky) Inner() lqp.LQP { return f.inner }
-
 // Injected reports how many faults of each class have fired.
 func (f *Flaky) Injected() (errs, hangs, slows, cuts int64) {
 	return f.errs.Load(), f.hangs.Load(), f.slows.Load(), f.cuts.Load()

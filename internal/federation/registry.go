@@ -48,9 +48,6 @@ func NewRegistry(cfg Config) *Registry {
 	}
 }
 
-// Config returns the registry's effective (default-applied) configuration.
-func (g *Registry) Config() Config { return g.cfg }
-
 // Add registers a logical source backed by the given replicas (at least
 // one) and returns its Source. Replica order is preference order: calls
 // route to the first healthy one. Adding a name twice replaces it.

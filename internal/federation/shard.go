@@ -248,9 +248,6 @@ func (s *ShardedSource) Name() string { return s.name }
 // ShardCount returns the number of shards.
 func (s *ShardedSource) ShardCount() int { return len(s.shards) }
 
-// ShardSource returns the i-th shard's replicated Source.
-func (s *ShardedSource) ShardSource(i int) *Source { return s.shards[i] }
-
 // RowsServed returns how many rows shard i has delivered into gathered
 // answers.
 func (s *ShardedSource) RowsServed(i int) int64 { return s.rows[i].Load() }

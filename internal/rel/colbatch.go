@@ -2,18 +2,15 @@ package rel
 
 import (
 	"fmt"
-	"hash/maphash"
-	"io"
 	"math"
-	"slices"
 )
 
 // This file implements the column-major batch representation: one typed
 // vector per attribute instead of one boxed Value per cell. A ColBatch holds
-// the same information as a []Tuple batch, but kernels that hash, compare or
-// ship it touch packed arrays — a kind byte per row, a uint64 payload word
-// per row, string payloads sliced out of one shared blob — instead of
-// chasing per-row slice headers. Row views (Rows) are carved out of a single
+// the same information as a []Tuple batch, but the wire codec that ships it
+// touches packed arrays — a kind byte per row, a uint64 payload word per
+// row, string payloads sliced out of one shared blob — instead of chasing
+// per-row slice headers. Row views (Rows) are carved out of a single
 // batch-owned arena, exactly like Relation.NewRow's chunks, so handing a
 // columnar batch to a []Tuple consumer costs two allocations per batch, not
 // two per row.
@@ -74,21 +71,6 @@ func (c *Column) Append(v Value) {
 // Len returns the number of rows.
 func (c *Column) Len() int { return len(c.Kinds) }
 
-// Grow reserves capacity for n more rows, so a kernel that knows its output
-// bound pays one allocation per vector instead of the append growth series
-// (which for large slices totals several times the final size). Vectors not
-// yet materialized stay lazy — Append sizes them by cap(Kinds) when they
-// first materialize, so they inherit the reservation.
-func (c *Column) Grow(n int) {
-	c.Kinds = slices.Grow(c.Kinds, n)
-	if c.Nums != nil {
-		c.Nums = slices.Grow(c.Nums, n)
-	}
-	if c.Strs != nil {
-		c.Strs = slices.Grow(c.Strs, n)
-	}
-}
-
 func (c *Column) setNull(i int) {
 	w := i >> 6
 	for len(c.Nulls) <= w {
@@ -132,35 +114,6 @@ func (c *Column) Value(i int) Value {
 		return Bool(c.num(i) != 0)
 	default:
 		return Null()
-	}
-}
-
-// HashFoldInto folds the column's per-row value hashes into dst — one fold
-// accumulator per row, dst[i] starting at HashFoldInit before the first
-// column. After every column of a batch is folded in schema order, dst[i]
-// equals Tuple.Hash64 of row i exactly: this is the columnar half of the
-// combinable hash scheme (see hash.go), hashing a column stripe in one pass
-// with no Value boxing.
-func (c *Column) HashFoldInto(seed maphash.Seed, dst []uint64) {
-	for i := range dst {
-		var vh uint64
-		switch c.Kinds[i] {
-		case KindString:
-			s := ""
-			if c.Strs != nil {
-				s = c.Strs[i]
-			}
-			vh = maphash.String(seed, s) ^ stringKindMark
-		case KindInt:
-			vh = scalarHash64(seed, KindInt, c.num(i))
-		case KindFloat:
-			vh = scalarHash64(seed, KindFloat, floatHashBits(math.Float64frombits(c.num(i))))
-		case KindBool:
-			vh = scalarHash64(seed, KindBool, c.num(i))
-		default:
-			vh = scalarHash64(seed, c.Kinds[i], 0)
-		}
-		dst[i] = HashFold(dst[i], vh)
 	}
 }
 
@@ -245,22 +198,6 @@ func (b *ColBatch) AppendTuple(t Tuple) {
 	b.rows = nil
 }
 
-// Hashes fills dst (grown if needed) with Tuple.Hash64 of every row, one
-// column stripe at a time. It returns the filled slice.
-func (b *ColBatch) Hashes(seed maphash.Seed, dst []uint64) []uint64 {
-	if cap(dst) < b.n {
-		dst = make([]uint64, b.n)
-	}
-	dst = dst[:b.n]
-	for i := range dst {
-		dst[i] = HashFoldInit
-	}
-	for ci := range b.cols {
-		b.cols[ci].HashFoldInto(seed, dst)
-	}
-	return dst
-}
-
 // Rows returns row views over the batch: tuple headers sliced out of one
 // batch-owned arena (two allocations per batch, amortized over reuse — the
 // view is computed once and cached). The views satisfy the Cursor batch
@@ -296,95 +233,9 @@ func (b *ColBatch) Rows() []Tuple {
 // ColCursor is the columnar capability of a Cursor: NextCol yields the next
 // batch in column-major form (nil, io.EOF when exhausted). Interleaving
 // NextCol and Next calls is allowed — both advance the same stream; Next is
-// NextCol plus the row view. Prefetch hands the row views along, which alias the column batch rather than re-boxing
-// it.
+// NextCol plus the row view. Prefetch hands the row views along, which alias
+// the column batch rather than re-boxing it.
 type ColCursor interface {
 	Cursor
 	NextCol() (*ColBatch, error)
-}
-
-// colBatchCursor streams prebuilt column batches.
-type colBatchCursor struct {
-	schema  *Schema
-	batches []*ColBatch
-	at      int
-}
-
-// NewColBatchCursor returns a cursor over a sequence of column batches.
-// Empty batches are skipped (the Cursor contract yields non-empty batches
-// only).
-func NewColBatchCursor(schema *Schema, batches []*ColBatch) ColCursor {
-	return &colBatchCursor{schema: schema, batches: batches}
-}
-
-func (c *colBatchCursor) Schema() *Schema { return c.schema }
-
-func (c *colBatchCursor) NextCol() (*ColBatch, error) {
-	for c.at < len(c.batches) {
-		b := c.batches[c.at]
-		c.at++
-		if b.Len() > 0 {
-			return b, nil
-		}
-	}
-	return nil, io.EOF
-}
-
-func (c *colBatchCursor) Next() ([]Tuple, error) {
-	b, err := c.NextCol()
-	if err != nil {
-		return nil, err
-	}
-	return b.Rows(), nil
-}
-
-func (c *colBatchCursor) Close() error {
-	c.at = len(c.batches)
-	return nil
-}
-
-// colSliceCursor cuts an in-memory tuple slice into column batches.
-type colSliceCursor struct {
-	schema *Schema
-	tuples []Tuple
-	at     int
-	batch  int
-}
-
-// NewColSliceCursor returns a columnar cursor over tuples with the given
-// batch size (values < 1 mean DefaultBatchSize): each NextCol converts the
-// next batch-sized run of rows to a fresh ColBatch.
-func NewColSliceCursor(schema *Schema, tuples []Tuple, batch int) ColCursor {
-	if batch < 1 {
-		batch = DefaultBatchSize
-	}
-	return &colSliceCursor{schema: schema, tuples: tuples, batch: batch}
-}
-
-func (c *colSliceCursor) Schema() *Schema { return c.schema }
-
-func (c *colSliceCursor) NextCol() (*ColBatch, error) {
-	if c.at >= len(c.tuples) {
-		return nil, io.EOF
-	}
-	end := c.at + c.batch
-	if end > len(c.tuples) {
-		end = len(c.tuples)
-	}
-	b := FromTuples(c.schema, c.tuples[c.at:end])
-	c.at = end
-	return b, nil
-}
-
-func (c *colSliceCursor) Next() ([]Tuple, error) {
-	b, err := c.NextCol()
-	if err != nil {
-		return nil, err
-	}
-	return b.Rows(), nil
-}
-
-func (c *colSliceCursor) Close() error {
-	c.at = len(c.tuples)
-	return nil
 }

@@ -112,16 +112,6 @@ func TestColCursorBatchEdges(t *testing.T) {
 			t.Fatalf("after exhaustion: %v, want EOF", err)
 		}
 	})
-
-	t.Run("batch cursor skips empties", func(t *testing.T) {
-		empty := NewColBatch(schema)
-		full := FromTuples(schema, colTestTuples(2))
-		c := NewColBatchCursor(schema, []*ColBatch{empty, full, empty})
-		rows, batches := drainCol(t, c)
-		if rows != 2 || len(batches) != 1 {
-			t.Fatalf("got %d rows in %d batches, want 2 in 1", rows, len(batches))
-		}
-	})
 }
 
 // TestPrefetchColumnarHandOff: a columnar inner cursor stays columnar

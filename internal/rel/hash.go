@@ -15,10 +15,9 @@ import (
 // Hashing is one-shot and combinable: every value hashes independently to a
 // 64-bit word (via maphash.String/maphash.Bytes — no incremental hash state,
 // no per-value allocation), and a tuple hash is the HashFold of its value
-// hashes in column order. The columnar kernels exploit this directly — a
-// column stripe is hashed value-by-value into a fold accumulator per row, and
-// the result is bit-identical to the row-major Tuple.Hash64, so row-built and
-// column-built hash indexes interoperate.
+// hashes in column order, so a caller that hashes its key columns one at a
+// time (the catalog's primary-key index) gets the same word as Tuple.Hash64
+// of the key projection.
 
 // nanBits is the canonical bit pattern hashed for every NaN payload.
 const nanBits = 0x7FF8000000000001
@@ -92,8 +91,7 @@ func (v Value) Hash64(seed maphash.Seed) uint64 {
 // Hash64 returns a 64-bit hash of the tuple under seed, usable as the bucket
 // key for hashing-based duplicate elimination and joins. Tuples with
 // Identical values hash identically. The result is the HashFold of the
-// per-value hashes, so columnar kernels hashing one column stripe at a time
-// produce identical tuple hashes.
+// per-value hashes in column order.
 func (t Tuple) Hash64(seed maphash.Seed) uint64 {
 	h := uint64(HashFoldInit)
 	for _, v := range t {

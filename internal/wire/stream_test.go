@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/gob"
 	"io"
 	"net"
 	"strings"
@@ -218,5 +219,38 @@ func TestClientTimeoutOnStalledServer(t *testing.T) {
 	// The streaming path times out too.
 	if _, err := c.Open(lqp.Retrieve("BIG")); err == nil {
 		t.Fatal("stalled server produced a stream")
+	}
+}
+
+// TestStreamCursorSkipsEmptyFrames: an empty binary frame mid-stream is
+// skipped — NextCol neither hands out an empty batch nor ends the stream.
+func TestStreamCursorSkipsEmptyFrames(t *testing.T) {
+	schema := rel.SchemaOf("K")
+	srv, cli := net.Pipe()
+	defer srv.Close()
+	go func() {
+		enc := gob.NewEncoder(srv)
+		full := rel.FromTuples(schema, []rel.Tuple{{rel.Int(1)}, {rel.Int(2)}})
+		for _, f := range []frame{
+			{Bin: appendRelFrame(nil, rel.NewColBatch(schema))},
+			{Bin: appendRelFrame(nil, full)},
+			{Done: true},
+		} {
+			if enc.Encode(f) != nil {
+				return
+			}
+		}
+	}()
+	sc := &streamCursor{conn: cli, dec: gob.NewDecoder(cli), schema: schema, timeout: 5 * time.Second}
+	defer sc.Close()
+	b, err := sc.NextCol()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != 2 {
+		t.Fatalf("first batch has %d rows, want 2 (the empty frame must be skipped)", b.Len())
+	}
+	if _, err := sc.NextCol(); err != io.EOF {
+		t.Fatalf("after the last frame: err %v, want EOF", err)
 	}
 }

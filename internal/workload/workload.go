@@ -47,12 +47,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns a modest federation (3 databases, 1000 entities,
-// half overlap) suitable for tests.
-func DefaultConfig() Config {
-	return Config{Databases: 3, Entities: 1000, Overlap: 0.5, Categories: 10, Seed: 1}
-}
-
 // Federation is a generated synthetic federation, structurally parallel to
 // paperdata.Federation.
 type Federation struct {

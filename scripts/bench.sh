@@ -8,12 +8,6 @@
 #   fault  B-FAULT (replicated star under injected   -> BENCH_fault.json
 #          faults: scenario latency percentiles,
 #          hedge/retry fire rates, deadline bound)
-#   col    B-COL (columnar hash kernels vs the row    -> BENCH_col.json
-#          engine, binary stream-frame codec);
-#          also guards the columnar alloc win: the
-#          col-engine Union at n=100000 must stay
-#          >=5x below the row-engine allocs recorded
-#          in the committed BENCH_par.json
 #   shard  B-SHARD (scatter-gather federation at      -> BENCH_shard.json
 #          1/2/4/8 shards vs single-endpoint:
 #          latency, cells-per-shard, key pruning)
@@ -30,7 +24,7 @@
 # Usage:
 #   scripts/bench.sh [suite ...]        # default: all suites
 #   BENCHTIME=2s scripts/bench.sh       # real measurement run
-#   BENCHTIME=1x scripts/bench.sh col   # smoke one suite (default: 100x)
+#   BENCHTIME=1x scripts/bench.sh fault # smoke one suite (default: 100x)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,10 +34,9 @@ suite_pattern() {
     case "$1" in
     serve) echo 'BenchmarkKeyRepresentation|BenchmarkStreaming|BenchmarkFederatedPushdown|BenchmarkFederatedJoinOrder|BenchmarkServe' ;;
     fault) echo 'BenchmarkFaultScenarios|BenchmarkFaultDeadline' ;;
-    col) echo 'BenchmarkColumnarHashOps|BenchmarkColumnarWireStream' ;;
     shard) echo 'BenchmarkShardScatterGather|BenchmarkShardPrunedRetrieve' ;;
     store) echo 'BenchmarkStoreReplay|BenchmarkStoreAppend|BenchmarkSpillJoin' ;;
-    *) echo "ERROR: unknown suite '$1' (want: serve fault col shard store)" >&2; return 1 ;;
+    *) echo "ERROR: unknown suite '$1' (want: serve fault shard store)" >&2; return 1 ;;
     esac
 }
 
@@ -51,7 +44,6 @@ suite_out() {
     case "$1" in
     serve) echo BENCH_serve.json ;;
     fault) echo BENCH_fault.json ;;
-    col) echo BENCH_col.json ;;
     shard) echo BENCH_shard.json ;;
     store) echo BENCH_store.json ;;
     esac
@@ -68,33 +60,6 @@ host_record() {
     maxprocs=${GOMAXPROCS:-$ncpu}
     printf '{"host": {"go": "%s", "os": "%s", "arch": "%s", "numcpu": %s, "gomaxprocs": %s}}' \
         "$gover" "$goos" "$goarch" "$ncpu" "$maxprocs"
-}
-
-# The columnar suite carries a regression guard: the col-engine Union at
-# n=100000 must allocate at least 5x less often than the row engine's
-# recorded baseline in BENCH_par.json (workers=1), a file the benchmarks no
-# longer regenerate: it is the fixed row-engine baseline. A refactor that
-# quietly reintroduces per-row allocation fails the run.
-check_col_guard() {
-    [ -f BENCH_par.json ] || { echo "== col guard: no BENCH_par.json baseline, skipping" >&2; return 0; }
-    python3 - <<'EOF'
-import json, sys
-
-def allocs(path, name):
-    with open(path) as f:
-        for rec in json.load(f):
-            if rec.get("benchmark") == name:
-                return rec.get("allocs/op")
-    return None
-
-base = allocs("BENCH_par.json", "BenchmarkParallelHashOps/op=Union/n=100000/workers=1")
-col = allocs("BENCH_col.json", "BenchmarkColumnarHashOps/op=Union/n=100000/engine=col")
-if base is None or col is None:
-    sys.exit("col guard: missing Union@100k record (BENCH_par workers=1 or BENCH_col engine=col)")
-if col * 5 > base:
-    sys.exit(f"col guard: columnar Union@100k allocs/op regressed: {col} vs row baseline {base} (need >=5x fewer)")
-print(f"== col guard: columnar Union@100k allocs/op {col} vs row {base} ({base/col:.0f}x fewer) — ok", file=sys.stderr)
-EOF
 }
 
 # Benchmark output lines look like:
@@ -146,14 +111,11 @@ run_suite() {
         return 1
     fi
     echo "== suite $suite: wrote $count benchmark records to $out" >&2
-    if [ "$suite" = col ]; then
-        check_col_guard || return 1
-    fi
 }
 
 suites=("$@")
 if [ ${#suites[@]} -eq 0 ]; then
-    suites=(serve fault col shard store)
+    suites=(serve fault shard store)
 fi
 failed=0
 for s in "${suites[@]}"; do

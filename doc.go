@@ -25,7 +25,8 @@
 // Plans are rewritten before execution by the cost-based federated
 // optimizer (translate.OptimizeWithOptions): selections and projections
 // push down into LQPs as fused subplans, retrievals narrow to the columns
-// the query demands, and join chains reorder under per-LQP statistics
+// the answer can observe (column demand reaches through joins, products
+// and merges), and join chains reorder under per-LQP statistics
 // (internal/stats) — every rewrite proven identity-preserving, tags
 // included, by the property suite in internal/pqp.
 package repro

@@ -1,6 +1,8 @@
 package pqp
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -338,7 +340,11 @@ func TestSelectStarMultiSource(t *testing.T) {
 // TestSelectionPushdown uses counting LQPs to verify the data-driven
 // translation routes work as Table 3 prescribes: AD receives the Select plus
 // two Retrieves (CAREER, BUSINESS), PD and CD one Retrieve each, and no LQP
-// ever ships ALUMNUS wholesale when a selection can run locally.
+// ever ships ALUMNUS wholesale when a selection can run locally. With
+// statistics collected, column demand reaches through the joins and the
+// Merge: every source ships only the columns the answer observes — CAREER
+// arrives as a narrowed Project(AID#, BNAME), each ORGANIZATION fragment as
+// its key (plus CEO at CD) — and the answer is unchanged.
 func TestSelectionPushdown(t *testing.T) {
 	fed := paperdata.New()
 	counters := make(map[string]*lqp.Counting, 3)
@@ -349,9 +355,11 @@ func TestSelectionPushdown(t *testing.T) {
 		lqps[name] = c
 	}
 	q := New(fed.Schema, fed.Registry, identity.CaseFold{}, lqps)
-	if _, err := q.QuerySQL(`SELECT ONAME, CEO FROM PORGANIZATION, PALUMNUS WHERE CEO = ANAME AND ONAME IN
+	query := `SELECT ONAME, CEO FROM PORGANIZATION, PALUMNUS WHERE CEO = ANAME AND ONAME IN
 		(SELECT ONAME FROM PCAREER WHERE AID# IN
-		(SELECT AID# FROM PALUMNUS WHERE DEGREE = "MBA"))`); err != nil {
+		(SELECT AID# FROM PALUMNUS WHERE DEGREE = "MBA"))`
+	want, err := q.QuerySQL(query)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ad := counters["AD"]
@@ -368,6 +376,37 @@ func TestSelectionPushdown(t *testing.T) {
 	}
 	if counters["CD"].Total() != 1 || counters["CD"].Count(lqp.OpRetrieve) != 1 {
 		t.Errorf("CD ops = %v", counters["CD"].Ops())
+	}
+
+	if err := q.CollectStats(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range counters {
+		c.Reset()
+	}
+	got, err := q.QuerySQL(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffRows(t, "narrowed plan\n"+got.Plan.String(), renderSorted(got.Relation), renderSorted(want.Relation))
+	for db, wantOps := range map[string]string{
+		"AD": `[ALUMNUS[DEG = "MBA"] BUSINESS[BNAME] CAREER[AID# BNAME]]`,
+		"PD": `[CORPORATION[CNAME]]`,
+		"CD": `[FIRM[CEO FNAME]]`,
+	} {
+		ops := make([]string, 0, 3)
+		for _, op := range counters[db].Ops() {
+			ops = append(ops, op.String())
+		}
+		sort.Strings(ops)
+		if fmt.Sprint(ops) != wantOps {
+			t.Errorf("%s ops with statistics = %v, want %s", db, ops, wantOps)
+		}
+	}
+	for _, op := range ad.Ops() {
+		if op.Relation == "ALUMNUS" && op.Kind != lqp.OpSelect {
+			t.Error("ALUMNUS retrieved wholesale despite a local selection")
+		}
 	}
 }
 

@@ -30,8 +30,12 @@ import (
 //     respects the polygen tag calculus (see fuseLocalChains);
 //   - projection narrowing: a Retrieve whose downstream consumers demand
 //     only a subset of its columns retrieves just that subset (plus every
-//     column whose origin tags later operations consult — condition columns
-//     are never projected away);
+//     column whose origin tags later operations consult — condition and
+//     join columns are never projected away). Demand reaches through
+//     Join, θ-join, Product and Merge rows to the sources feeding them,
+//     over layouts simulated with the reorder pass's simulator, which
+//     reads the sources' column lists from the statistics catalog (see
+//     narrowRetrieves);
 //   - greedy join reordering (reorder.go): with relation statistics
 //     available and an exact instance resolver, left-deep equi-join chains
 //     re-join smallest-first;
@@ -74,8 +78,8 @@ type Options struct {
 	// supplies the attribute mappings and the domain-map table).
 	Schema *core.Schema
 	// Stats, when non-nil, supplies per-LQP relation cardinalities, column
-	// lists and link latencies. Join reordering and the width check of
-	// projection narrowing require it.
+	// lists and link latencies. Join reordering, narrowing through joins
+	// and the width check of projection narrowing require it.
 	Stats *stats.Catalog
 	// CanPush reports whether the named local database has an LQP to push
 	// subplans to (every lqp.LQP accepts them). A nil CanPush means no LQP
@@ -536,29 +540,36 @@ func (d *columnDemand) merge(o columnDemand) {
 }
 
 // narrowRetrieves is the projection-narrowing pass. It computes, for every
-// register, which output columns its consumers can possibly observe —
-// demand flows backwards through PQP-resident Select/Restrict rows (which
+// register, which output columns its consumers can possibly observe.
+// Demand flows backwards through PQP-resident Select/Restrict rows (which
 // pass their input through and additionally observe their condition
-// columns) and is cut by Project rows to their projection list. Join,
-// Merge, Product and the set operations observe every column of their
-// inputs (they compare or emit whole tuples), so demand through them is
-// total.
+// columns) and is cut by Project rows to their projection list. A finite
+// demand on a Join, θ-join, Product or Merge row splits over its inputs
+// (inputDemand): a join's output cell takes its datum and tags from one
+// input cell plus the origins of the two join cells, so each input owes
+// only the demanded columns it supplies and its join column. Where the
+// split cannot be proven (see inputDemand), and for the set operations,
+// which compare whole tuples, demand on the inputs is total.
 //
 // A local row whose register has a finite demand retrieves only the
 // demanded columns: a bare Retrieve becomes a local Project (every LQP
 // supports that single operation), any other local row gains a pushed
-// Project step (capability-gated). Condition columns are part of the
-// demand by construction, so a column whose origin tags mediate a later
-// selection — a tag-bearing column — is never projected away; and because
-// finite demand implies every consumption path passes a duplicate-
-// eliminating Project, the early duplicate elimination at the LQP cannot
-// change the final relation (the collapsed rows carry identical tags).
+// Project step (capability-gated). Condition and join columns are part of
+// the demand by construction, so a column whose origin tags mediate a
+// later selection or join — a tag-bearing column — is never projected
+// away. Finite demand implies every consumption path passes a duplicate-
+// eliminating PQP Project, so the early duplicate elimination at the LQP
+// cannot change the final relation: the LQP's exact Identical dedup is
+// finer than the PQP's canonical-ID dedup, the rows it collapses carry the
+// same uniform retrieval tags, and every join, product or merge row built
+// from them differs from its twin only in columns no Project keeps.
 func narrowRetrieves(m *Matrix, opts Options) {
 	if len(m.Rows) == 0 {
 		return
 	}
 	demand := make([]columnDemand, len(m.Rows)+1) // indexed by register
 	demand[m.Rows[len(m.Rows)-1].PR].addAll()     // the final relation is fully visible
+	var sim *simulator                            // built on the first finite join demand
 	for i := len(m.Rows) - 1; i >= 0; i-- {
 		row := m.Rows[i]
 		own := demand[row.PR]
@@ -580,6 +591,17 @@ func narrowRetrieves(m *Matrix, opts Options) {
 				continue
 			}
 		}
+		if row.EL == "PQP" && !own.top && (row.Op == OpJoin || row.Op == OpProduct || row.Op == OpMerge) {
+			if sim == nil {
+				sim = newSimulator(m, newPlanState(m), opts)
+			}
+			if ins, ok := sim.inputDemand(i, own); ok {
+				for reg, names := range ins {
+					demand[reg].add(names...)
+				}
+				continue
+			}
+		}
 		// Every other operation observes its register inputs entirely.
 		forEachReg(row, func(reg int) { demand[reg].addAll() })
 	}
@@ -592,6 +614,99 @@ func narrowRetrieves(m *Matrix, opts Options) {
 			m.Rows[i] = narrowed
 		}
 	}
+}
+
+// inputDemand splits a finite demand on the output of Join, Product or
+// Merge row idx over the row's register inputs, naming for each input the
+// columns it must keep: every column a demanded name resolves to in the
+// simulated output layout (a coalesced join column to both join columns),
+// plus a join's two condition columns and each Merge fragment's scheme key.
+// It reports false, leaving demand total, when an input's layout is
+// unknown, the output layout would rename a column (renaming depends on
+// runtime relation names, and a narrower input could rename differently),
+// or a demanded name does not resolve. Without renaming, a name resolves
+// in a narrowed layout to the same column as in the full one, so every
+// consumer above still binds the columns it bound before.
+func (sim *simulator) inputDemand(idx int, d columnDemand) (map[int][]string, bool) {
+	row := sim.m.Rows[idx]
+	regs := []int{row.LHR.Reg, row.RHR.Reg}
+	if row.LHR.Kind == OpdRegs {
+		regs = row.LHR.Regs
+	}
+	ins := make([][]core.Attr, len(regs))
+	need := make([]map[int]bool, len(regs)) // per input: column indexes kept
+	for k, reg := range regs {
+		if pi, ok := sim.s.producer[reg]; ok {
+			ins[k] = sim.attrsOf(pi)
+		}
+		if ins[k] == nil {
+			return nil, false
+		}
+		need[k] = make(map[int]bool)
+	}
+	if row.Op == OpMerge {
+		// Merge coalesces fragment columns by polygen attribute and names
+		// each output column after its attribute. A fragment column
+		// annotated outside the scheme would survive under its own name.
+		scheme, ok := sim.opts.Schema.Scheme(row.Scheme)
+		if !ok {
+			return nil, false
+		}
+		keep := map[string]bool{scheme.Key: true}
+		for name := range d.names {
+			if _, ok := scheme.Attr(name); !ok {
+				return nil, false
+			}
+			keep[name] = true
+		}
+		for k, attrs := range ins {
+			for c, at := range attrs {
+				if _, ok := scheme.Attr(at.Polygen); !ok && at.Polygen != scheme.Key {
+					return nil, false
+				}
+				if keep[at.Polygen] {
+					need[k][c] = true
+				}
+			}
+		}
+	} else {
+		left, right := newComposite(leafInfo{attrs: ins[0]}, 0), leafInfo{attrs: ins[1]}
+		var out composite
+		var ok bool
+		switch {
+		case row.Op == OpProduct:
+			out, ok = left.product(right, 1)
+		case len(row.LHA) == 1 && row.RHA.Kind == CmpAttr:
+			if out, ok = left.join(row.LHA[0], right, 1, row.RHA.Attr); ok {
+				xi, _ := core.ResolveAttrIn("", ins[0], row.LHA[0])
+				yi, _ := core.ResolveAttrIn("", ins[1], row.RHA.Attr)
+				need[0][xi], need[1][yi] = true, true
+			}
+		}
+		if !ok {
+			return nil, false
+		}
+		for name := range d.names {
+			ci, err := core.ResolveAttrIn("", out.attrs, name)
+			if err != nil {
+				return nil, false
+			}
+			for lc := range out.prov[ci] {
+				need[lc.leaf][lc.col] = true
+			}
+		}
+	}
+	out := make(map[int][]string, len(regs))
+	for k, reg := range regs {
+		for c := range need[k] {
+			name := ins[k][c].Name
+			if ci, err := core.ResolveAttrIn("", ins[k], name); err != nil || ci != c {
+				return nil, false
+			}
+			out[reg] = append(out[reg], name)
+		}
+	}
+	return out, true
 }
 
 // narrowLocalRow rewrites one local row to emit only the demanded columns,

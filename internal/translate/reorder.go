@@ -2,6 +2,7 @@ package translate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -713,6 +714,21 @@ func (c composite) join(xName string, leaf leafInfo, idx int, yName string) (com
 	return n, true
 }
 
+// product simulates the Cartesian product of the composite (left) with a
+// leaf (right), refusing any layout that needs disambiguation. A product
+// changes no tag, so the result carries layout and provenance only.
+func (c composite) product(leaf leafInfo, idx int) (composite, bool) {
+	n := composite{attrs: append([]core.Attr(nil), c.attrs...), prov: append([]provSet(nil), c.prov...)}
+	for i, at := range leaf.attrs {
+		if slices.ContainsFunc(n.attrs, func(a core.Attr) bool { return a.Name == at.Name }) {
+			return composite{}, false
+		}
+		n.attrs = append(n.attrs, at)
+		n.prov = append(n.prov, provSet{leafCol{leaf: idx, col: i}: true})
+	}
+	return n, true
+}
+
 func rightAttrSkipping(right []core.Attr, yi, i int) core.Attr {
 	if i >= yi {
 		i++
@@ -847,6 +863,16 @@ func (sim *simulator) deriveAttrs(idx int) []core.Attr {
 		}
 		lc := newComposite(leafInfo{attrs: l}, 0)
 		out, ok := lc.join(row.LHA[0], leafInfo{attrs: r}, 1, row.RHA.Attr)
+		if !ok {
+			return nil
+		}
+		return out.attrs
+	case OpProduct:
+		l, r := input(row.LHR), input(row.RHR)
+		if l == nil || r == nil {
+			return nil
+		}
+		out, ok := newComposite(leafInfo{attrs: l}, 0).product(leafInfo{attrs: r}, 1)
 		if !ok {
 			return nil
 		}

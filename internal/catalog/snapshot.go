@@ -1,13 +1,14 @@
 package catalog
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"repro/internal/rel"
 	"repro/internal/segment"
@@ -24,10 +25,8 @@ import (
 //	| "PGSNAP" (6) | ver (1) | payload len u64  | payload crc u32  | gob ... |
 //	+--------------+---------+------------------+------------------+---------+
 //
-// length and CRC32-C little-endian, covering the gob payload. ReadSnapshot
-// still accepts headerless legacy files (anything not starting with the
-// magic) for forward compatibility with snapshots written before the header
-// existed.
+// length and CRC32-C little-endian, covering the gob payload. Input that
+// does not start with the magic is rejected as corrupt.
 
 type dbSnapshot struct {
 	Name      string
@@ -101,36 +100,20 @@ func (d *Database) relationNamesLocked() []string {
 	for n := range d.rels {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// ReadSnapshot reconstructs a database from a snapshot. Headered snapshots
-// are verified before decoding: a truncated or bit-rotted file fails with a
-// *segment.CorruptError naming the offset of the damage. Headerless legacy
-// files (written before the header existed) are decoded as bare gob.
+// ReadSnapshot reconstructs a database from a snapshot. The snapshot is
+// verified before decoding: a missing magic, a truncated or a bit-rotted
+// file fails with a *segment.CorruptError naming the offset of the damage.
 func ReadSnapshot(r io.Reader) (*Database, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(snapshotMagic))
-	if err == nil && bytes.Equal(head, snapshotMagic[:]) {
-		return readHeadered(br)
-	}
-	// Legacy path: not a headered snapshot (or shorter than the magic);
-	// the peeked bytes are still in the buffer for gob.
-	return decodeSnapshot(br)
-}
-
-func readHeadered(br *bufio.Reader) (*Database, error) {
 	var hdr [snapshotHeaderSize]byte
-	if n, err := io.ReadFull(br, hdr[:]); err != nil {
+	n, err := io.ReadFull(r, hdr[:])
+	if m := min(n, len(snapshotMagic)); !bytes.Equal(hdr[:m], snapshotMagic[:m]) {
+		return nil, &segment.CorruptError{Path: "snapshot", Offset: 0, Reason: "no snapshot magic"}
+	}
+	if err != nil {
 		return nil, &segment.CorruptError{Path: "snapshot", Offset: int64(n), Reason: "torn header"}
 	}
 	if hdr[6] != snapshotVersion {
@@ -142,7 +125,7 @@ func readHeadered(br *bufio.Reader) (*Database, error) {
 		return nil, &segment.CorruptError{Path: "snapshot", Offset: 7, Reason: fmt.Sprintf("payload length %d implausible", length)}
 	}
 	payload := make([]byte, length)
-	if n, err := io.ReadFull(br, payload); err != nil {
+	if n, err := io.ReadFull(r, payload); err != nil {
 		return nil, &segment.CorruptError{
 			Path:   "snapshot",
 			Offset: int64(snapshotHeaderSize + n),
@@ -156,12 +139,8 @@ func readHeadered(br *bufio.Reader) (*Database, error) {
 			Reason: fmt.Sprintf("payload checksum mismatch (%#x != %#x)", got, want),
 		}
 	}
-	return decodeSnapshot(bytes.NewReader(payload))
-}
-
-func decodeSnapshot(r io.Reader) (*Database, error) {
 	var snap dbSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("catalog: decoding snapshot: %w", err)
 	}
 	db := NewDatabase(snap.Name)
@@ -198,28 +177,10 @@ func OpenFile(path string) (*Database, error) {
 	db, err := ReadSnapshot(f)
 	if err != nil {
 		var ce *segment.CorruptError
-		if asCorrupt(err, &ce) {
+		if errors.As(err, &ce) {
 			ce.Path = path
 		}
 		return nil, err
 	}
 	return db, nil
-}
-
-// asCorrupt is errors.As for *segment.CorruptError without importing errors
-// twice; split out for clarity.
-func asCorrupt(err error, target **segment.CorruptError) bool {
-	for err != nil {
-		if ce, ok := err.(*segment.CorruptError); ok {
-			*target = ce
-			return true
-		}
-		type unwrapper interface{ Unwrap() error }
-		u, ok := err.(unwrapper)
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }

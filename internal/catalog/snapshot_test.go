@@ -90,25 +90,18 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
-// legacySnapshot encodes db as a headerless bare-gob snapshot, the on-disk
-// format from before the integrity header existed.
-func legacySnapshot(t *testing.T, db *Database) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(db.snapshot()); err != nil {
+// TestSnapshotLegacyHeaderless: a headerless bare-gob snapshot, the
+// on-disk format from before the integrity header existed, is rejected
+// with a typed error rather than decoded.
+func TestSnapshotLegacyHeaderless(t *testing.T) {
+	var raw bytes.Buffer
+	if err := gob.NewEncoder(&raw).Encode(snapshotDB().snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-func TestSnapshotLegacyHeaderless(t *testing.T) {
-	raw := legacySnapshot(t, snapshotDB())
-	back, err := ReadSnapshot(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("legacy headerless snapshot rejected: %v", err)
-	}
-	if back.Name() != "CD" || len(back.Relations()) != 2 {
-		t.Error("legacy round trip lost data")
+	_, err := ReadSnapshot(&raw)
+	var ce *segment.CorruptError
+	if !errors.As(err, &ce) || ce.Offset != 0 {
+		t.Fatalf("headerless snapshot: want CorruptError at offset 0, got %v", err)
 	}
 }
 
@@ -129,10 +122,11 @@ func TestSnapshotTruncated(t *testing.T) {
 			t.Fatalf("truncate at %d: offset %d out of range", cut, ce.Offset)
 		}
 	}
-	// A cut shorter than the magic falls through to the legacy gob path and
-	// still fails, just without the typed error.
-	if _, err := ReadSnapshot(bytes.NewReader(data[:4])); err == nil {
-		t.Fatal("4-byte prefix accepted")
+	// A cut shorter than the magic is a torn header too.
+	_, err = ReadSnapshot(bytes.NewReader(data[:4]))
+	var ce *segment.CorruptError
+	if !errors.As(err, &ce) || ce.Offset != 4 {
+		t.Fatalf("4-byte prefix: want CorruptError at offset 4, got %v", err)
 	}
 }
 

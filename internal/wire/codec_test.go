@@ -15,12 +15,14 @@ import (
 	"repro/internal/sourceset"
 )
 
-// This file tests the binary frame codec of codec.go three ways: direct
-// encode/decode round trips over adversarially mixed values (NaN, -0, empty
-// strings, nulls, >64-source tag sets), streams over a real connection
-// checked against the in-process answer, and a fuzzer (FuzzFrameRoundTrip) that both derives
-// random batches from the fuzz input and throws the raw input at the
-// decoders, which must fail cleanly rather than panic or over-allocate.
+// This file tests the binary frames the wire carries (rel/codec.go and
+// core/codec.go) three ways: direct encode/decode round trips over
+// adversarially mixed values (NaN, -0, empty strings, nulls, >64-source tag
+// sets), answers over a real connection — unary and streamed — checked
+// against the in-process answer, and a fuzzer (FuzzFrameRoundTrip) that
+// both derives random batches from the fuzz input and throws the raw input
+// at the decoders, which must fail cleanly rather than panic or
+// over-allocate.
 
 // renderCell renders one tagged cell registry-independently (kind, datum,
 // tag names) so answers decoded into different client registries compare.
@@ -148,8 +150,8 @@ func TestRelFrameRoundTrip(t *testing.T) {
 			}
 			b.AppendTuple(row)
 		}
-		payload := appendRelFrame(nil, b)
-		got, err := decodeRelFrame(payload, schema)
+		payload := rel.AppendFrame(nil, b)
+		got, err := rel.DecodeFrame(payload, schema)
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v", iter, err)
 		}
@@ -170,7 +172,7 @@ func TestRelFrameRoundTrip(t *testing.T) {
 			}
 		}
 		// Re-encoding the decoded batch reproduces the payload byte for byte.
-		again := appendRelFrame(nil, got)
+		again := rel.AppendFrame(nil, got)
 		if string(again) != string(payload) {
 			t.Fatalf("iter %d: re-encode diverged", iter)
 		}
@@ -185,9 +187,9 @@ func TestCoreFrameRoundTrip(t *testing.T) {
 	for iter := 0; iter < 150; iter++ {
 		reg := sourceset.NewRegistry()
 		b := randomTaggedBatch(rng, reg, 1+rng.Intn(3), rng.Intn(10))
-		payload := appendCoreFrame(nil, b)
+		payload := core.AppendFrame(nil, b)
 		fresh := sourceset.NewRegistry()
-		got, err := decodeCoreFrame(payload, b.Name, b.Attrs, fresh)
+		got, err := core.DecodeFrame(payload, b.Name, b.Attrs, fresh)
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v", iter, err)
 		}
@@ -201,7 +203,7 @@ func TestCoreFrameRoundTrip(t *testing.T) {
 }
 
 // fixedMediator serves one prebuilt tagged relation — enough mediator to
-// exercise the "queryopen" framing.
+// exercise the "query" answer and the "queryopen" framing.
 type fixedMediator struct {
 	p *core.Relation
 }
@@ -221,44 +223,80 @@ func (m *fixedMediator) OpenQuery(string, string, bool) (*MediatedStream, error)
 	}, nil
 }
 
-// TestBinaryStreamMatchesGob: a "queryopen" stream delivers exactly the
-// mediator's tagged answer — every datum and both tag sets.
-func TestBinaryStreamMatchesGob(t *testing.T) {
+// TestTaggedAnswerMatchesSource: the unary "query" answer and the
+// "queryopen" stream both deliver exactly the mediator's tagged answer —
+// name, attributes, every datum and both tag sets — for a random answer, an
+// empty one, and one whose source names the client's registry has never
+// interned. The client's first registry IDs are taken by other names
+// beforehand, so only the names each frame carries can map tags back.
+func TestTaggedAnswerMatchesSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	reg := sourceset.NewRegistry()
-	tagged := randomTaggedBatch(rng, reg, 3, 17).Relation()
-	tagged.Name = "ANS"
+	random := randomTaggedBatch(rng, sourceset.NewRegistry(), 3, 17).Relation()
+	random.Name = "ANS"
+	empty := core.NewRelation("EMPTY", sourceset.NewRegistry(), core.Attr{Name: "A"}, core.Attr{Name: "B"})
+	freshReg := sourceset.NewRegistry()
+	fresh := core.NewRelation("FRESH", freshReg, core.Attr{Name: "K"})
+	for i := 0; i < 3; i++ {
+		o := sourceset.Of(freshReg.Intern(fmt.Sprintf("fresh%d", i)))
+		fresh.Tuples = append(fresh.Tuples, core.Tuple{{D: rel.Int(int64(i)), O: o, I: o.With(freshReg.Intern("freshI"))}})
+	}
 
-	srv := NewMediatorServer(&fixedMediator{p: tagged})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	cur, _, err := c.OpenQuery("", "q", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.Drain(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := renderTagged(p), renderTagged(tagged)
-	if !sameLines(got, want) {
-		t.Fatalf("streamed answer diverged from the source relation:\ngot:\n%s\nwant:\n%s",
-			strings.Join(got, "\n"), strings.Join(want, "\n"))
+	for _, tc := range []struct {
+		name string
+		p    *core.Relation
+	}{{"random", random}, {"empty", empty}, {"unseen-sources", fresh}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewMediatorServer(&fixedMediator{p: tc.p})
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for i := 0; i < 4; i++ {
+				c.Reg.Intern(fmt.Sprintf("client-only%d", i))
+			}
+
+			ans, err := c.Query("", "q", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkTaggedAnswer(t, "query", ans.Relation, tc.p)
+
+			cur, _, err := c.OpenQuery("", "q", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := core.Drain(cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkTaggedAnswer(t, "queryopen", streamed, tc.p)
+		})
 	}
 }
 
-// TestPlainStreamMatchesGob: the LQP-side "open" stream delivers, row for
+// checkTaggedAnswer compares a decoded answer with the relation the
+// mediator served, cell for cell and tag for tag.
+func checkTaggedAnswer(t *testing.T, path string, got, want *core.Relation) {
+	t.Helper()
+	if got.Name != want.Name || fmt.Sprint(got.Attrs) != fmt.Sprint(want.Attrs) {
+		t.Fatalf("%s: answer heads %s%v, want %s%v", path, got.Name, got.Attrs, want.Name, want.Attrs)
+	}
+	if g, w := renderTagged(got), renderTagged(want); !sameLines(g, w) {
+		t.Fatalf("%s: answer diverged from the source relation:\ngot:\n%s\nwant:\n%s",
+			path, strings.Join(g, "\n"), strings.Join(w, "\n"))
+	}
+}
+
+// TestPlainStreamMatchesLocal: the LQP-side "open" stream delivers, row for
 // row, what the in-process lqp.Local answers, and its cursor has the
 // columnar capability.
-func TestPlainStreamMatchesGob(t *testing.T) {
+func TestPlainStreamMatchesLocal(t *testing.T) {
 	_, c := startStreamServer(t, 700)
 
 	binCur, err := c.Open(lqp.Retrieve("BIG"))

@@ -78,13 +78,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	seedRel := rel.NewColBatch(rel.SchemaOf("A", "B"))
 	seedRel.AppendTuple(rel.Tuple{rel.Int(1), rel.String("s")})
 	seedRel.AppendTuple(rel.Tuple{rel.Null(), rel.Bool(true)})
-	f.Add(appendRelFrame(nil, seedRel))
+	f.Add(rel.AppendFrame(nil, seedRel))
 	reg := sourceset.NewRegistry()
 	seedCore := core.NewColBatch("S", reg, []core.Attr{{Name: "A"}})
 	seedCore.AppendTuple(core.Tuple{{D: rel.Float(1.5), O: sourceset.Of(reg.Intern("db")), I: sourceset.Empty()}})
-	f.Add(appendCoreFrame(nil, seedCore))
-	f.Add([]byte{magicPlain, 1, 0})
-	f.Add([]byte{magicTagged})
+	f.Add(core.AppendFrame(nil, seedCore))
+	f.Add([]byte{rel.FrameMagicPlain, 1, 0})
+	f.Add([]byte{core.FrameMagicTagged})
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -93,14 +93,14 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// (Byte-for-byte canonicality is NOT asserted — binary.Uvarint
 		// accepts non-minimal varints the encoder never emits.)
 		schema := rel.SchemaOf("A", "B")
-		if b, err := decodeRelFrame(in, schema); err == nil {
-			if _, err := decodeRelFrame(appendRelFrame(nil, b), schema); err != nil {
+		if b, err := rel.DecodeFrame(in, schema); err == nil {
+			if _, err := rel.DecodeFrame(rel.AppendFrame(nil, b), schema); err != nil {
 				t.Fatalf("rel frame re-round-trip: %v", err)
 			}
 		}
 		attrs := []core.Attr{{Name: "A"}}
-		if b, err := decodeCoreFrame(in, "F", attrs, sourceset.NewRegistry()); err == nil {
-			if _, err := decodeCoreFrame(appendCoreFrame(nil, b), "F", attrs, sourceset.NewRegistry()); err != nil {
+		if b, err := core.DecodeFrame(in, "F", attrs, sourceset.NewRegistry()); err == nil {
+			if _, err := core.DecodeFrame(core.AppendFrame(nil, b), "F", attrs, sourceset.NewRegistry()); err != nil {
 				t.Fatalf("core frame re-round-trip: %v", err)
 			}
 		}
@@ -132,7 +132,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			cb.AppendTuple(crow)
 		}
 
-		gotRel, err := decodeRelFrame(appendRelFrame(nil, rb), rb.Schema())
+		gotRel, err := rel.DecodeFrame(rel.AppendFrame(nil, rb), rb.Schema())
 		if err != nil {
 			t.Fatalf("rel round trip: %v", err)
 		}
@@ -147,7 +147,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 		}
 
-		gotCore, err := decodeCoreFrame(appendCoreFrame(nil, cb), "F", cattrs, sourceset.NewRegistry())
+		gotCore, err := core.DecodeFrame(core.AppendFrame(nil, cb), "F", cattrs, sourceset.NewRegistry())
 		if err != nil {
 			t.Fatalf("core round trip: %v", err)
 		}

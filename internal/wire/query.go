@@ -5,27 +5,23 @@ package wire
 // the mediator-as-a-service layer (cmd/polygend fronting internal/mediator).
 // A "session" request opens a server-side session (audit trail, federation
 // metadata for thin shells); "query" runs one polygen query and returns the
-// composite answer with its source tags; "queryopen" streams the answer as
-// tagged columnar frames on a dedicated connection, reusing the frame
-// protocol of the LQP streams.
+// composite answer with its source tags; "queryopen" streams the answer on a
+// dedicated connection, reusing the frame protocol of the LQP streams.
 //
-// Source tags travel as per-message directories: every tagged answer or
-// frame carries the list of source names its cells reference, and cells
-// store small indexes into it. The client re-interns the names into its own
+// Every tagged row, unary or streamed, crosses the wire in a tagged
+// columnar frame (core/codec.go): a "query" answer is one frame in the
+// response, a "queryopen" stream one frame per batch. Each frame carries the
+// source names its tag sets reference, and cells store small indexes into
+// its set dictionary. The client re-interns the names into its own
 // sourceset.Registry, so tag identity survives the wire without the client
-// and server sharing registry IDs.
+// and server sharing registry IDs. gob carries only the control fields
+// around the frames.
 
 import (
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
-	"net"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/federation"
-	"repro/internal/rel"
 	"repro/internal/sourceset"
 )
 
@@ -145,143 +141,13 @@ func SchemeInfos(schema *core.Schema) []SchemeInfo {
 	return infos
 }
 
-// flatPoly is the wire form of core.Relation: attributes as-is (the Attr
-// struct is flat and exported), cells flattened into datum plus tag-index
-// lists, and a directory mapping those indexes to source names. In a stream
-// header Tuples and Sources are empty; tagged rows follow in frames, each
-// frame carrying its own directory.
-type flatPoly struct {
-	Name    string
-	Attrs   []core.Attr
-	Sources []string
-	Tuples  []flatTuple
-}
-
-// flatTuple is one tagged row.
-type flatTuple []flatCell
-
-// flatCell is one polygen cell: the datum and the origin/intermediate tag
-// sets as indexes into the enclosing message's Sources directory.
-type flatCell struct {
-	D rel.Value
-	O []int32
-	I []int32
-}
-
-// tagEncoder flattens sourceset.Sets of one message, building the Sources
-// directory as it goes.
-type tagEncoder struct {
-	reg   *sourceset.Registry
-	index map[sourceset.ID]int32
-	names []string
-}
-
-func newTagEncoder(reg *sourceset.Registry) *tagEncoder {
-	return &tagEncoder{reg: reg, index: make(map[sourceset.ID]int32)}
-}
-
-func (e *tagEncoder) set(s sourceset.Set) []int32 {
-	if s.IsEmpty() {
-		return nil
-	}
-	ids := s.IDs()
-	out := make([]int32, len(ids))
-	for i, id := range ids {
-		wi, ok := e.index[id]
-		if !ok {
-			wi = int32(len(e.names))
-			e.index[id] = wi
-			e.names = append(e.names, e.reg.Name(id))
-		}
-		out[i] = wi
-	}
-	return out
-}
-
-// flattenBatch flattens one batch of tagged rows with a per-batch source
+// flatPoly names a source-tagged answer: the relation name and attributes
+// (the Attr struct is flat and exported). It heads every tagged answer; the
+// rows travel in tagged columnar frames, each carrying its own source-name
 // directory.
-func flattenBatch(batch []core.Tuple, reg *sourceset.Registry) ([]flatTuple, []string) {
-	enc := newTagEncoder(reg)
-	tuples := make([]flatTuple, len(batch))
-	for bi, t := range batch {
-		row := make(flatTuple, len(t))
-		for i, c := range t {
-			row[i] = flatCell{D: c.D, O: enc.set(c.O), I: enc.set(c.I)}
-		}
-		tuples[bi] = row
-	}
-	return tuples, enc.names
-}
-
-func flattenPoly(p *core.Relation) flatPoly {
-	tuples, sources := flattenBatch(p.Tuples, p.Reg)
-	return flatPoly{
-		Name:    p.Name,
-		Attrs:   append([]core.Attr(nil), p.Attrs...),
-		Sources: sources,
-		Tuples:  tuples,
-	}
-}
-
-// tagDecoder rebuilds sourceset.Sets from one message's directory,
-// re-interning the source names into the receiver's registry.
-type tagDecoder struct {
-	ids []sourceset.ID
-}
-
-func newTagDecoder(reg *sourceset.Registry, sources []string) *tagDecoder {
-	d := &tagDecoder{ids: make([]sourceset.ID, len(sources))}
-	for i, name := range sources {
-		d.ids[i] = reg.Intern(name)
-	}
-	return d
-}
-
-func (d *tagDecoder) set(idx []int32) (sourceset.Set, error) {
-	var s sourceset.Set
-	for _, wi := range idx {
-		if wi < 0 || int(wi) >= len(d.ids) {
-			return s, fmt.Errorf("wire: tag index %d outside source directory (%d entries)", wi, len(d.ids))
-		}
-		s = s.With(d.ids[wi])
-	}
-	return s, nil
-}
-
-// unflattenBatch rebuilds one batch of tagged rows into out's attribute
-// space, appending nothing — rows are returned for the caller to use.
-func unflattenBatch(tuples []flatTuple, sources []string, reg *sourceset.Registry, width int) ([]core.Tuple, error) {
-	dec := newTagDecoder(reg, sources)
-	rows := make([]core.Tuple, len(tuples))
-	for bi, ft := range tuples {
-		if len(ft) != width {
-			return nil, fmt.Errorf("wire: tagged tuple degree %d does not match schema width %d", len(ft), width)
-		}
-		row := make(core.Tuple, len(ft))
-		for i, fc := range ft {
-			o, err := dec.set(fc.O)
-			if err != nil {
-				return nil, err
-			}
-			in, err := dec.set(fc.I)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = core.Cell{D: fc.D, O: o, I: in}
-		}
-		rows[bi] = row
-	}
-	return rows, nil
-}
-
-func unflattenPoly(f flatPoly, reg *sourceset.Registry) (*core.Relation, error) {
-	p := core.NewRelation(f.Name, reg, f.Attrs...)
-	rows, err := unflattenBatch(f.Tuples, f.Sources, reg, len(f.Attrs))
-	if err != nil {
-		return nil, err
-	}
-	p.Tuples = rows
-	return p, nil
+type flatPoly struct {
+	Name  string
+	Attrs []core.Attr
 }
 
 // handleMediator serves the round-trip mediator kinds ("session",
@@ -307,48 +173,42 @@ func (s *Server) handleMediator(req request) response {
 		if err != nil {
 			return response{Err: err.Error()}
 		}
-		return response{Poly: flattenPoly(ans.Relation), HasPoly: true, PlanRows: ans.PlanRows, CacheHit: ans.CacheHit, Diag: ans.Diag}
+		p := ans.Relation
+		return response{
+			Poly:     flatPoly{Name: p.Name, Attrs: p.Attrs},
+			HasPoly:  true,
+			Bin:      core.AppendFrame(nil, core.FromRelation(p)),
+			PlanRows: ans.PlanRows,
+			CacheHit: ans.CacheHit,
+			Diag:     ans.Diag,
+		}
 	default:
 		return response{Err: fmt.Sprintf("wire: unknown mediator request kind %q", req.Kind)}
 	}
 }
 
-// serveQueryStream answers one "queryopen" request: a header response with
-// the answer's attributes and plan, then tagged row-batch frames, then a
-// done frame — the tagged twin of serveStream. The returned error is
-// non-nil only for transport failures.
-func (s *Server) serveQueryStream(conn net.Conn, enc *gob.Encoder, req request) error {
+// openQueryStream opens a "queryopen" stream: the answer's attributes and
+// plan in the header, tagged columnar frames after it, and the query's
+// fault-handling record on the done frame.
+func (s *Server) openQueryStream(req request) (stream, error) {
 	if s.mediator == nil {
-		return s.send(conn, enc, response{Err: fmt.Sprintf("wire: server %q is not a mediator (request kind %q)", s.serverName(), req.Kind)})
+		return stream{}, fmt.Errorf("wire: server %q is not a mediator (request kind %q)", s.serverName(), req.Kind)
 	}
 	ms, err := s.mediator.OpenQuery(req.Session, req.Text, req.Algebraic)
 	if err != nil {
-		return s.send(conn, enc, response{Err: err.Error()})
+		return stream{}, err
 	}
-	defer ms.Cursor.Close()
-	header := response{Poly: flatPoly{Name: ms.Cursor.Name(), Attrs: ms.Cursor.Attrs()}, HasPoly: true, PlanRows: ms.PlanRows, CacheHit: ms.CacheHit}
-	if err := s.send(conn, enc, header); err != nil {
-		return err
-	}
-	cc, _ := ms.Cursor.(core.ColCursor)
-	var buf []byte
-	for {
-		cb, err := nextCoreColBatch(ms.Cursor, cc)
-		if err == io.EOF {
-			done := frame{Done: true}
-			if ms.Diag != nil {
-				done.Diag = ms.Diag()
-			}
-			return s.send(conn, enc, done)
-		}
+	cur := ms.Cursor
+	cc, _ := cur.(core.ColCursor)
+	next := func(buf []byte) ([]byte, error) {
+		cb, err := nextCoreColBatch(cur, cc)
 		if err != nil {
-			return s.send(conn, enc, frame{Err: err.Error()})
+			return buf, err
 		}
-		buf = appendCoreFrame(buf[:0], cb)
-		if err := s.send(conn, enc, frame{Bin: buf}); err != nil {
-			return err
-		}
+		return core.AppendFrame(buf, cb), nil
 	}
+	header := response{Poly: flatPoly{Name: cur.Name(), Attrs: cur.Attrs()}, HasPoly: true, PlanRows: ms.PlanRows, CacheHit: ms.CacheHit}
+	return stream{header: header, next: next, diag: ms.Diag, close: cur.Close}, nil
 }
 
 // nextCoreColBatch pulls the next tagged batch in columnar form: natively
@@ -423,11 +283,11 @@ func (c *Client) Query(session, text string, algebraic bool) (*QueryAnswer, erro
 	if !resp.HasPoly {
 		return nil, fmt.Errorf("wire: query response carried no relation")
 	}
-	p, err := unflattenPoly(resp.Poly, c.Reg)
+	cb, err := core.DecodeFrame(resp.Bin, resp.Poly.Name, resp.Poly.Attrs, c.Reg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wire: decode answer from %s: %w", c.addr, err)
 	}
-	return &QueryAnswer{Relation: p, PlanRows: resp.PlanRows, CacheHit: resp.CacheHit, Diag: resp.Diag}, nil
+	return &QueryAnswer{Relation: cb.Relation(), PlanRows: resp.PlanRows, CacheHit: resp.CacheHit, Diag: resp.Diag}, nil
 }
 
 // Diagnosed is the capability of streamed answers whose final frame
@@ -443,23 +303,11 @@ type Diagnosed interface {
 // plan (Relation is nil — the rows are in the cursor). The caller owns the
 // cursor and must Close it; Client.Close aborts it with the rest.
 func (c *Client) OpenQuery(session, text string, algebraic bool) (core.Cursor, *QueryAnswer, error) {
-	conn, dec, resp, err := c.startStream(request{Kind: "queryopen", Session: session, Text: text, Algebraic: algebraic})
+	r, resp, err := c.startStream(request{Kind: "queryopen", Session: session, Text: text, Algebraic: algebraic})
 	if err != nil {
 		return nil, nil, err
 	}
-	if !resp.HasPoly {
-		c.unregisterStream(conn)
-		conn.Close()
-		return nil, nil, fmt.Errorf("wire: queryopen response carried no schema")
-	}
-	cur := &polyStreamCursor{
-		client:  c,
-		conn:    conn,
-		dec:     dec,
-		name:    resp.Poly.Name,
-		attrs:   append([]core.Attr(nil), resp.Poly.Attrs...),
-		timeout: c.timeout(),
-	}
+	cur := &polyStreamCursor{frameReader: r, name: resp.Poly.Name, attrs: resp.Poly.Attrs}
 	return cur, &QueryAnswer{PlanRows: resp.PlanRows, CacheHit: resp.CacheHit}, nil
 }
 
@@ -468,16 +316,9 @@ func (c *Client) OpenQuery(session, text string, algebraic bool) (core.Cursor, *
 // vectors plus a per-frame tag-set dictionary with O(columns + distinct
 // sets) allocations.
 type polyStreamCursor struct {
-	client  *Client
-	conn    net.Conn
-	dec     *gob.Decoder
-	name    string
-	attrs   []core.Attr
-	timeout time.Duration
-	done    bool
-	closed  bool
-	diag    federation.Report
-	hasDiag bool
+	frameReader
+	name  string
+	attrs []core.Attr
 }
 
 // Diagnostics returns the fault-handling record shipped on the stream's
@@ -490,41 +331,11 @@ func (pc *polyStreamCursor) Name() string                  { return pc.name }
 func (pc *polyStreamCursor) Attrs() []core.Attr            { return pc.attrs }
 func (pc *polyStreamCursor) Registry() *sourceset.Registry { return pc.client.Reg }
 
-// NextCol implements core.ColCursor: it decodes frames until a non-empty
-// batch arrives.
+// NextCol implements core.ColCursor.
 func (pc *polyStreamCursor) NextCol() (*core.ColBatch, error) {
-	if pc.done || pc.closed {
-		return nil, io.EOF
-	}
-	for {
-		pc.conn.SetReadDeadline(time.Now().Add(pc.timeout))
-		var f frame
-		if err := pc.dec.Decode(&f); err != nil {
-			pc.done = true
-			pc.Close()
-			return nil, fmt.Errorf("wire: receive frame from %s: %w", pc.client.addr, err)
-		}
-		switch {
-		case f.Err != "":
-			pc.done = true
-			return nil, errors.New(f.Err)
-		case f.Done:
-			pc.done = true
-			pc.diag = f.Diag
-			pc.hasDiag = true
-			return nil, io.EOF
-		case len(f.Bin) > 0:
-			cb, err := decodeCoreFrame(f.Bin, pc.name, pc.attrs, pc.client.Reg)
-			if err != nil {
-				pc.done = true
-				pc.Close()
-				return nil, fmt.Errorf("wire: decode frame from %s: %w", pc.client.addr, err)
-			}
-			if cb.Len() > 0 {
-				return cb, nil
-			}
-		}
-	}
+	return readBatch(&pc.frameReader, func(payload []byte) (*core.ColBatch, error) {
+		return core.DecodeFrame(payload, pc.name, pc.attrs, pc.client.Reg)
+	})
 }
 
 func (pc *polyStreamCursor) Next() ([]core.Tuple, error) {
@@ -533,15 +344,6 @@ func (pc *polyStreamCursor) Next() ([]core.Tuple, error) {
 		return nil, err
 	}
 	return cb.Rows(), nil
-}
-
-func (pc *polyStreamCursor) Close() error {
-	if pc.closed {
-		return nil
-	}
-	pc.closed = true
-	pc.client.unregisterStream(pc.conn)
-	return pc.conn.Close()
 }
 
 var _ core.ColCursor = (*polyStreamCursor)(nil)

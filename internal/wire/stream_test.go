@@ -232,8 +232,8 @@ func TestStreamCursorSkipsEmptyFrames(t *testing.T) {
 		enc := gob.NewEncoder(srv)
 		full := rel.FromTuples(schema, []rel.Tuple{{rel.Int(1)}, {rel.Int(2)}})
 		for _, f := range []frame{
-			{Bin: appendRelFrame(nil, rel.NewColBatch(schema))},
-			{Bin: appendRelFrame(nil, full)},
+			{Bin: rel.AppendFrame(nil, rel.NewColBatch(schema))},
+			{Bin: rel.AppendFrame(nil, full)},
 			{Done: true},
 		} {
 			if enc.Encode(f) != nil {
@@ -241,7 +241,8 @@ func TestStreamCursorSkipsEmptyFrames(t *testing.T) {
 			}
 		}
 	}()
-	sc := &streamCursor{conn: cli, dec: gob.NewDecoder(cli), schema: schema, timeout: 5 * time.Second}
+	r := frameReader{client: newClient("pipe", 1), conn: cli, dec: gob.NewDecoder(cli), timeout: 5 * time.Second}
+	sc := &streamCursor{frameReader: r, schema: schema}
 	defer sc.Close()
 	b, err := sc.NextCol()
 	if err != nil {

@@ -3,7 +3,7 @@
 // (paper, Figure 1: the PQP "routes [local queries] to the Local Query
 // Processors"), and between thin clients and a mediator service wrapping a
 // whole PQP (query.go — the paper's §V System P made networkable). Both are
-// gob-encoded messages over TCP in two shapes:
+// messages over TCP in two shapes:
 //
 //   - request/response: one request carries a metadata query ("name",
 //     "relations", "stats"), an insert, or — on a mediator server — a whole
@@ -11,11 +11,20 @@
 //     answer, or an error.
 //   - streaming: an "open" (one lqp.Op), "openplan" (one pushed-down
 //     lqp.Plan) or mediator "queryopen" request is answered by a schema
-//     header followed by binary columnar frames (codec.go) and a final done
-//     frame, on a connection dedicated to that stream. The server starts
-//     framing as soon as the operation yields rows, so remote retrieval
-//     overlaps with client-side work; a pushed-down plan evaluates entirely
-//     server-side, so only the filtered, narrowed rows are framed at all.
+//     header followed by binary columnar frames and a final done frame, on
+//     a connection dedicated to that stream. The server starts framing as
+//     soon as the operation yields rows, so remote retrieval overlaps with
+//     client-side work; a pushed-down plan evaluates entirely server-side,
+//     so only the filtered, narrowed rows are framed at all.
+//
+// Result rows always travel as binary columnar frames: plain ones
+// (rel/codec.go) on the LQP streams, source-tagged ones (core/codec.go) on
+// the mediator's streams and in its unary "query" answer. The same frames
+// are the write-ahead log's and the spill files' records. gob carries the
+// control fields around them (requests, response headers, the frame
+// envelope) and insert rows; a frame rides the envelope as one opaque byte
+// slice, because a gob decoder reads ahead and cannot share a connection
+// with raw interleaved bytes.
 //
 // Both directions guard against stalled peers: the client sets read/write
 // deadlines around every exchange and every frame, the server sets write
@@ -106,10 +115,12 @@ type response struct {
 	Stats []lqp.RelationStats
 	// Session / Schemes answer a "session" request (query.go).
 	Session SessionInfo
-	// Poly carries a source-tagged result for Kind == "query", or the
-	// schema header of a "queryopen" stream.
+	// Poly / HasPoly head a source-tagged answer: a "query" answer's rows
+	// follow in Bin, a "queryopen" stream's in frames.
 	Poly    flatPoly
 	HasPoly bool
+	// Bin is a "query" answer's rows as one tagged columnar frame.
+	Bin []byte
 	// PlanRows is the executed (optimized) plan, one row per line, for
 	// mediator queries.
 	PlanRows []string
@@ -130,11 +141,9 @@ type frame struct {
 	// fault-handling record, complete only once the answer has fully
 	// streamed (mid-stream failovers count into it).
 	Diag federation.Report
-	// Bin carries one binary columnar frame (codec.go): plain rows on an
-	// "open"/"openplan" stream, source-tagged rows on a "queryopen" one. The
-	// payload travels as one opaque byte slice inside the gob envelope
-	// because a gob decoder reads ahead and cannot share the connection
-	// with raw interleaved bytes.
+	// Bin carries one binary columnar frame: plain rows (rel.AppendFrame)
+	// on an "open"/"openplan" stream, source-tagged rows (core.AppendFrame)
+	// on a "queryopen" one.
 	Bin []byte
 }
 
@@ -283,19 +292,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // for transport failures; application errors travel in responses.
 func (s *Server) dispatch(conn net.Conn, enc *gob.Encoder, req request) error {
 	switch req.Kind {
-	case "open", "openplan":
-		open := func() (rel.Cursor, error) {
-			if s.local == nil {
-				return nil, fmt.Errorf("wire: server %q does not serve local operations", s.serverName())
-			}
-			if req.Kind == "openplan" {
-				return s.local.OpenPlan(req.Plan)
-			}
-			return s.local.Open(req.Op)
-		}
-		return s.serveStream(conn, enc, open)
-	case "queryopen":
-		return s.serveQueryStream(conn, enc, req)
+	case "open", "openplan", "queryopen":
+		return s.serveStream(conn, enc, req)
 	default:
 		return s.send(conn, enc, s.handle(req))
 	}
@@ -311,42 +309,82 @@ func (s *Server) send(conn net.Conn, enc *gob.Encoder, msg any) error {
 	return enc.Encode(msg)
 }
 
-// serveStream answers one "open"/"openplan" request: a schema header
-// response, then row-batch frames, then a done frame. A local-operation
-// error before any row is reported in the header; one mid-stream is
-// reported in an error frame. The returned error is non-nil only for
-// transport failures.
-//
-// Each batch ships as one columnar payload: cursors with the columnar
-// capability (rel.ColCursor) hand their batches over as-is, others are
-// columnarized per batch; the encode buffer is reused across frames (gob
-// copies the bytes into the envelope).
-func (s *Server) serveStream(conn net.Conn, enc *gob.Encoder, open func() (rel.Cursor, error)) error {
-	cur, err := open()
+// stream is one answer a server streams: its header response, and the
+// cursor behind its frames.
+type stream struct {
+	header response
+	// next appends the next batch's binary frame to buf; io.EOF ends the
+	// stream.
+	next func(buf []byte) ([]byte, error)
+	// diag, when set, is called once the last batch has gone out; its
+	// record rides the done frame.
+	diag  func() federation.Report
+	close func() error
+}
+
+// serveStream answers one stream request: the header response, then one
+// binary frame per batch, then a done frame. An error before the first
+// batch is reported in the header, one mid-stream in an error frame. The
+// encode buffer is reused across frames (gob copies the bytes into the
+// envelope). The returned error is non-nil only for transport failures.
+func (s *Server) serveStream(conn net.Conn, enc *gob.Encoder, req request) error {
+	open := s.openLocalStream
+	if req.Kind == "queryopen" {
+		open = s.openQueryStream
+	}
+	st, err := open(req)
 	if err != nil {
 		return s.send(conn, enc, response{Err: err.Error()})
 	}
-	defer cur.Close()
-	header := response{Attrs: cur.Schema().Attrs(), HasRel: true}
-	if err := s.send(conn, enc, header); err != nil {
+	defer st.close()
+	if err := s.send(conn, enc, st.header); err != nil {
 		return err
 	}
-	schema := cur.Schema()
-	cc, _ := cur.(rel.ColCursor)
 	var buf []byte
 	for {
-		cb, err := nextRelColBatch(cur, cc, schema)
+		buf, err = st.next(buf[:0])
 		if err == io.EOF {
-			return s.send(conn, enc, frame{Done: true})
+			done := frame{Done: true}
+			if st.diag != nil {
+				done.Diag = st.diag()
+			}
+			return s.send(conn, enc, done)
 		}
 		if err != nil {
 			return s.send(conn, enc, frame{Err: err.Error()})
 		}
-		buf = appendRelFrame(buf[:0], cb)
 		if err := s.send(conn, enc, frame{Bin: buf}); err != nil {
 			return err
 		}
 	}
+}
+
+// openLocalStream opens an "open" or "openplan" stream over the served LQP:
+// the schema in the header, plain columnar frames after it.
+func (s *Server) openLocalStream(req request) (stream, error) {
+	if s.local == nil {
+		return stream{}, fmt.Errorf("wire: server %q does not serve local operations", s.serverName())
+	}
+	var cur rel.Cursor
+	var err error
+	if req.Kind == "openplan" {
+		cur, err = s.local.OpenPlan(req.Plan)
+	} else {
+		cur, err = s.local.Open(req.Op)
+	}
+	if err != nil {
+		return stream{}, err
+	}
+	schema := cur.Schema()
+	cc, _ := cur.(rel.ColCursor)
+	next := func(buf []byte) ([]byte, error) {
+		cb, err := nextRelColBatch(cur, cc, schema)
+		if err != nil {
+			return buf, err
+		}
+		return rel.AppendFrame(buf, cb), nil
+	}
+	return stream{header: response{Attrs: schema.Attrs(), HasRel: true}, next: next, close: cur.Close}, nil
 }
 
 // nextRelColBatch pulls the next batch in columnar form: natively from a
@@ -790,29 +828,29 @@ func (c *Client) OpenPlan(p lqp.Plan) (rel.Cursor, error) {
 // startStream dials a dedicated connection, registers it with the client
 // (so Close can abort the stream), sends req and decodes the header
 // response. On error nothing stays registered or open.
-func (c *Client) startStream(req request) (net.Conn, *gob.Decoder, response, error) {
+func (c *Client) startStream(req request) (frameReader, response, error) {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
-		return nil, nil, response{}, c.errClosed()
+		return frameReader{}, response{}, c.errClosed()
 	}
 	conn, err := net.DialTimeout("tcp", c.addr, c.timeout())
 	if err != nil {
-		return nil, nil, response{}, fmt.Errorf("wire: dial %s: %w", c.addr, err)
+		return frameReader{}, response{}, fmt.Errorf("wire: dial %s: %w", c.addr, err)
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		conn.Close()
-		return nil, nil, response{}, c.errClosed()
+		return frameReader{}, response{}, c.errClosed()
 	}
 	c.streams[conn] = struct{}{}
 	c.mu.Unlock()
-	fail := func(err error) (net.Conn, *gob.Decoder, response, error) {
+	fail := func(err error) (frameReader, response, error) {
 		c.unregisterStream(conn)
 		conn.Close()
-		return nil, nil, response{}, err
+		return frameReader{}, response{}, err
 	}
 	dec := gob.NewDecoder(conn)
 	conn.SetDeadline(time.Now().Add(c.timeout()))
@@ -826,7 +864,14 @@ func (c *Client) startStream(req request) (net.Conn, *gob.Decoder, response, err
 	if resp.Err != "" {
 		return fail(errors.New(resp.Err))
 	}
-	return conn, dec, resp, nil
+	hasHeader := resp.HasRel
+	if req.Kind == "queryopen" {
+		hasHeader = resp.HasPoly
+	}
+	if !hasHeader {
+		return fail(fmt.Errorf("wire: %s response carried no schema", req.Kind))
+	}
+	return frameReader{client: c, conn: conn, dec: dec, timeout: c.timeout()}, resp, nil
 }
 
 func (c *Client) unregisterStream(conn net.Conn) {
@@ -836,72 +881,93 @@ func (c *Client) unregisterStream(conn net.Conn) {
 }
 
 func (c *Client) openStream(req request) (rel.Cursor, error) {
-	conn, dec, resp, err := c.startStream(req)
+	r, resp, err := c.startStream(req)
 	if err != nil {
 		return nil, err
 	}
-	if !resp.HasRel {
-		c.unregisterStream(conn)
-		conn.Close()
-		return nil, fmt.Errorf("wire: open response carried no schema")
-	}
-	return &streamCursor{
-		client:  c,
-		conn:    conn,
-		dec:     dec,
-		schema:  rel.NewSchema(resp.Attrs...),
-		timeout: c.timeout(),
-	}, nil
+	return &streamCursor{frameReader: r, schema: rel.NewSchema(resp.Attrs...)}, nil
 }
 
-// streamCursor decodes the frames of one streamed result. It is a
-// rel.ColCursor: NextCol maps each frame onto column vectors with
-// O(columns) allocations and Next is the batch's cached row view.
-type streamCursor struct {
+// frameReader reads the frames of one stream off its dedicated connection.
+// Both stream cursors embed it; they differ only in how a frame's payload
+// decodes (readBatch's decode).
+type frameReader struct {
 	client  *Client
 	conn    net.Conn
 	dec     *gob.Decoder
-	schema  *rel.Schema
 	timeout time.Duration
 	done    bool
 	closed  bool
+	// diag is the record the Done frame carried (hasDiag once it arrived).
+	diag    federation.Report
+	hasDiag bool
+}
+
+// readBatch reads frames until one decodes to a non-empty batch, and
+// returns io.EOF once the Done frame arrives. A transport or decode
+// failure closes the stream.
+func readBatch[B interface{ Len() int }](r *frameReader, decode func(payload []byte) (B, error)) (B, error) {
+	var none B
+	if r.done || r.closed {
+		return none, io.EOF
+	}
+	for {
+		r.conn.SetReadDeadline(time.Now().Add(r.timeout))
+		var f frame
+		if err := r.dec.Decode(&f); err != nil {
+			return none, r.fail("receive frame", err)
+		}
+		switch {
+		case f.Err != "":
+			r.done = true
+			return none, errors.New(f.Err)
+		case f.Done:
+			r.done = true
+			r.diag, r.hasDiag = f.Diag, true
+			return none, io.EOF
+		case len(f.Bin) > 0:
+			b, err := decode(f.Bin)
+			if err != nil {
+				return none, r.fail("decode frame", err)
+			}
+			if b.Len() > 0 {
+				return b, nil
+			}
+		}
+	}
+}
+
+// fail ends the stream on a transport or decode failure.
+func (r *frameReader) fail(what string, err error) error {
+	r.done = true
+	r.Close()
+	return fmt.Errorf("wire: %s from %s: %w", what, r.client.addr, err)
+}
+
+func (r *frameReader) Close() error {
+	if r.closed {
+		return nil
+	}
+	r.closed = true
+	r.client.unregisterStream(r.conn)
+	return r.conn.Close()
+}
+
+// streamCursor decodes the frames of one "open"/"openplan" stream. It is a
+// rel.ColCursor: NextCol maps each frame onto column vectors with
+// O(columns) allocations and Next is the batch's cached row view.
+type streamCursor struct {
+	frameReader
+	schema *rel.Schema
 }
 
 func (sc *streamCursor) Schema() *rel.Schema { return sc.schema }
 
-// NextCol implements rel.ColCursor: it decodes frames until a non-empty
-// batch arrives.
+// NextCol implements rel.ColCursor.
 func (sc *streamCursor) NextCol() (*rel.ColBatch, error) {
-	if sc.done || sc.closed {
-		return nil, io.EOF
-	}
-	for {
-		sc.conn.SetReadDeadline(time.Now().Add(sc.timeout))
-		var f frame
-		if err := sc.dec.Decode(&f); err != nil {
-			sc.done = true
-			sc.Close()
-			return nil, fmt.Errorf("wire: receive frame from %s: %w", sc.client.addr, err)
-		}
-		switch {
-		case f.Err != "":
-			sc.done = true
-			return nil, errors.New(f.Err)
-		case f.Done:
-			sc.done = true
-			return nil, io.EOF
-		case len(f.Bin) > 0:
-			cb, err := decodeRelFrame(f.Bin, sc.schema)
-			if err != nil {
-				sc.done = true
-				sc.Close()
-				return nil, fmt.Errorf("wire: decode frame from %s: %w", sc.client.addr, err)
-			}
-			if cb.Len() > 0 {
-				return cb, nil
-			}
-		}
-	}
+	return readBatch(&sc.frameReader, func(payload []byte) (*rel.ColBatch, error) {
+		return rel.DecodeFrame(payload, sc.schema)
+	})
 }
 
 func (sc *streamCursor) Next() ([]rel.Tuple, error) {
@@ -910,17 +976,6 @@ func (sc *streamCursor) Next() ([]rel.Tuple, error) {
 		return nil, err
 	}
 	return cb.Rows(), nil
-}
-
-func (sc *streamCursor) Close() error {
-	if sc.closed {
-		return nil
-	}
-	sc.closed = true
-	if sc.client != nil {
-		sc.client.unregisterStream(sc.conn)
-	}
-	return sc.conn.Close()
 }
 
 // Close tears down the pool and every in-flight stream. Round trips and

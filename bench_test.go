@@ -1292,12 +1292,9 @@ func BenchmarkShardPrunedRetrieve(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// B-STORE (durability): the write-ahead segment log and the memory-budgeted
-// spill path. Replay throughput bounds restart time, the append sweep is
-// what logging (and each fsync policy) costs per acknowledged write against
-// the bare in-memory catalog, and the spill join is what grace-spilling a
-// hash build to checksummed temp segments costs against the all-in-memory
-// build it must match cell-for-cell.
+// B-STORE (durability): the write-ahead segment log. Replay throughput
+// bounds restart time, and the append sweep is what logging (and each fsync
+// policy) costs per acknowledged write against the bare in-memory catalog.
 
 func storeBenchRow(i int) rel.Tuple {
 	return rel.Tuple{
@@ -1397,57 +1394,6 @@ func BenchmarkStoreAppend(b *testing.B) {
 				if err := st.Insert("R", storeBenchRow(i)); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkSpillJoin (B-STORE): the B-KEY join fixture under a memory
-// budget. engine=mem is the unbudgeted in-memory build; engine=hybrid
-// spills the overflow partitions and probes the resident ones in memory;
-// engine=spill forces essentially every build partition through a temp
-// segment and back. The answers are cell- and tag-identical across all
-// three — this sweep prices the disk round-trip.
-func BenchmarkSpillJoin(b *testing.B) {
-	n := 100000
-	if testing.Short() {
-		n = 20000
-	}
-	p1, p2 := keyAblationInput(100, n)
-	modes := []struct {
-		name   string
-		budget int64
-	}{
-		{"mem", 0},
-		// The build side runs ~200B/tuple through the byte estimator, so
-		// half that keeps roughly half the partitions resident.
-		{"hybrid", int64(n) * 100},
-		{"spill", 64 << 10},
-	}
-	for _, m := range modes {
-		alg := core.NewAlgebra(nil)
-		var mem *core.Memory
-		if m.budget > 0 {
-			mem = &core.Memory{Budget: m.budget, TempDir: b.TempDir()}
-			alg.SetMemory(mem)
-		}
-		b.Run(fmt.Sprintf("engine=%s/n=%d", m.name, n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cur, err := alg.StreamJoin(core.CursorOf(p1), "KEY", rel.ThetaEQ, core.CursorOf(p2), "KEY")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := core.Drain(cur); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if mem != nil && mem.Spills.Load() == 0 {
-				b.Fatalf("engine=%s never spilled: the budget is mislabeling an in-memory run", m.name)
-			}
-			if mem != nil {
-				b.ReportMetric(float64(mem.SpilledRows.Load())/float64(b.N), "spilled-rows/op")
 			}
 		})
 	}

@@ -70,8 +70,7 @@ func main() {
 	noOptimize := flag.Bool("no-optimize", false, "disable the cost-based query optimizer")
 	relaxed := flag.Bool("relaxed-reorder", false, "permit tag-relaxed join reordering (see translate.Options)")
 	collect := flag.Bool("collect-stats", true, "probe LQP statistics at startup to seed the optimizer")
-	memBudget := flag.String("mem-budget", "", `per-query memory budget for blocking hash operators, e.g. "64M" or "1G" (K/M/G suffixes; empty disables): partitions past the budget grace-spill to checksummed temp segments and are processed from disk`)
-	spillDir := flag.String("spill-dir", "", "directory for -mem-budget spill segments (empty = the OS temp dir)")
+	memBudget := flag.String("mem-budget", "", `per-operator cap on blocking hash state, e.g. "64M" or "1G" (K/M/G suffixes; empty disables); a query past it fails`)
 	maxSessions := flag.Int("max-sessions", 0, "session table bound (0 = default)")
 	sessionIdle := flag.Duration("session-idle", 0, "idle session expiry (0 = default 1h)")
 	writeTimeout := flag.Duration("write-timeout", wire.DefaultTimeout, "per-message write deadline (a client that stops reading is dropped)")
@@ -187,7 +186,7 @@ func main() {
 		if err != nil {
 			fatal("bad -mem-budget: %v", err)
 		}
-		processor.SetMemoryBudget(budget, *spillDir)
+		processor.SetMemoryBudget(budget)
 	}
 	if *cacheSize > 0 {
 		processor.Plans = translate.NewPlanCache(*cacheSize)

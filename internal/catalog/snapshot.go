@@ -117,7 +117,7 @@ func ReadSnapshot(r io.Reader) (*Database, error) {
 		return nil, &segment.CorruptError{Path: "snapshot", Offset: int64(n), Reason: "torn header"}
 	}
 	if hdr[6] != snapshotVersion {
-		return nil, fmt.Errorf("catalog: snapshot version %d not supported (want %d)", hdr[6], snapshotVersion)
+		return nil, &segment.CorruptError{Path: "snapshot", Offset: 6, Reason: fmt.Sprintf("snapshot version %d not supported (want %d)", hdr[6], snapshotVersion)}
 	}
 	length := binary.LittleEndian.Uint64(hdr[7:15])
 	want := binary.LittleEndian.Uint32(hdr[15:19])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -149,8 +150,13 @@ func TestSnapshotWrongVersion(t *testing.T) {
 	db := snapshotDB()
 	data, _ := db.EncodeSnapshot()
 	data[6] = 99
-	if _, err := ReadSnapshot(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("want version error, got %v", err)
+	_, err := ReadSnapshot(bytes.NewReader(data))
+	var ce *segment.CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want CorruptError, got %v", err)
+	}
+	if ce.Offset != 6 || !strings.Contains(ce.Reason, "version 99") || !strings.Contains(ce.Reason, fmt.Sprintf("want %d", snapshotVersion)) {
+		t.Fatalf("want version error at offset 6 naming 99 and %d, got %v", snapshotVersion, err)
 	}
 }
 

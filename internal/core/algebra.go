@@ -17,9 +17,8 @@ type Algebra struct {
 	conflict ConflictHandler
 	exact    bool
 	// mem, when non-nil with a positive budget, bounds the blocking state
-	// of the streaming hash operators: partitions past the budget
-	// grace-spill to checksummed temp segments and are processed from disk
-	// (spill.go).
+	// of the streaming hash operators: a build past it fails with
+	// ErrOverBudget (budget.go).
 	mem *Memory
 }
 

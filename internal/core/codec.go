@@ -2,9 +2,8 @@ package core
 
 // This file implements the tagged half of the binary columnar codec: a plain
 // rel frame (see rel/codec.go) extended with the source-tag machinery a
-// core.ColBatch carries. The wire protocol sends these as "queryopen" stream
-// frames; the spill layer (core/spill.go) writes them into checksummed temp
-// segments so a partition re-probed from disk keeps its provenance tags.
+// core.ColBatch carries. The wire protocol sends the mediator's answers as
+// these frames, so a result keeps its provenance tags across the hop.
 //
 //	+-------+--------+--------+---------+--------+---------------- ... ----+
 //	| 0xC2  | ncols  | nrows  | sources | sets   | tagged col 0 | ...      |
@@ -121,25 +120,26 @@ func DecodeFrame(payload []byte, name string, attrs []Attr, reg *sourceset.Regis
 		return nil, err
 	}
 
-	// Source directory: each name costs at least its length prefix.
+	// Source directory: each name costs at least its length prefix. The
+	// names are interned into reg only once the whole frame has decoded, so
+	// a corrupt frame leaves a long-lived registry untouched.
 	nsources, err := r.Length(r.Remaining())
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]sourceset.ID, nsources)
-	for i := range ids {
+	names := make([][]byte, nsources)
+	for i := range names {
 		l, err := r.Length(r.Remaining())
 		if err != nil {
 			return nil, err
 		}
-		nb, err := r.Take(l)
-		if err != nil {
+		if names[i], err = r.Take(l); err != nil {
 			return nil, err
 		}
-		ids[i] = reg.Intern(string(nb))
 	}
 
-	// Set directory: each set costs at least its member-count varint.
+	// Set directory: each set costs at least its member-count varint, and
+	// set 0 is the empty set. Members stay directory indexes until interning.
 	nsets, err := r.Length(r.Remaining())
 	if err != nil {
 		return nil, err
@@ -147,24 +147,27 @@ func DecodeFrame(payload []byte, name string, attrs []Attr, reg *sourceset.Regis
 	if nsets < 1 {
 		return nil, fmt.Errorf("core: frame has an empty set directory")
 	}
-	sets := make([]sourceset.Set, nsets)
-	for i := range sets {
-		members, err := r.Length(r.Remaining())
+	members := make([]uint64, 0, nsets) // every set's source indexes, in order
+	ends := make([]int, nsets)          // set i is members[ends[i-1]:ends[i]]
+	for i := range ends {
+		nm, err := r.Length(r.Remaining())
 		if err != nil {
 			return nil, err
 		}
-		var s sourceset.Set
-		for m := 0; m < members; m++ {
+		if i == 0 && nm != 0 {
+			return nil, fmt.Errorf("core: frame's set 0 has %d members, want the empty set", nm)
+		}
+		for m := 0; m < nm; m++ {
 			si, err := r.Uvarint()
 			if err != nil {
 				return nil, err
 			}
-			if si >= uint64(len(ids)) {
-				return nil, fmt.Errorf("core: frame source index %d outside directory of %d", si, len(ids))
+			if si >= uint64(len(names)) {
+				return nil, fmt.Errorf("core: frame source index %d outside directory of %d", si, len(names))
 			}
-			s = s.With(ids[si])
+			members = append(members, si)
 		}
-		sets[i] = s
+		ends[i] = len(members)
 	}
 
 	data := make([]rel.Column, ncols)
@@ -183,6 +186,19 @@ func DecodeFrame(payload []byte, name string, attrs []Attr, reg *sourceset.Regis
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("core: frame has %d trailing bytes", r.Remaining())
+	}
+
+	ids := make([]sourceset.ID, len(names))
+	for i, nb := range names {
+		ids[i] = reg.Intern(string(nb))
+	}
+	sets := make([]sourceset.Set, nsets)
+	start := 0
+	for i, end := range ends {
+		for _, si := range members[start:end] {
+			sets[i] = sets[i].With(ids[si])
+		}
+		start = end
 	}
 	return BuildColBatch(name, reg, attrs, data, otag, itag, sets, nrows)
 }

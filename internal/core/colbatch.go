@@ -15,8 +15,8 @@ import (
 // touches a handful of distinct tag sets, repeated across hundreds of
 // thousands of cells, so each cell's two tags cost eight bytes instead of
 // two 32-byte Set headers. The batch is a frame format, not an execution
-// form: it carries the mediator's queryopen stream and the spill segments,
-// and every operator runs over the row view (Rows).
+// form: it carries the mediator's queryopen stream and unary answers, and
+// every operator runs over the row view (Rows).
 
 // ColBatch is a column-major polygen batch: one data vector plus two tag
 // index columns per attribute, all rows the same length.

@@ -10,9 +10,9 @@ import (
 	"repro/internal/sourceset"
 )
 
-// ColBatch is the tagged frame format of the mediator's queryopen stream and
-// of spill segments: a relation must survive the trip through it tag for
-// tag, and the columnar cursor capability must cut batches correctly.
+// ColBatch is the tagged frame format of the mediator's answers: a relation
+// must survive the trip through it tag for tag, and the columnar cursor
+// capability must cut batches correctly.
 
 // cellsSame compares rows datum-identically (all NaNs are one datum — the
 // engine's identity notion; Value.Equal would make NaN rows incomparable)

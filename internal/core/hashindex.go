@@ -29,16 +29,9 @@ func (ix dataIndex) add(h uint64, pos int) { ix.Add(h, pos) }
 // whose data portion is already present merges its tag sets into the
 // existing tuple cell by cell (paper §II, Project/Union); a new data
 // portion is appended as an arena row. It is the one dedup kernel of
-// Project, Union and Intersect.
-func dedupInsert(out *Relation, ix dataIndex, t Tuple) {
-	dedupInsertHashed(out, ix, t, t.DataHash64())
-}
-
-// dedupInsertHashed is dedupInsert with the data hash already computed (the
-// spilling dedup hashes once to route a tuple to its partition and reuses
-// the hash for the partition-local dedup). It reports whether t's data
-// portion was new — i.e. whether a row was appended.
-func dedupInsertHashed(out *Relation, ix dataIndex, t Tuple, h uint64) bool {
+// Project, Union and Intersect, and reports whether a row was appended.
+func dedupInsert(out *Relation, ix dataIndex, t Tuple) bool {
+	h := t.DataHash64()
 	if at, dup := ix.find(out.Tuples, t, h); dup {
 		existing := out.Tuples[at]
 		for i := range existing {

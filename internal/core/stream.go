@@ -23,6 +23,9 @@ import (
 //     tag sets into already-accepted tuples (paper §II), so no tuple's tags
 //     are final until all input has been seen. Their memory is bounded by
 //     the deduplicated output, not by the inputs.
+//   - Under a Memory budget (budget.go), Project, Union, Difference and the
+//     equi-Join charge every row their build or dedup table keeps and fail
+//     with ErrOverBudget past it.
 //   - Merge is a pipeline breaker: a key's merged row is final only once
 //     every fragment has been seen, so the operands are materialized, merged
 //     in one keyed pass and the result is streamed out.
@@ -160,9 +163,10 @@ func (c *deferredStream) Close() error {
 // cannot observe half-built state.
 type probeStream struct {
 	header
-	l, r  Cursor
-	built bool
-	err   error
+	l, r   Cursor
+	built  bool
+	closed bool // both operands closed
+	err    error
 }
 
 // fail latches err and returns it.
@@ -171,8 +175,20 @@ func (c *probeStream) fail(err error) ([]Tuple, error) {
 	return nil, err
 }
 
+// failBuild latches a build failure and closes the probe side too, so a
+// refused build releases both operands at once (the build closed r).
+func (c *probeStream) failBuild(err error) ([]Tuple, error) {
+	c.closed = true
+	c.l.Close()
+	return c.fail(err)
+}
+
 func (c *probeStream) Close() error {
 	c.err = io.EOF
+	if c.closed {
+		return nil
+	}
+	c.closed = true
 	err := c.l.Close()
 	if !c.built {
 		c.built = true
@@ -200,29 +216,14 @@ func (a *Algebra) StreamProject(in Cursor, attrs []string) (Cursor, error) {
 	}
 	reg := in.Registry()
 	build := func() (*Relation, error) {
-		if mem := a.memActive(); mem != nil {
-			d := newDedupSpill(mem, outAttrs, reg)
-			defer d.release()
-			scratch := make(Tuple, len(idx))
-			err := consumeErr(in, func(t Tuple) error {
-				for i, ci := range idx {
-					scratch[i] = t[ci]
-				}
-				return d.add(scratch)
-			})
-			if err != nil {
-				return nil, err
-			}
-			return d.result()
-		}
 		out := NewRelation("", reg, outAttrs...)
 		ix := newDataIndex(rel.DefaultBatchSize)
 		scratch := make(Tuple, len(idx))
-		err := consume(in, func(t Tuple) {
+		err := consume(in, a.budget("project"), func(t Tuple) bool {
 			for i, ci := range idx {
 				scratch[i] = t[ci]
 			}
-			dedupInsert(out, ix, scratch)
+			return dedupInsert(out, ix, scratch)
 		})
 		if err != nil {
 			return nil, err
@@ -247,25 +248,15 @@ func (a *Algebra) StreamUnion(l, r Cursor) (Cursor, error) {
 	attrs := l.Attrs()
 	reg := l.Registry()
 	build := func() (*Relation, error) {
-		if mem := a.memActive(); mem != nil {
-			d := newDedupSpill(mem, attrs, reg)
-			defer d.release()
-			if err := consumeErr(l, d.add); err != nil {
-				r.Close()
-				return nil, err
-			}
-			if err := consumeErr(r, d.add); err != nil {
-				return nil, err
-			}
-			return d.result()
-		}
 		out := NewRelation("", reg, attrs...)
 		ix := newDataIndex(rel.DefaultBatchSize)
-		if err := consume(l, func(t Tuple) { dedupInsert(out, ix, t) }); err != nil {
+		insert := func(t Tuple) bool { return dedupInsert(out, ix, t) }
+		b := a.budget("union")
+		if err := consume(l, b, insert); err != nil {
 			r.Close()
 			return nil, err
 		}
-		if err := consume(r, func(t Tuple) { dedupInsert(out, ix, t) }); err != nil {
+		if err := consume(r, b, insert); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -302,7 +293,7 @@ func (a *Algebra) StreamIntersect(l, r Cursor) (Cursor, error) {
 		out := NewRelation("", reg, attrs...)
 		pos := newDataIndex(rel.DefaultBatchSize)
 		scratch := make(Tuple, 0, degree)
-		err = consume(l, func(t Tuple) {
+		err = consume(l, nil, func(t Tuple) bool {
 			h := t.DataHash64()
 			matched := false
 			row := scratch[:len(t)]
@@ -321,10 +312,7 @@ func (a *Algebra) StreamIntersect(l, r Cursor) (Cursor, error) {
 				}
 				return true
 			})
-			if !matched {
-				return
-			}
-			dedupInsert(out, pos, row)
+			return matched && dedupInsert(out, pos, row)
 		})
 		if err != nil {
 			return nil, err
@@ -346,16 +334,10 @@ type differenceStream struct {
 	probeStream
 	a    *Algebra
 	out  *Relation
-	drop func(t Tuple, h uint64) bool
+	p2   []Tuple   // the drained drop side
+	drop dataIndex // p2 by data hash
 	p2o  sourceset.Set
 	seen dataIndex
-	// spill, when non-nil, is the budgeted build: the drop side partitioned
-	// by data hash with overflow partitions on disk (spill.go). Probe rows
-	// hashing to a spilled partition are deferred to probes and anti-joined
-	// partition-locally once the probe side is exhausted.
-	spill     *spillParts
-	probes    []*spillFile
-	spillDone bool
 }
 
 // StreamDifference is the streaming Difference primitive.
@@ -382,57 +364,26 @@ func (c *differenceStream) Next() ([]Tuple, error) {
 	}
 	if !c.built {
 		c.built = true
-		if mem := c.a.memActive(); mem != nil {
-			if err := c.buildSpilled(mem); err != nil {
-				return c.fail(err)
-			}
-			return c.probe()
-		}
-		p2, err := Drain(c.r)
+		p2, err := buildSide(c.r, c.a.budget("difference"))
 		if err != nil {
-			return c.fail(err)
+			return c.failBuild(err)
 		}
-		ix := newDataIndex(len(p2.Tuples))
+		c.p2 = p2.Tuples
+		c.drop = newDataIndex(len(p2.Tuples))
 		for i, t := range p2.Tuples {
-			ix.add(t.DataHash64(), i)
-		}
-		c.drop = func(t Tuple, h uint64) bool {
-			_, gone := ix.find(p2.Tuples, t, h)
-			return gone
+			c.drop.add(t.DataHash64(), i)
 		}
 		c.p2o = p2.OriginUnion()
 	}
-	return c.probe()
-}
-
-// probe streams the left operand through the drop index, deferring rows
-// that hash to spilled partitions, and finishes with the disk phase.
-func (c *differenceStream) probe() ([]Tuple, error) {
 	for {
 		batch, err := c.l.Next()
 		if err != nil {
-			if err == io.EOF && c.spill != nil && !c.spillDone {
-				rows, derr := c.drainSpilled()
-				if derr != nil {
-					return c.fail(derr)
-				}
-				if len(rows) > 0 {
-					c.err = io.EOF
-					return rows, nil
-				}
-			}
 			return c.fail(err)
 		}
 		start := len(c.out.Tuples)
 		for _, t := range batch {
 			h := t.DataHash64()
-			if c.spill != nil && c.spill.spilled(rel.PartitionOf(h, c.spill.parts())) {
-				if err := c.deferProbe(t, h); err != nil {
-					return c.fail(err)
-				}
-				continue
-			}
-			if c.drop(t, h) {
+			if _, gone := c.drop.find(c.p2, t, h); gone {
 				continue
 			}
 			if _, dup := c.seen.find(c.out.Tuples, t, h); dup {
@@ -449,107 +400,6 @@ func (c *differenceStream) probe() ([]Tuple, error) {
 			return c.out.Tuples[start:len(c.out.Tuples):len(c.out.Tuples)], nil
 		}
 	}
-}
-
-// buildSpilled drains the drop side into a budget-bounded partition set,
-// accumulating the p2(o) intermediate union as it goes (exact regardless of
-// which partitions stay resident), then indexes the resident rows.
-func (c *differenceStream) buildSpilled(mem *Memory) error {
-	sp := newSpillParts(mem, c.r.Name(), c.r.Attrs(), c.r.Registry())
-	err := consumeErr(c.r, func(t Tuple) error {
-		c.p2o = c.p2o.Union(t.OriginUnion())
-		return sp.add(rel.PartitionOf(t.DataHash64(), sp.parts()), t)
-	})
-	if err != nil {
-		sp.release()
-		return err
-	}
-	memT := sp.memTuples()
-	ix := newDataIndex(len(memT))
-	for i, t := range memT {
-		ix.add(t.DataHash64(), i)
-	}
-	c.drop = func(t Tuple, h uint64) bool {
-		_, gone := ix.find(memT, t, h)
-		return gone
-	}
-	if sp.anySpilled() {
-		c.spill = sp
-		c.probes = make([]*spillFile, sp.parts())
-	} else {
-		sp.release()
-	}
-	return nil
-}
-
-// deferProbe routes a probe row whose data hash lands in a spilled drop
-// partition to that partition's probe file. Its duplicates co-partition, so
-// skipping the global seen dedup here cannot double-emit.
-func (c *differenceStream) deferProbe(t Tuple, h uint64) error {
-	p := rel.PartitionOf(h, c.spill.parts())
-	if c.probes[p] == nil {
-		f, err := newSpillFile(c.spill.mem, "", c.attrs, c.reg)
-		if err != nil {
-			return err
-		}
-		c.probes[p] = f
-	}
-	return c.probes[p].add(t)
-}
-
-// drainSpilled runs the disk phase: each spilled drop partition is reloaded
-// and its deferred probe rows anti-joined against it, survivors emitted
-// with the (already complete) p2(o) union in their intermediate sets.
-func (c *differenceStream) drainSpilled() ([]Tuple, error) {
-	c.spillDone = true
-	start := len(c.out.Tuples)
-	for p := 0; p < c.spill.parts(); p++ {
-		pf := c.probes[p]
-		if pf == nil {
-			continue // no probe rows hashed here: nothing can survive
-		}
-		drops, err := c.spill.files[p].load()
-		if err != nil {
-			return nil, err
-		}
-		ix := newDataIndex(len(drops))
-		for i, t := range drops {
-			ix.add(t.DataHash64(), i)
-		}
-		probe, err := pf.load()
-		if err != nil {
-			return nil, err
-		}
-		pf.discard()
-		c.probes[p] = nil
-		for _, t := range probe {
-			h := t.DataHash64()
-			if _, gone := ix.find(drops, t, h); gone {
-				continue
-			}
-			if _, dup := c.seen.find(c.out.Tuples, t, h); dup {
-				continue
-			}
-			row := c.out.NewRow(len(t))
-			for i, cell := range t {
-				row[i] = cell.WithIntermediate(c.p2o)
-			}
-			c.seen.add(h, len(c.out.Tuples))
-			c.out.Tuples = append(c.out.Tuples, row)
-		}
-	}
-	c.spill.release()
-	return c.out.Tuples[start:len(c.out.Tuples):len(c.out.Tuples)], nil
-}
-
-// Close releases any spill segments still on disk.
-func (c *differenceStream) Close() error {
-	c.spill.release()
-	for _, f := range c.probes {
-		f.discard()
-	}
-	c.probes = nil
-	return c.probeStream.Close()
 }
 
 // joinStream is the streaming hash Join for θ = "=": the right operand is
@@ -569,16 +419,6 @@ type joinStream struct {
 	li       int     // current left tuple within cur
 	matches  []int32 // pending build-side matches of cur[li]
 	mi       int     // next match to emit
-	// bspill, when non-nil, is the hybrid-hash state (spill.go): the build
-	// side partitioned by canonical key ID with overflow partitions on
-	// disk. Resident partitions are indexed in index/p2 and probed in
-	// stream; probe rows keyed into spilled partitions are deferred to
-	// probes and joined partition-at-a-time once the left is exhausted
-	// (leftDone), p2/index swapping to each reloaded partition in turn.
-	bspill   *spillParts
-	probes   []*spillFile
-	leftDone bool
-	nextPart int
 }
 
 // StreamJoin is the streaming derived Join operator p1[x θ y]p2. For θ = "="
@@ -639,18 +479,12 @@ func (c *joinStream) Next() ([]Tuple, error) {
 	}
 	if !c.built {
 		c.built = true
-		if mem := c.a.memActive(); mem != nil {
-			if err := c.buildSpilled(mem); err != nil {
-				return c.fail(err)
-			}
-		} else {
-			p2, err := Drain(c.r)
-			if err != nil {
-				return c.fail(err)
-			}
-			c.p2 = p2
-			c.index = newIDIndex(c.a.Resolver(), p2.Tuples, c.yi)
+		p2, err := buildSide(c.r, c.a.budget("join"))
+		if err != nil {
+			return c.failBuild(err)
 		}
+		c.p2 = p2
+		c.index = newIDIndex(c.a.Resolver(), p2.Tuples, c.yi)
 	}
 	res := c.a.Resolver()
 	rows := make([]Tuple, 0, rel.DefaultBatchSize)
@@ -667,7 +501,7 @@ func (c *joinStream) Next() ([]Tuple, error) {
 		// (tolerating empty batches, though cursors do not produce them).
 		c.li++
 		for c.li >= len(c.cur) {
-			batch, err := c.nextProbe()
+			batch, err := c.l.Next()
 			if err != nil {
 				if err == io.EOF && len(rows) > 0 {
 					c.err = io.EOF
@@ -680,115 +514,9 @@ func (c *joinStream) Next() ([]Tuple, error) {
 		t1 := c.cur[c.li]
 		c.matches, c.mi = nil, 0
 		if !t1[c.xi].D.IsNull() {
-			id := res.CanonicalID(t1[c.xi].D)
-			if c.bspill != nil && !c.leftDone {
-				if p := idPartOf(id, c.bspill.parts()); c.bspill.spilled(p) {
-					if err := c.deferProbe(p, t1); err != nil {
-						return c.fail(err)
-					}
-					continue
-				}
-			}
-			c.matches = c.index.lookup(id)
+			c.matches = c.index.lookup(res.CanonicalID(t1[c.xi].D))
 		}
 	}
-}
-
-// buildSpilled drains the build side into a budget-bounded partition set
-// keyed by canonical join-key ID (null keys, which can never match, ride in
-// partition 0), then indexes the resident rows. If nothing overflowed, the
-// result is the plain in-memory hash join over exactly the drained rows.
-func (c *joinStream) buildSpilled(mem *Memory) error {
-	res := c.a.Resolver()
-	name, attrs, reg := c.r.Name(), c.r.Attrs(), c.r.Registry()
-	sp := newSpillParts(mem, name, attrs, reg)
-	err := consumeErr(c.r, func(t Tuple) error {
-		p := 0
-		if !t[c.yi].D.IsNull() {
-			p = idPartOf(res.CanonicalID(t[c.yi].D), sp.parts())
-		}
-		return sp.add(p, t)
-	})
-	if err != nil {
-		sp.release()
-		return err
-	}
-	memT := sp.memTuples()
-	c.p2 = NewRelation(name, reg, attrs...)
-	c.p2.Tuples = memT
-	c.index = newIDIndex(res, memT, c.yi)
-	if sp.anySpilled() {
-		c.bspill = sp
-		c.probes = make([]*spillFile, sp.parts())
-	} else {
-		sp.release()
-	}
-	return nil
-}
-
-// deferProbe routes a probe row whose key lands in a spilled build
-// partition to that partition's probe file.
-func (c *joinStream) deferProbe(p int, t Tuple) error {
-	if c.probes[p] == nil {
-		f, err := newSpillFile(c.bspill.mem, c.l.Name(), c.l.Attrs(), c.reg)
-		if err != nil {
-			return err
-		}
-		c.probes[p] = f
-	}
-	return c.probes[p].add(t)
-}
-
-// nextProbe returns the next probe batch: left batches while the left
-// lasts, then — in hybrid mode — each spilled partition's deferred probe
-// rows, with p2 and the index swapped to that partition's reloaded build
-// rows first (safe at a batch boundary: all prior matches are emitted).
-func (c *joinStream) nextProbe() ([]Tuple, error) {
-	if !c.leftDone {
-		batch, err := c.l.Next()
-		if err != io.EOF || c.bspill == nil {
-			return batch, err
-		}
-		c.leftDone = true
-	}
-	res := c.a.Resolver()
-	for c.nextPart < c.bspill.parts() {
-		p := c.nextPart
-		c.nextPart++
-		pf := c.probes[p]
-		if pf == nil {
-			continue // no probe rows keyed into this partition
-		}
-		build, err := c.bspill.files[p].load()
-		if err != nil {
-			return nil, err
-		}
-		c.bspill.files[p].discard()
-		c.bspill.files[p] = nil
-		probe, err := pf.load()
-		if err != nil {
-			return nil, err
-		}
-		pf.discard()
-		c.probes[p] = nil
-		if len(probe) == 0 {
-			continue
-		}
-		c.p2.Tuples = build
-		c.index = newIDIndex(res, build, c.yi)
-		return probe, nil
-	}
-	return nil, io.EOF
-}
-
-// Close releases any spill segments still on disk.
-func (c *joinStream) Close() error {
-	c.bspill.release()
-	for _, f := range c.probes {
-		f.discard()
-	}
-	c.probes = nil
-	return c.probeStream.Close()
 }
 
 // productStream is the streaming Cartesian Product: the right operand is
@@ -886,8 +614,11 @@ func (a *Algebra) StreamMerge(scheme *Scheme, ins ...Cursor) (Cursor, error) {
 }
 
 // consume pulls every tuple of c through fn and closes c. It is the input
-// loop of the semi-blocking operators.
-func consume(c Cursor, fn func(Tuple)) error {
+// loop of the blocking builds: fn reports whether t became resident state
+// (a build row, or a new dedup entry), and each resident row is charged
+// against b. Past the budget consume closes c and returns ErrOverBudget; a
+// nil b charges nothing.
+func consume(c Cursor, b *budget, fn func(Tuple) bool) error {
 	for {
 		batch, err := c.Next()
 		if err == io.EOF {
@@ -898,7 +629,29 @@ func consume(c Cursor, fn func(Tuple)) error {
 			return err
 		}
 		for _, t := range batch {
-			fn(t)
+			if fn(t) && b != nil {
+				if err := b.charge(t); err != nil {
+					c.Close()
+					return err
+				}
+			}
 		}
 	}
+}
+
+// buildSide drains the build operand of a Join or Difference, charging
+// every row against b; with no budget it is Drain.
+func buildSide(c Cursor, b *budget) (*Relation, error) {
+	if b == nil {
+		return Drain(c)
+	}
+	p := NewRelation(c.Name(), c.Registry(), c.Attrs()...)
+	err := consume(c, b, func(t Tuple) bool {
+		p.Tuples = append(p.Tuples, t)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }

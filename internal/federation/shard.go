@@ -12,8 +12,8 @@ package federation
 // same map the lqpd shards were sliced with — so the shard hash is FNV-1a
 // over Value.Key(), the canonical, normalized rendering of a datum
 // (-0 folds into 0, every kind is prefixed). rel.Seed cannot serve here: it
-// is deliberately per-process. The hash feeds rel.PartitionOf, the same
-// multiply-shift range reduction the engine's spill partitions use.
+// is deliberately per-process. The hash feeds rel.PartitionOf's
+// multiply-shift range reduction.
 //
 // Gather is shard-major: shard 0's rows, then shard 1's, each leg prefetched
 // on its own goroutine so all shards stream concurrently under a bounded

@@ -129,23 +129,22 @@ func New(schema *core.Schema, reg *sourceset.Registry, resolver identity.Resolve
 	}
 }
 
-// SetMemoryBudget bounds the blocking tuple state of every hash operator
-// run by this PQP: past budget bytes, overflow partitions grace-spill to
-// checksummed temp segments under tempDir ("" = the OS temp dir) and are
-// processed from disk, so a query's working set no longer has to fit in
-// memory (core/spill.go). budget <= 0 removes the bound. Like the flag
-// fields, this is wiring-time configuration: call it before the PQP is
-// shared across goroutines.
-func (q *PQP) SetMemoryBudget(budget int64, tempDir string) {
+// SetMemoryBudget caps, per operator, the blocking tuple state of the hash
+// operators this PQP runs (Project, Union, Difference and the equi-Join
+// build): an operator whose resident state passes budget bytes refuses, and
+// its query fails with core.ErrOverBudget. Nothing spills to disk. budget
+// <= 0 removes the bound. Like the flag fields, this is wiring-time
+// configuration: call it before the PQP is shared across goroutines.
+func (q *PQP) SetMemoryBudget(budget int64) {
 	if budget <= 0 {
 		q.alg.SetMemory(nil)
 		return
 	}
-	q.alg.SetMemory(&core.Memory{Budget: budget, TempDir: tempDir})
+	q.alg.SetMemory(&core.Memory{Budget: budget})
 }
 
-// MemoryConfig returns the PQP's spill budget, nil if none — the
-// observability layer reads its counters into V$MEM and /metrics.
+// MemoryConfig returns the PQP's memory budget, nil if none — the
+// observability layer reads its refusal counter into V$MEM and /metrics.
 func (q *PQP) MemoryConfig() *core.Memory { return q.alg.Memory() }
 
 // nextPQPID hands out process-unique planner IDs.

@@ -204,10 +204,9 @@ func (ix BucketIndex) ForEach(h uint64, fn func(pos int) bool) {
 // multiply-shift range reduction over the hash's high 32 bits, so the hash
 // space splits into parts contiguous disjoint ranges for any partition
 // count — powers of two are not required. Equal hashes always land in the
-// same partition, which is what lets the spilling hash operators process
-// one partition at a time and the federation layer route a key to one
-// shard: every tuple that could collide, deduplicate or join with another
-// shares its partition.
+// same partition, which is what lets the federation layer route a key to
+// one shard: every tuple that could collide, deduplicate or join with
+// another shares its shard.
 func PartitionOf(h uint64, parts int) int {
 	if parts <= 1 {
 		return 0

@@ -76,7 +76,7 @@ func TestTupleHash64Quick(t *testing.T) {
 }
 
 // TestPartitionOf: partitions are in range, deterministic, and — for the
-// spill partitions' co-location invariant — a function of the hash alone,
+// shard routing's co-location invariant — a function of the hash alone,
 // including at non-power-of-two counts.
 func TestPartitionOf(t *testing.T) {
 	for _, parts := range []int{1, 2, 3, 7, 16, 64} {

@@ -1,9 +1,8 @@
 // Package segment implements the checksummed record framing shared by every
 // on-disk artifact of the persistence layer: the write-ahead segment log of
-// internal/store, the spill files of the budgeted hash operators
-// (core/spill.go), and — via the atomic-write helpers — the catalog snapshot
-// files. It is a leaf package (stdlib only), so both the storage layer and
-// the execution core can depend on it without import cycles.
+// internal/store and — via the atomic-write helpers — the catalog snapshot
+// files. It is a leaf package (stdlib only), so every layer can depend on it
+// without import cycles.
 //
 // A segment is a flat append-only sequence of records:
 //
@@ -150,7 +149,7 @@ func (w *Writer) Sync() error {
 }
 
 // Flush flushes buffered records to the OS without fsync — enough for a
-// reader in the same process (spill files), not for crash durability.
+// reader in the same process, not for crash durability.
 func (w *Writer) Flush() error {
 	if w.err != nil {
 		return w.err

@@ -191,10 +191,7 @@ func (v *Tables) writeMetrics(b *strings.Builder) {
 	}
 
 	if m := s.Memory; m != nil && m.Budget > 0 {
-		gauge(b, "polygen_spill_budget_bytes", "Memory budget above which hash operators spill partitions to disk.", num(m.Budget))
-		counter(b, "polygen_spill_partitions_total", "Operator partitions grace-spilled to temp segments.", num(m.Spills.Load()))
-		counter(b, "polygen_spill_rows_total", "Tuples written to spill segments.", num(m.SpilledRows.Load()))
-		counter(b, "polygen_spill_bytes_total", "Framed bytes written to spill segments.", num(m.SpilledBytes.Load()))
-		counter(b, "polygen_spill_reloads_total", "Spilled partition files read back for processing.", num(m.Reloads.Load()))
+		gauge(b, "polygen_mem_budget_bytes", "Per-operator cap on blocking hash state; a query past it fails.", num(m.Budget))
+		counter(b, "polygen_mem_refused_total", "Operator builds refused for passing the memory budget.", num(m.Refused.Load()))
 	}
 }

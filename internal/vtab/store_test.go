@@ -12,7 +12,7 @@ import (
 	"repro/internal/store"
 )
 
-// TestStoreAndMemTables binds a live durable store and a spill budget and
+// TestStoreAndMemTables binds a live durable store and a memory budget and
 // proves V$STORE / V$MEM and the matching /metrics families observe them.
 func TestStoreAndMemTables(t *testing.T) {
 	seed := catalog.NewDatabase("DUR")
@@ -25,9 +25,8 @@ func TestStoreAndMemTables(t *testing.T) {
 	if err := st.Insert("R", rel.Tuple{rel.String("a"), rel.String("1")}); err != nil {
 		t.Fatal(err)
 	}
-	mem := &core.Memory{Budget: 1 << 20, Partitions: 8}
-	mem.Spills.Add(3)
-	mem.SpilledRows.Add(42)
+	mem := &core.Memory{Budget: 1 << 20}
+	mem.Refused.Add(3)
 
 	store.Register("DUR", st)
 	defer store.Unregister("DUR")
@@ -62,8 +61,11 @@ func TestStoreAndMemTables(t *testing.T) {
 	if budget := m.Tuples[0][0].IntVal(); budget != 1<<20 {
 		t.Fatalf("BUDGET_BYTES = %d", budget)
 	}
-	if spills := m.Tuples[0][2].IntVal(); spills != 3 {
-		t.Fatalf("SPILLS = %d, want 3", spills)
+	if got := len(m.Tuples[0]); got != 2 {
+		t.Fatalf("V$MEM row has %d columns, want BUDGET_BYTES, REFUSED", got)
+	}
+	if refused := m.Tuples[0][1].IntVal(); refused != 3 {
+		t.Fatalf("REFUSED = %d, want 3", refused)
 	}
 
 	rec := httptest.NewRecorder()
@@ -72,8 +74,8 @@ func TestStoreAndMemTables(t *testing.T) {
 	for _, want := range []string{
 		`polygen_store_appends_total{store="DUR"} 1`,
 		`polygen_store_broken{store="DUR"} 0`,
-		"polygen_spill_budget_bytes 1048576",
-		"polygen_spill_rows_total 42",
+		"polygen_mem_budget_bytes 1048576",
+		"polygen_mem_refused_total 3",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

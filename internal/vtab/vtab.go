@@ -81,7 +81,8 @@ type Sources struct {
 	// (store.Each fits directly); it feeds V$STORE. nil when the process
 	// hosts no write-ahead-logged database.
 	Stores func(fn func(name string, st store.Stats))
-	// Memory is the engine's spill budget (core.Memory); it feeds V$MEM.
+	// Memory is the engine's operator memory budget (core.Memory); it
+	// feeds V$MEM.
 	// nil means unbudgeted execution, contributing no rows.
 	Memory *core.Memory
 }
@@ -174,10 +175,9 @@ var specs = []tableSpec{
 	},
 	{
 		name: "V$MEM",
-		// One row when a spill budget is configured: the budget and
-		// fan-out, and the cumulative spill traffic (partitions, rows and
-		// framed bytes written; partition files read back).
-		columns: []string{"BUDGET_BYTES", "PARTITIONS", "SPILLS", "SPILLED_ROWS", "SPILLED_BYTES", "RELOADS"},
+		// One row when a memory budget is configured: the per-operator
+		// budget and how many operator builds it has refused.
+		columns: []string{"BUDGET_BYTES", "REFUSED"},
 		build:   buildMem,
 	},
 }
@@ -398,18 +398,7 @@ func buildMem(s Sources) []rel.Tuple {
 	if m == nil || m.Budget <= 0 {
 		return nil
 	}
-	parts := int64(m.Partitions)
-	if parts <= 0 {
-		parts = core.DefaultSpillPartitions
-	}
-	return []rel.Tuple{{
-		rel.Int(m.Budget),
-		rel.Int(parts),
-		rel.Int(m.Spills.Load()),
-		rel.Int(m.SpilledRows.Load()),
-		rel.Int(m.SpilledBytes.Load()),
-		rel.Int(m.Reloads.Load()),
-	}}
+	return []rel.Tuple{{rel.Int(m.Budget), rel.Int(m.Refused.Load())}}
 }
 
 // sortTuples orders snapshot rows by their rendered cells, so tables whose

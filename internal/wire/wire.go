@@ -19,8 +19,8 @@
 //
 // Result rows always travel as binary columnar frames: plain ones
 // (rel/codec.go) on the LQP streams, source-tagged ones (core/codec.go) on
-// the mediator's streams and in its unary "query" answer. The same frames
-// are the write-ahead log's and the spill files' records. gob carries the
+// the mediator's streams and in its unary "query" answer. Plain frames are
+// also the write-ahead log's insert records. gob carries the
 // control fields around them (requests, response headers, the frame
 // envelope) and insert rows; a frame rides the envelope as one opaque byte
 // slice, because a gob decoder reads ahead and cannot share a connection

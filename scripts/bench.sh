@@ -12,8 +12,7 @@
 #          1/2/4/8 shards vs single-endpoint:
 #          latency, cells-per-shard, key pruning)
 #   store  B-STORE (write-ahead log replay MB/s,      -> BENCH_store.json
-#          logged append overhead vs in-memory,
-#          budgeted spill join vs in-memory join)
+#          logged append overhead vs in-memory)
 #
 # Every suite must produce at least one JSON record; a suite whose pattern
 # matches nothing (a renamed benchmark, a build failure swallowed by tee)
@@ -35,7 +34,7 @@ suite_pattern() {
     serve) echo 'BenchmarkKeyRepresentation|BenchmarkStreaming|BenchmarkFederatedPushdown|BenchmarkFederatedJoinOrder|BenchmarkServe' ;;
     fault) echo 'BenchmarkFaultScenarios|BenchmarkFaultDeadline' ;;
     shard) echo 'BenchmarkShardScatterGather|BenchmarkShardPrunedRetrieve' ;;
-    store) echo 'BenchmarkStoreReplay|BenchmarkStoreAppend|BenchmarkSpillJoin' ;;
+    store) echo 'BenchmarkStoreReplay|BenchmarkStoreAppend' ;;
     *) echo "ERROR: unknown suite '$1' (want: serve fault shard store)" >&2; return 1 ;;
     esac
 }

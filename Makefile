@@ -30,14 +30,16 @@ vet:
 fmt:
 	gofmt -l .
 
-# bench runs the headline benchmark suites (serve: B-KEY/B-STREAM/B-OPT/
-# B-SERVE -> BENCH_serve.json; fault, shard and store likewise — see
-# scripts/bench.sh), one merged machine-readable JSON file per suite, and
-# fails if any suite produced no records. BENCHTIME=2s make bench   for a
-# real measurement run.
+# bench runs the end-to-end benchmark (bench/run.sh: one process wires the
+# daemons' layers over TCP and checks every answer) once per workload, for
+# BENCHMARK.json's 12 seconds, and prints each metric. Compare two commits in
+# alternated pairs (EXPERIMENTS.md § The benchmark).
 bench:
-	bash scripts/bench.sh
+	for w in serve-mix scan-join merge-fanout ingest-query; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 12 || exit 1; \
+	done
 
-# bench-smoke is the CI shape: one iteration per benchmark.
+# bench-smoke is the CI shape: every workload at toy size through the real
+# topology (bench/ is a nested module the root ./... does not reach).
 bench-smoke:
-	BENCHTIME=1x bash scripts/bench.sh
+	cd bench && $(GO) test ./...

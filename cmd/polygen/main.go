@@ -91,16 +91,17 @@ func runRemote(addr, sql, alg string, plan bool) {
 	sh.ShowPlan = plan
 	switch {
 	case sql != "":
-		sh.Exec(sql, os.Stdout)
+		err = sh.Query(sql, false, os.Stdout)
 	case alg != "":
-		sh.Exec(`\alg `+alg, os.Stdout)
+		err = sh.Query(alg, true, os.Stdout)
 	default:
 		fmt.Printf("connected to federation %q at %s (session %s)\n",
 			backend.Federation(), addr, backend.Session())
 		fmt.Println(`enter SQL or \help:`)
-		if err := sh.Run(os.Stdin, os.Stdout); err != nil {
-			fatal("%v", err)
-		}
+		err = sh.Run(os.Stdin, os.Stdout)
+	}
+	if err != nil {
+		fatal("%v", err)
 	}
 }
 

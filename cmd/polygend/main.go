@@ -2,7 +2,7 @@
 // one shared Polygen Query Processor — plan cache, statistics catalog and
 // canonical-ID interner warmed once — behind the wire query protocol, for
 // any number of concurrent clients (cmd/polygen -connect, wire.Client, the
-// B-SERVE workload driver). It is the paper's Figure 1 stood up as a
+// bench/ serve-mix workload). It is the paper's Figure 1 stood up as a
 // long-running service: LQPs below (in-process paper databases, or remote
 // cmd/lqpd daemons via -remote), sessions with audit trails above.
 //

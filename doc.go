@@ -8,11 +8,12 @@
 // layers onto the paper's figures, describes the execution engine and the
 // oracle it is held to, and documents the cost-based federated optimizer
 // and the rewrites the polygen tag calculus does and does not license.
-// EXPERIMENTS.md records paper-vs-measured for every artifact and the B-*
-// benchmark families. The implementation lives under internal/, the
-// runnable entry points under cmd/ and examples/, and the benchmark
-// harness that regenerates every table and figure of the paper in
-// bench_test.go next to this file.
+// EXPERIMENTS.md § Paper fidelity lists the paper's 18 tables, which
+// cmd/paper-tables regenerates and diffs, with the corrections made to the
+// printed values; its second half is the benchmark method. The
+// implementation lives under internal/, the runnable entry points under
+// cmd/ and examples/, and the end-to-end benchmark (bench/, run with
+// bench/run.sh) in a nested module of its own.
 //
 // One engine evaluates polygen queries (pqp.Execute): plans run as trees
 // of batch cursors, bounding peak memory and overlapping remote LQP

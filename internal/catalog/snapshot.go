@@ -74,12 +74,17 @@ func (d *Database) EncodeSnapshot() ([]byte, error) {
 	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
 		return nil, fmt.Errorf("catalog: encoding snapshot of %q: %w", snap.Name, err)
 	}
-	out := make([]byte, snapshotHeaderSize, snapshotHeaderSize+payload.Len())
+	return frameSnapshot(payload.Bytes()), nil
+}
+
+// frameSnapshot prefixes payload with the snapshot header.
+func frameSnapshot(payload []byte) []byte {
+	out := make([]byte, snapshotHeaderSize, snapshotHeaderSize+len(payload))
 	copy(out[0:6], snapshotMagic[:])
 	out[6] = snapshotVersion
-	binary.LittleEndian.PutUint64(out[7:15], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(out[15:19], segment.Checksum(payload.Bytes()))
-	return append(out, payload.Bytes()...), nil
+	binary.LittleEndian.PutUint64(out[7:15], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(out[15:19], segment.Checksum(payload))
+	return append(out, payload...)
 }
 
 // WriteSnapshot writes the headered snapshot to w.
@@ -107,6 +112,8 @@ func (d *Database) relationNamesLocked() []string {
 // ReadSnapshot reconstructs a database from a snapshot. The snapshot is
 // verified before decoding: a missing magic, a truncated or a bit-rotted
 // file fails with a *segment.CorruptError naming the offset of the damage.
+// A payload whose checksum holds but which does not decode to a valid
+// database fails the same way, at the payload's offset.
 func ReadSnapshot(r io.Reader) (*Database, error) {
 	var hdr [snapshotHeaderSize]byte
 	n, err := io.ReadFull(r, hdr[:])
@@ -124,12 +131,12 @@ func ReadSnapshot(r io.Reader) (*Database, error) {
 	if length > segment.MaxRecord {
 		return nil, &segment.CorruptError{Path: "snapshot", Offset: 7, Reason: fmt.Sprintf("payload length %d implausible", length)}
 	}
-	payload := make([]byte, length)
-	if n, err := io.ReadFull(r, payload); err != nil {
+	payload, err := segment.ReadPayload(r, nil, int(length))
+	if err != nil {
 		return nil, &segment.CorruptError{
 			Path:   "snapshot",
-			Offset: int64(snapshotHeaderSize + n),
-			Reason: fmt.Sprintf("torn payload (%d of %d bytes)", n, length),
+			Offset: int64(snapshotHeaderSize + len(payload)),
+			Reason: fmt.Sprintf("torn payload (%d of %d bytes)", len(payload), length),
 		}
 	}
 	if got := segment.Checksum(payload); got != want {
@@ -139,17 +146,27 @@ func ReadSnapshot(r io.Reader) (*Database, error) {
 			Reason: fmt.Sprintf("payload checksum mismatch (%#x != %#x)", got, want),
 		}
 	}
+	bad := func(reason string) error {
+		return &segment.CorruptError{Path: "snapshot", Offset: snapshotHeaderSize, Reason: reason}
+	}
 	var snap dbSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("catalog: decoding snapshot: %w", err)
+		return nil, bad("decoding payload: " + err.Error())
 	}
 	db := NewDatabase(snap.Name)
 	for _, rs := range snap.Relations {
+		seen := make(map[string]bool, len(rs.Attrs))
+		for _, a := range rs.Attrs {
+			if seen[a.Name] {
+				return nil, bad(fmt.Sprintf("relation %q repeats attribute %q", rs.Name, a.Name))
+			}
+			seen[a.Name] = true
+		}
 		if err := db.Create(rs.Name, rel.NewSchema(rs.Attrs...), rs.Key...); err != nil {
-			return nil, err
+			return nil, bad(err.Error())
 		}
 		if err := db.Insert(rs.Name, rs.Tuples...); err != nil {
-			return nil, err
+			return nil, bad(err.Error())
 		}
 	}
 	return db, nil

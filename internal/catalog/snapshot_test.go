@@ -2,11 +2,13 @@ package catalog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -175,4 +177,87 @@ func TestOpenFileNamesPath(t *testing.T) {
 	if ce.Path != path {
 		t.Fatalf("corrupt error names %q, want %q", ce.Path, path)
 	}
+}
+
+// TestSnapshotRottedLengthAllocatesWhatArrives: a bare header claiming a
+// MaxRecord payload fails as a torn payload without allocating the
+// gigabyte it claims.
+func TestSnapshotRottedLengthAllocatesWhatArrives(t *testing.T) {
+	hdr := frameSnapshot(nil)
+	binary.LittleEndian.PutUint64(hdr[7:15], segment.MaxRecord)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadSnapshot(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	want := segment.CorruptError{
+		Path:   "snapshot",
+		Offset: snapshotHeaderSize,
+		Reason: fmt.Sprintf("torn payload (0 of %d bytes)", segment.MaxRecord),
+	}
+	var ce *segment.CorruptError
+	if !errors.As(err, &ce) || *ce != want {
+		t.Fatalf("got %v, want %v", err, &want)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 8<<20 {
+		t.Fatalf("reading a %d-byte snapshot allocated %d bytes", len(hdr), n)
+	}
+}
+
+// TestSnapshotInvalidPayloadIsCorrupt: a payload whose checksum holds but
+// which is not a valid database — undecodable, a repeated attribute, a key
+// outside the schema, a duplicate key — is a *segment.CorruptError.
+func TestSnapshotInvalidPayloadIsCorrupt(t *testing.T) {
+	encode := func(snap dbSnapshot) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ab := []rel.Attr{{Name: "A"}, {Name: "B"}}
+	row := rel.Tuple{rel.Int(1), rel.Int(2)}
+	for name, payload := range map[string][]byte{
+		"garbage":       []byte("not gob"),
+		"repeated attr": encode(dbSnapshot{Name: "X", Relations: []relSnapshot{{Name: "R", Attrs: []rel.Attr{{Name: "A"}, {Name: "A"}}}}}),
+		"foreign key":   encode(dbSnapshot{Name: "X", Relations: []relSnapshot{{Name: "R", Attrs: ab, Key: []string{"Z"}}}}),
+		"twice":         encode(dbSnapshot{Name: "X", Relations: []relSnapshot{{Name: "R", Attrs: ab}, {Name: "R", Attrs: ab}}}),
+		"duplicate key": encode(dbSnapshot{Name: "X", Relations: []relSnapshot{{Name: "R", Attrs: ab, Key: []string{"A"}, Tuples: []rel.Tuple{row, row}}}}),
+		"degree":        encode(dbSnapshot{Name: "X", Relations: []relSnapshot{{Name: "R", Attrs: ab, Tuples: []rel.Tuple{row[:1]}}}}),
+	} {
+		_, err := ReadSnapshot(bytes.NewReader(frameSnapshot(payload)))
+		var ce *segment.CorruptError
+		if !errors.As(err, &ce) || ce.Offset != snapshotHeaderSize {
+			t.Errorf("%s: want CorruptError at the payload, got %v", name, err)
+		}
+	}
+}
+
+// FuzzReadSnapshot: any payload, framed with a valid header and checksum so
+// that decoding and Create/Insert are reached, reads without a panic; it
+// yields a database that round-trips or a *segment.CorruptError.
+func FuzzReadSnapshot(f *testing.F) {
+	data, err := snapshotDB().EncodeSnapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data[snapshotHeaderSize:])
+	f.Add([]byte{})
+	f.Add([]byte("not gob"))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		db, err := ReadSnapshot(bytes.NewReader(frameSnapshot(payload)))
+		if err != nil {
+			var ce *segment.CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		again, err := db.EncodeSnapshot()
+		if err != nil {
+			t.Fatalf("re-encoding a read snapshot: %v", err)
+		}
+		if _, err := ReadSnapshot(bytes.NewReader(again)); err != nil {
+			t.Fatalf("re-reading a read snapshot: %v", err)
+		}
+	})
 }

@@ -11,9 +11,8 @@ import (
 // concatenated string key (Tuple.DataKey), join probes as canonical strings
 // (Resolver.Canonical), and one make per output row. They are the reference
 // semantics — the property suite asserts the hash-keyed operators agree with
-// them cell for cell (data and both tag sets), and the B-KEY ablation
-// benchmark measures the representation gap against them. They are not used
-// on any query path.
+// them cell for cell (data and both tag sets). They are not used on any
+// query path.
 
 // sameRef is same() over canonical strings instead of interned IDs.
 func (a *Algebra) sameRef(x, y rel.Value) bool {

@@ -14,11 +14,6 @@
 // inside the LQP, so only the filtered, narrowed rows cross the federation
 // boundary. Stats reports per-relation cardinalities, column lists and
 // keys, collected by internal/stats into the optimizer's cost model.
-//
-// Counting (counting.go) wraps any LQP with operation/plan recording,
-// simulated transfer metering (rows and cells delivered) and an injected
-// per-batch wide-area latency — the measurement device of the federation
-// benchmarks.
 package lqp
 
 import (

@@ -3,7 +3,6 @@ package lqp
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/rel"
@@ -155,17 +154,5 @@ func TestOpString(t *testing.T) {
 	if OpRetrieve.String() != "Retrieve" || OpSelect.String() != "Select" ||
 		OpRestrict.String() != "Restrict" || OpProject.String() != "Project" {
 		t.Error("OpKind.String wrong")
-	}
-}
-
-func TestCountingLatencyInjection(t *testing.T) {
-	c := NewCounting(NewLocal(testDB()))
-	c.Latency = 10 * time.Millisecond
-	start := time.Now()
-	if _, err := drainOpen(c.Open(Retrieve("ALUMNUS"))); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Errorf("latency not injected: %v", elapsed)
 	}
 }

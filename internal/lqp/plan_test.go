@@ -3,7 +3,6 @@ package lqp
 import (
 	"io"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/rel"
@@ -170,76 +169,5 @@ func TestOpenPlanFilterOnlyStreams(t *testing.T) {
 	}
 	if rows != 400 {
 		t.Errorf("filtered stream yielded %d rows, want 400", rows)
-	}
-}
-
-// TestCountingMetersFilteredTransfer: Counting charges transfer (cells,
-// rows, latency batches) for the rows a pushed plan actually returns, not
-// for the base relation.
-func TestCountingMetersFilteredTransfer(t *testing.T) {
-	c := NewCounting(NewLocal(planDB(t)))
-	full, err := drainOpen(c.Open(Retrieve("T")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.CellsTransferred(); got != int64(len(full.Tuples)*3) {
-		t.Errorf("retrieve transferred %d cells, want %d", got, len(full.Tuples)*3)
-	}
-	c.Reset()
-
-	p := PlanOf(Retrieve("T"), Select("T", "C", rel.ThetaEQ, rel.String("b")), Project("T", "V"))
-	r, err := drainOpen(c.OpenPlan(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c.CellsTransferred(), int64(len(r.Tuples)); got != want {
-		t.Errorf("pushed plan transferred %d cells, want %d (filtered rows × 1 column)", got, want)
-	}
-	if got := c.RowsTransferred(); got != int64(len(r.Tuples)) {
-		t.Errorf("pushed plan transferred %d rows, want %d", got, len(r.Tuples))
-	}
-	if plans := c.Plans(); len(plans) != 1 || len(plans[0].Steps()) != 2 {
-		t.Errorf("recorded plans = %v", plans)
-	}
-	// The base op of the plan still counts as one operation.
-	if c.Total() != 1 || c.Count(OpRetrieve) != 1 {
-		t.Errorf("op counts: total=%d retrieve=%d", c.Total(), c.Count(OpRetrieve))
-	}
-}
-
-// TestCountingLatencyPerFilteredBatch: with injected latency, a pushed plan
-// whose result fits one batch pays one latency unit; a wholesale retrieve
-// of the same relation pays one per batch of the full relation.
-func TestCountingLatencyPerFilteredBatch(t *testing.T) {
-	c := NewCounting(NewLocal(planDB(t)))
-	c.Latency = 2 * time.Millisecond
-
-	start := time.Now()
-	// 200 matching rows -> 1 batch (DefaultBatchSize 256).
-	if _, err := drainOpen(c.OpenPlan(PlanOf(Retrieve("T"), Select("T", "C", rel.ThetaEQ, rel.String("b")), Project("T", "K")))); err != nil {
-		t.Fatal(err)
-	}
-	filtered := time.Since(start)
-
-	start = time.Now()
-	// 600 rows -> 3 batches.
-	if _, err := drainOpen(c.Open(Retrieve("T"))); err != nil {
-		t.Fatal(err)
-	}
-	wholesale := time.Since(start)
-
-	if filtered >= wholesale {
-		t.Errorf("filtered transfer (%v) should cost less injected latency than wholesale (%v)", filtered, wholesale)
-	}
-}
-
-func TestCountingForwardsStats(t *testing.T) {
-	c := NewCounting(NewLocal(planDB(t)))
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st) != 1 || st[0].Name != "T" || st[0].Rows != 600 || len(st[0].Columns) != 3 {
-		t.Errorf("stats = %+v", st)
 	}
 }

@@ -3,7 +3,6 @@ package lqp
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/rel"
@@ -55,46 +54,5 @@ func TestLocalOpenErrors(t *testing.T) {
 		if _, err := l.Open(op); err == nil {
 			t.Errorf("%v: error expected", op)
 		}
-	}
-}
-
-// TestCountingLatencyPerBatch: a relation spanning b batches charges one
-// Latency per Next — b × Latency in all, paid as the cursor is pulled.
-func TestCountingLatencyPerBatch(t *testing.T) {
-	const latency = 30 * time.Millisecond
-	n := rel.DefaultBatchSize*2 + 10 // 3 batches
-	c := NewCounting(NewLocal(bigDB(n)))
-	c.Latency = latency
-
-	cur, err := c.Open(Retrieve("T"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	head, err := cur.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := time.Since(start)
-	if first < latency {
-		t.Errorf("first batch arrived in %v, want >= %v", first, latency)
-	}
-	// Generous upper bound: one batch latency plus scheduling slack, well
-	// under the 3-batch whole-transfer time.
-	if first >= 3*latency-latency/2 {
-		t.Errorf("first batch took %v; streaming should pay one batch latency, not the whole transfer", first)
-	}
-	r, err := rel.Drain(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(head) + r.Cardinality(); got != n {
-		t.Fatalf("retrieved %d tuples, want %d", got, n)
-	}
-	if elapsed := time.Since(start); elapsed < 3*latency {
-		t.Errorf("streamed retrieve of 3 batches took %v, want >= %v", elapsed, 3*latency)
-	}
-	if c.Total() != 1 || c.Count(OpRetrieve) != 1 {
-		t.Errorf("ops recorded = %d (%d retrieves), want 1", c.Total(), c.Count(OpRetrieve))
 	}
 }

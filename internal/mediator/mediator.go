@@ -3,7 +3,7 @@
 // System P front end grown into a daemon (cmd/polygend). It implements
 // wire.Mediator, so a wire.Server built with wire.NewMediatorServer exposes
 // it over TCP to any number of thin clients (the shell's -connect mode,
-// wire.Client.Query/OpenQuery, the B-SERVE workload driver).
+// wire.Client.Query/OpenQuery, the bench/ workloads).
 //
 // The service adds what a bare PQP lacks for multi-client serving:
 //

@@ -2,8 +2,9 @@
 // the three local databases — the Alumni Database (AD), the Placement
 // Database (PD) and the Company Database (CD) — and the six-scheme polygen
 // schema with its attribute mapping relationships. All relation contents are
-// the paper's, reconstructed verbatim from §IV; OCR defects in the supplied
-// text and their reconstructions are catalogued in EXPERIMENTS.md.
+// the paper's, as printed in §IV. Where the paper's tables disagree with
+// these relations, EXPERIMENTS.md § Paper fidelity says which one the
+// reproduction follows.
 package paperdata
 
 import (

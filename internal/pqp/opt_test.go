@@ -184,13 +184,13 @@ func renderDataOrigins(p *core.Relation) []string {
 }
 
 // TestPushdownReducesTransfer: the whole point — a fused subplan ships only
-// the filtered, narrowed rows. Counting LQPs meter the simulated transfer.
+// the filtered, narrowed rows. counting LQPs meter the simulated transfer.
 func TestPushdownReducesTransfer(t *testing.T) {
 	star := workload.NewStar(workload.DefaultStarConfig())
-	counters := make(map[string]*lqp.Counting, 3)
+	counters := make(map[string]*counting, 3)
 	lqps := make(map[string]lqp.LQP, 3)
 	for name, l := range star.LQPs() {
-		c := lqp.NewCounting(l)
+		c := newCounting(l)
 		counters[name] = c
 		lqps[name] = c
 	}

@@ -97,7 +97,7 @@ type PQP struct {
 	// long-lived PQP runs the translation pipeline — including the
 	// optimizer's join-order search — once per distinct query instead of
 	// once per request. New installs a DefaultPlanCacheSize cache; set nil
-	// to translate every request from scratch (the B-SERVE ablation does).
+	// to translate every request from scratch.
 	Plans *translate.PlanCache
 	// Trace, when non-nil, receives one line per executed IOM row.
 	Trace func(format string, args ...any)

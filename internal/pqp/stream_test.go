@@ -122,7 +122,7 @@ func TestStreamingOverlapsLQPLatency(t *testing.T) {
 	fed := paperdata.New()
 	lqps := make(map[string]lqp.LQP, 3)
 	for name, l := range fed.LQPs() {
-		c := lqp.NewCounting(l)
+		c := newCounting(l)
 		c.Latency = latency
 		lqps[name] = c
 	}
@@ -251,13 +251,13 @@ func TestStreamingBadPlans(t *testing.T) {
 
 // TestStreamingPreservesLQPOpOrder: streaming issues exactly the local
 // operations of retain mode, in the same order — eager plan-order opens
-// keep Counting-based pushdown assertions meaningful.
+// keep counting-based pushdown assertions meaningful.
 func TestStreamingPreservesLQPOpOrder(t *testing.T) {
 	fed := paperdata.New()
-	counters := make(map[string]*lqp.Counting, 3)
+	counters := make(map[string]*counting, 3)
 	lqps := make(map[string]lqp.LQP, 3)
 	for name, l := range fed.LQPs() {
-		c := lqp.NewCounting(l)
+		c := newCounting(l)
 		counters[name] = c
 		lqps[name] = c
 	}

@@ -125,38 +125,6 @@ func TestProjectReorders(t *testing.T) {
 	wantRows(t, r, "ann|1", "bob|2", "cat|3")
 }
 
-func TestProduct(t *testing.T) {
-	a := mk("A", []string{"X"}, []any{1}, []any{2})
-	b := mk("B", []string{"Y"}, []any{"p"}, []any{"q"})
-	p, err := Product(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows(t, p, "1|p", "1|q", "2|p", "2|q")
-}
-
-func TestProductDisambiguatesNames(t *testing.T) {
-	a := mk("A", []string{"X"}, []any{1})
-	b := mk("B", []string{"X"}, []any{2})
-	p, err := Product(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := p.Schema.Names()
-	if names[0] != "X" || names[1] != "B.X" {
-		t.Errorf("names = %v", names)
-	}
-	// Unnamed right relation falls back to positional suffix.
-	c := mk("", []string{"X"}, []any{3})
-	p2, err := Product(a, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Schema.Names()[1] != "X#2" {
-		t.Errorf("names = %v", p2.Schema.Names())
-	}
-}
-
 func TestUnion(t *testing.T) {
 	a := mk("A", []string{"X"}, []any{1}, []any{2})
 	b := mk("B", []string{"X"}, []any{2}, []any{3})
@@ -181,79 +149,4 @@ func TestDifference(t *testing.T) {
 	if _, err := Difference(a, people()); err == nil {
 		t.Error("degree mismatch accepted")
 	}
-}
-
-func TestIntersect(t *testing.T) {
-	a := mk("A", []string{"X"}, []any{1}, []any{2})
-	b := mk("B", []string{"X"}, []any{2}, []any{3})
-	i, err := Intersect(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows(t, i, "2")
-	if _, err := Intersect(a, people()); err == nil {
-		t.Error("degree mismatch accepted")
-	}
-}
-
-func TestJoin(t *testing.T) {
-	emp := mk("E", []string{"NAME", "DEPT"},
-		[]any{"ann", "db"}, []any{"bob", "os"}, []any{"cat", "db"},
-	)
-	dep := mk("D", []string{"DNAME", "HEAD"},
-		[]any{"db", "turing"}, []any{"os", "ritchie"},
-	)
-	j, err := Join(emp, "DEPT", dep, "DNAME")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows(t, j, "ann|db|turing", "bob|os|ritchie", "cat|db|turing")
-	names := j.Schema.Names()
-	if len(names) != 3 || names[2] != "HEAD" {
-		t.Errorf("join schema = %v", names)
-	}
-}
-
-func TestJoinSkipsNulls(t *testing.T) {
-	a := mk("A", []string{"K"}, []any{nil}, []any{1})
-	b := mk("B", []string{"K2"}, []any{nil}, []any{1})
-	j, err := Join(a, "K", b, "K2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows(t, j, "1")
-}
-
-func TestJoinManyToMany(t *testing.T) {
-	a := mk("A", []string{"K", "V"}, []any{1, "a1"}, []any{1, "a2"})
-	b := mk("B", []string{"K2", "W"}, []any{1, "b1"}, []any{1, "b2"})
-	j, err := Join(a, "K", b, "K2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows(t, j, "1|a1|b1", "1|a1|b2", "1|a2|b1", "1|a2|b2")
-}
-
-// TestJoinEqualsRestrictOfProduct checks §II's definition of Join against
-// the primitive composition on the untagged baseline.
-func TestJoinEqualsRestrictOfProduct(t *testing.T) {
-	a := mk("A", []string{"K", "V"}, []any{1, "x"}, []any{2, "y"}, []any{3, "z"})
-	b := mk("B", []string{"K2", "W"}, []any{2, "p"}, []any{3, "q"}, []any{4, "r"})
-	viaJoin, err := Join(a, "K", b, "K2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod, err := Product(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restricted, err := Restrict(prod, "K", rel.ThetaEQ, "K2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaPrimitives, err := Project(restricted, []string{"K", "V", "W"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows(t, viaJoin, rows(viaPrimitives)...)
 }

@@ -44,6 +44,13 @@ const headerSize = 8
 // length can only be a torn or rotted header.
 const MaxRecord = 1 << 30
 
+// readChunk is the most a payload read allocates ahead of the bytes that
+// arrive. A payload up to this size is read into one buffer of its full
+// length; a longer one into a buffer that doubles as its bytes come in, so a
+// rotted length prefix claiming up to MaxRecord costs about what the input
+// holds, not the size it claims.
+const readChunk = 1 << 20
+
 // castagnoli is the CRC32-C table; hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -199,16 +206,14 @@ func Scan(path string, r io.Reader, fn func(off int64, payload []byte) error) (i
 		if length > MaxRecord {
 			return off, &CorruptError{Path: path, Offset: off, Reason: fmt.Sprintf("record too large (%d bytes)", length)}
 		}
-		if cap(buf) < int(length) {
-			buf = make([]byte, length)
-		}
-		payload := buf[:length]
-		if n, err := io.ReadFull(br, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return off, &CorruptError{Path: path, Offset: off, Reason: fmt.Sprintf("torn payload (%d of %d bytes)", n, length)}
+		payload, err := ReadPayload(br, buf, int(length))
+		if err != nil {
+			if err == io.ErrUnexpectedEOF {
+				return off, &CorruptError{Path: path, Offset: off, Reason: fmt.Sprintf("torn payload (%d of %d bytes)", len(payload), length)}
 			}
 			return off, fmt.Errorf("segment: reading %s at %d: %w", path, off, err)
 		}
+		buf = payload
 		if got := Checksum(payload); got != want {
 			return off, &CorruptError{Path: path, Offset: off, Reason: fmt.Sprintf("checksum mismatch (%#x != %#x)", got, want)}
 		}
@@ -217,6 +222,31 @@ func Scan(path string, r io.Reader, fn func(off int64, payload []byte) error) (i
 		}
 		off += int64(headerSize + len(payload))
 	}
+}
+
+// ReadPayload reads an n-byte payload from r, into buf's backing array when
+// it has room and otherwise into a new buffer sized as readChunk describes.
+// It returns the bytes read: all n, or fewer with io.ErrUnexpectedEOF when
+// r ends first, or with r's error.
+func ReadPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if n > cap(buf) {
+		buf = make([]byte, 0, min(n, readChunk))
+	}
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(2*cap(buf), n)), buf...)
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // SyncDir fsyncs a directory, making renames and creates within it durable.

@@ -2,16 +2,18 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
 // writeRecords appends the payloads through a Writer into a byte buffer and
 // returns the raw segment bytes plus each record's end offset.
-func writeRecords(t *testing.T, payloads [][]byte) ([]byte, []int64) {
+func writeRecords(t testing.TB, payloads [][]byte) ([]byte, []int64) {
 	t.Helper()
 	var raw bytes.Buffer
 	w := NewWriter(nopFile{&raw}, 0)
@@ -137,13 +139,6 @@ func TestBitFlipEveryByte(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestHugeLengthPrefixRejected(t *testing.T) {
 	raw, _ := writeRecords(t, [][]byte{[]byte("x")})
 	raw[0], raw[1], raw[2], raw[3] = 0xff, 0xff, 0xff, 0x7f
@@ -152,6 +147,92 @@ func TestHugeLengthPrefixRejected(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Reason == "" {
 		t.Fatalf("want CorruptError for huge length, got %v", err)
 	}
+}
+
+// allocated returns the bytes the heap handed out while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRottedLengthAllocatesWhatArrives: a record header claiming MaxRecord
+// bytes followed by ten fails as a torn payload, and the scan allocates
+// about what the input holds, not the gigabyte the header claims.
+func TestRottedLengthAllocatesWhatArrives(t *testing.T) {
+	raw := make([]byte, headerSize+10)
+	binary.LittleEndian.PutUint32(raw[0:4], MaxRecord)
+	var err error
+	n := allocated(func() { _, _, err = scanAll(raw) })
+	want := CorruptError{Path: "t", Offset: 0, Reason: fmt.Sprintf("torn payload (10 of %d bytes)", MaxRecord)}
+	var ce *CorruptError
+	if !errors.As(err, &ce) || *ce != want {
+		t.Fatalf("got %v, want %v", err, &want)
+	}
+	if n >= 8<<20 {
+		t.Fatalf("scanning an 18-byte segment allocated %d bytes", n)
+	}
+}
+
+// TestLargeRecordsRoundTrip: records longer than readChunk, read through
+// the growing buffer, scan back intact beside small ones.
+func TestLargeRecordsRoundTrip(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), (3*readChunk+5)/16)
+	payloads := [][]byte{[]byte("small"), big, {}, big[:readChunk+1], []byte("tail")}
+	raw, _ := writeRecords(t, payloads)
+	got, tail, err := scanAll(raw)
+	if err != nil || tail != int64(len(raw)) || len(got) != len(payloads) {
+		t.Fatalf("scan: %d records, tail %d of %d, err %v", len(got), tail, len(raw), err)
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], payloads[i]) {
+			t.Fatalf("record %d: %d bytes back, want %d", i, len(got[i]), len(payloads[i]))
+		}
+	}
+	// Cut inside the big record: torn, at its start.
+	_, tail, err = scanAll(raw[:len(raw)-len(big)])
+	var ce *CorruptError
+	if !errors.As(err, &ce) || tail != int64(headerSize+len("small")) {
+		t.Fatalf("cut big record: tail %d, err %v", tail, err)
+	}
+}
+
+// FuzzScan: any byte string scans without a panic. The records handed to
+// fn tile the input from offset 0 up to the returned tail; a scan that
+// stops short of the end says why with a *CorruptError at the tail.
+func FuzzScan(f *testing.F) {
+	raw, _ := writeRecords(f, [][]byte{[]byte("alpha"), {}, []byte("gamma-gamma")})
+	f.Add(raw)
+	f.Add(raw[:len(raw)-3])
+	f.Add([]byte{})
+	rotted := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(rotted[0:4], MaxRecord)
+	f.Add(rotted)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var end int64
+		tail, err := Scan("fuzz", bytes.NewReader(raw), func(off int64, p []byte) error {
+			if off != end {
+				t.Fatalf("record at %d, want %d", off, end)
+			}
+			end = off + headerSize + int64(len(p))
+			return nil
+		})
+		if tail != end {
+			t.Fatalf("tail %d, records end at %d", tail, end)
+		}
+		if err == nil {
+			if tail != int64(len(raw)) {
+				t.Fatalf("clean scan stopped at %d of %d", tail, len(raw))
+			}
+			return
+		}
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Offset != tail {
+			t.Fatalf("scan stopped at %d with %v, want a CorruptError there", tail, err)
+		}
+	})
 }
 
 func TestAppendAfterRecoveredTail(t *testing.T) {

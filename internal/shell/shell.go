@@ -83,7 +83,9 @@ func (s *Shell) Exec(line string, out io.Writer) (quit bool) {
 	if kw := strings.ToLower(firstWord(line)); kw == "quit" || kw == "exit" {
 		return true
 	}
-	s.query(line, out)
+	if err := s.Query(line, false, out); err != nil {
+		fmt.Fprintln(out, err)
+	}
 	return false
 }
 
@@ -126,7 +128,9 @@ func (s *Shell) command(line string, out io.Writer) bool {
 			fmt.Fprintln(out, `usage: \alg POLYGEN-ALGEBRA-EXPRESSION`)
 			break
 		}
-		s.algebra(rest, out)
+		if err := s.Query(rest, true, out); err != nil {
+			fmt.Fprintln(out, err)
+		}
 	case `\audit`:
 		s.audit(out)
 	default:
@@ -201,22 +205,16 @@ func (s *Shell) audit(out io.Writer) {
 	}
 }
 
-func (s *Shell) query(sql string, out io.Writer) {
-	ans, err := s.Backend.Query(sql, false)
+// Query runs one SQL (or, with algebraic, one algebraic) query and prints
+// its answer to out. Unlike Exec, it returns a failed query's error instead
+// of printing it, so a one-shot caller can exit non-zero.
+func (s *Shell) Query(text string, algebraic bool, out io.Writer) error {
+	ans, err := s.Backend.Query(text, algebraic)
 	if err != nil {
-		fmt.Fprintln(out, err)
-		return
+		return err
 	}
 	s.printResult(ans, out)
-}
-
-func (s *Shell) algebra(expr string, out io.Writer) {
-	ans, err := s.Backend.Query(expr, true)
-	if err != nil {
-		fmt.Fprintln(out, err)
-		return
-	}
-	s.printResult(ans, out)
+	return nil
 }
 
 func (s *Shell) printResult(ans *Answer, out io.Writer) {

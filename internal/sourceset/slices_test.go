@@ -2,9 +2,8 @@ package sourceset
 
 import "sort"
 
-// SliceSet is the straightforward sorted-slice set implementation, kept as
-// the comparison point for the representation ablation (bench B-SET). It is
-// not used by the polygen engine itself.
+// SliceSet is the straightforward sorted-slice set: the oracle that
+// TestSetMatchesSliceSet holds the bitmask Set to.
 type SliceSet []ID
 
 // SliceOf builds a SliceSet from ids.

@@ -8,8 +8,7 @@
 // and even a "hundreds of databases" federation mostly touches a handful per
 // query), with an ordered overflow slice for larger registries. Union — the
 // only operation the algebra performs in inner loops — is a single OR in the
-// fast path. Benchmark B-SET in bench_test.go ablates this representation
-// against a plain sorted-slice implementation (see slices.go).
+// fast path. The tests hold it to a plain sorted-slice set (slices_test.go).
 package sourceset
 
 import (

@@ -206,7 +206,7 @@ func TestSetAlgebraProperties(t *testing.T) {
 }
 
 // TestSetMatchesSliceSet cross-checks the production Set against the naive
-// SliceSet on random unions (the ablation baseline must agree semantically).
+// SliceSet on random unions.
 func TestSetMatchesSliceSet(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		var a, b Set

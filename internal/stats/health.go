@@ -4,8 +4,8 @@ package stats
 // per-endpoint latency estimator rich enough to place hedged requests (an
 // EWMA of the mean plus an EWMA of the absolute deviation, giving a cheap
 // p95 estimate without histograms), and per-source counters of errors,
-// retries and hedges — the raw material of a query's Diagnostics and of the
-// B-FAULT benchmarks.
+// retries and hedges — the raw material of a query's Diagnostics and of
+// V$FAULT.
 
 import (
 	"sync"

@@ -11,8 +11,9 @@
 // gated on the cardinalities and column lists (projection-narrowing width
 // checks, the key-aware join-order cost model); the latency averages are
 // the catalog's observability arm — TransferCost turns them into the
-// estimated wide-area cost of a planned transfer, which the B-OPT harness
-// and operators read, mirroring the batch-charging model of lqp.Counting.
+// estimated wide-area cost of a planned transfer: a link pays its latency
+// once per batch of rows it ships, so the cost follows the rows that cross
+// the boundary, not the operation count.
 // The catalog is deliberately approximate — stale counts only cost plan
 // quality, never correctness, because every rewrite the optimizer performs
 // is independently proven identity-preserving.
@@ -186,8 +187,9 @@ func (c *Catalog) Latencies() map[string]time.Duration {
 }
 
 // TransferCost estimates the wide-area cost of shipping rows result rows
-// from db: batches × link latency, mirroring lqp.Counting's streaming
-// transfer model. Unknown links cost zero latency (in-process LQPs).
+// from db: one link latency per batch of batchSize rows, at least one batch
+// (a streamed transfer pays as each batch arrives). Unknown links cost zero
+// latency (in-process LQPs).
 func (c *Catalog) TransferCost(db string, rows, batchSize int) time.Duration {
 	lat, ok := c.Latency(db)
 	if !ok || batchSize <= 0 {

@@ -6,13 +6,13 @@ package tables
 // order-sensitive for operation matrices).
 //
 // Where the supplied paper text is internally inconsistent or OCR-damaged,
-// the literals follow the paper's own base relations and algebra; every such
-// correction is listed in EXPERIMENTS.md (notably: the MAJ value of alumnus
-// 567 is "MGT" per the ALUMNUS relation, though Tables 4/5/7/8 misprint
-// "MIT"; Table A7 is stated before the join attributes' origins are folded
-// into the intermediate tags, though Table A4 — the same kind of step —
-// folds them immediately; we fold immediately in both, which leaves A8 and
-// A9 identical to the paper's).
+// the literals follow the paper's own base relations and algebra. Both such
+// corrections are described in EXPERIMENTS.md § Paper fidelity: the MAJ
+// value of alumnus 567 is "MGT" per the ALUMNUS relation, though Tables
+// 4/5/7/8 misprint "MIT"; Table A7 is stated before the join attributes'
+// origins are folded into the intermediate tags, though Table A4 — the same
+// kind of step — folds them immediately; we fold immediately in both, which
+// leaves A8 and A9 identical to the paper's.
 
 // Table1 is the Polygen Operation Matrix for the example expression.
 const Table1 = `
@@ -205,8 +205,8 @@ AT&T, {PD}, {PD} | High Tech, {PD}, {PD} | NY, {PD}, {PD}
 Banker's Trust, {PD}, {PD} | Finance, {PD}, {PD} | NY, {PD}, {PD}
 `
 
-// TableA7 is the outer join of A6 and A3 on ONAME = FNAME. Note (see the
-// package comment in EXPERIMENTS.md): the paper prints this table before
+// TableA7 is the outer join of A6 and A3 on ONAME = FNAME. Note (see
+// EXPERIMENTS.md § Paper fidelity): the paper prints this table before
 // folding the join attributes' origins into the intermediate tags of the
 // matched rows and folds them during the ONPJ instead; Table A4 — the
 // corresponding earlier step — folds them immediately, as we do uniformly.

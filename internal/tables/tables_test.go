@@ -120,7 +120,7 @@ func TestTableA6OuterNaturalTotalJoin(t *testing.T) {
 
 func TestTableA7OuterJoinWithFirm(t *testing.T) {
 	if d := Diff(TableA7, art.A[7]); d != "" {
-		t.Errorf("Table A7 does not match (see EXPERIMENTS.md note on A7):\n%s", d)
+		t.Errorf("Table A7 does not match (see EXPERIMENTS.md § Paper fidelity on A7):\n%s", d)
 	}
 }
 

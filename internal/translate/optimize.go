@@ -104,7 +104,7 @@ type Options struct {
 // Optimize is the statistics-free Query Optimizer: common-subexpression
 // elimination plus dead-row elimination, with registers renumbered densely.
 // The rewrite never changes the final relation — TestOptimizePreservesResult
-// and the optimizer ablation bench (B-OPT) check exactly that. The PQP
+// checks exactly that. The PQP
 // calls OptimizeWithOptions instead, which layers the cost-based federated
 // passes on top.
 func Optimize(iom *Matrix) (*Matrix, error) {

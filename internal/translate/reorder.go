@@ -36,8 +36,8 @@ import (
 //   - with Options.RelaxedJoinReorder set, the full greedy order is
 //     accepted as long as data and origin tags are preserved; the
 //     intermediate sets then record the reordered evaluation — a different
-//     but internally consistent audit trail. The PQP leaves this off; the
-//     B-OPT benchmarks measure what it buys.
+//     but internally consistent audit trail. The PQP leaves this off
+//     unless polygend's -relaxed-reorder turns it on.
 //
 // Independent of tag handling, every candidate is verified structurally
 // before rewriting — the pass SIMULATES original and candidate plans over

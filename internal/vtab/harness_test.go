@@ -40,7 +40,7 @@ func harnessStarConfig() workload.StarConfig {
 	return workload.StarConfig{Facts: 600, Dims: 20, Mids: 10, Categories: 5, Seed: 11}
 }
 
-// harnessQueries is the closed-loop mix: the B-SERVE star queries plus one
+// harnessQueries is the closed-loop mix: the star queries plus one
 // PMID join so all three sources (MD included) see traffic.
 func harnessQueries() []string {
 	return append(workload.StarQueries(),

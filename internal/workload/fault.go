@@ -3,11 +3,11 @@ package workload
 // This file is the fault-tolerance workload: the star federation of star.go
 // replicated N ways per logical source, with deterministic fault injection
 // (internal/faultinject) on chosen replicas and the resilient federation
-// layer (internal/federation) on top. It is what the B-FAULT benchmarks and
-// the chaos property suite run against — a federation where one replica of
-// every source is killed, hung, slowed or cut mid-stream, and the query
-// layer is expected not to notice (or, under the partial policy with a
-// whole source dead, to say exactly what is missing).
+// layer (internal/federation) on top. It is what the chaos property suite
+// runs against — a federation where one replica of every source is killed,
+// hung, slowed or cut mid-stream, and the query layer is expected not to
+// notice (or, under the partial policy with a whole source dead, to say
+// exactly what is missing).
 
 import (
 	"fmt"
@@ -37,12 +37,6 @@ const (
 	// first batch — the mid-stream transport failure.
 	ScenarioCut FaultScenario = "cut"
 )
-
-// Scenarios lists every fault scenario, baseline first — the property
-// suite's and B-FAULT's iteration order.
-func Scenarios() []FaultScenario {
-	return []FaultScenario{ScenarioNone, ScenarioKilled, ScenarioHung, ScenarioSlow, ScenarioCut}
-}
 
 // FaultConfig parameterizes a replicated star federation with injected
 // faults.
@@ -174,7 +168,7 @@ func (rs *ReplicatedStar) InjectedFaults() (errs, hangs, slows, cuts int64) {
 	return
 }
 
-// String renders the scenario for test and benchmark names.
+// String renders the scenario for test names.
 func (c FaultConfig) String() string {
 	if c.DeadSource != "" {
 		return fmt.Sprintf("dead=%s/seed=%d", c.DeadSource, c.Seed)

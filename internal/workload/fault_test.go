@@ -81,10 +81,11 @@ func renderTagged(p *core.Relation) []string {
 }
 
 // TestFaultPropertySuite is the core property: under the fail policy, every
-// query against a federation with one faulty replica per source either
-// answers identically to the fault-free run or fails with a typed
-// ExhaustedError naming the source — never a silent partial answer, never a
-// stall past the deadline budget.
+// query against a federation with one faulty replica per source answers
+// identically to the fault-free run — the two healthy replicas absorb the
+// fault, so no query fails, none returns a silent partial answer and none
+// stalls past the deadline budget. (TestFaultExhaustionFailPolicy covers
+// the typed error when every replica of a source is dead.)
 func TestFaultPropertySuite(t *testing.T) {
 	// Fault-free baselines, one per query, behind the same federation layer
 	// so only the injected faults differ.
@@ -126,12 +127,7 @@ func TestFaultPropertySuite(t *testing.T) {
 						t.Errorf("%q took %v, budget %v — a faulty replica stalled the query", query, elapsed, budget)
 					}
 					if err != nil {
-						var ex *federation.ExhaustedError
-						if !errors.As(err, &ex) {
-							t.Errorf("%q failed untyped: %v", query, err)
-						} else if ex.Source == "" {
-							t.Errorf("%q: ExhaustedError names no source: %v", query, err)
-						}
+						t.Errorf("%q failed with one faulty replica of three: %v", query, err)
 						continue
 					}
 					if got := renderTagged(res.Relation); strings.Join(got, "\n") != strings.Join(baselines[i], "\n") {

@@ -1,11 +1,10 @@
 package workload
 
-// The closed-loop concurrent driver of the B-SERVE benchmarks: N clients,
-// each issuing its next query as soon as the previous one answers, against
-// any run function (a wire.Client session against polygend, or a shared
-// in-process PQP). It measures what a serving system is judged by —
-// throughput and tail latency — rather than the single-caller wall times
-// the other benchmarks report.
+// The closed-loop concurrent load of the observability soak test: N
+// clients, each issuing its next query as soon as the previous one answers,
+// against any run function (a wire.Client session against polygend, or a
+// shared in-process PQP). It counts failures and measures throughput and
+// tail latency.
 
 import (
 	"fmt"
@@ -107,7 +106,7 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[i]
 }
 
-// StarQueries returns the B-SERVE query mix over the star federation: a
+// StarQueries returns the closed-loop query mix over the star federation: a
 // pushdown-friendly selection chain, a star join, and a cheap dimension
 // scan — enough plan variety that the plan cache holds several entries
 // while each distinct query repeats often.

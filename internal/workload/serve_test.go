@@ -52,8 +52,9 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 }
 
-// TestStarQueriesRun: the B-SERVE query mix parses and answers on the star
-// federation (guards the bench harness against schema drift).
+// TestStarQueriesRun: the closed-loop query mix parses and answers on the
+// star federation (guards the soak and concurrency tests against schema
+// drift).
 func TestStarQueriesRun(t *testing.T) {
 	star := NewStar(StarConfig{Facts: 300, Dims: 20, Mids: 5, Categories: 10, Seed: 7})
 	q := pqp.New(star.Schema, star.Registry, nil, star.LQPs())

@@ -5,10 +5,9 @@ package workload
 // slices (federation.Slice — placement by canonical-ID hash through
 // rel.PartitionOf), each shard backed by its own replica set behind the
 // resilient federation layer, with the same deterministic fault injection
-// the replicated workload uses. It is what the B-SHARD benchmarks and the
-// sharded property suite run against: answers must be cell-for-cell
-// identical to the single-copy star no matter the shard count, the replica
-// count, or the injected faults.
+// the replicated workload uses. It is what the sharded property suite runs
+// against: answers must be cell-for-cell identical to the single-copy star
+// no matter the shard count, the replica count, or the injected faults.
 
 import (
 	"fmt"

@@ -121,8 +121,7 @@ func TestShardedPropertySuite(t *testing.T) {
 
 // TestShardedPruningServesFewerRows: after statistics priming, the
 // key-equality select touches one shard — the other shards' row meters do
-// not move. This is the perf property behind B-SHARD's bytes-per-shard
-// curve, asserted here without a benchmark.
+// not move: each daemon serves only its slice.
 func TestShardedPruningServesFewerRows(t *testing.T) {
 	cfg := ShardedStarConfig{
 		Fault:  FaultConfig{Star: faultStarConfig(), Replicas: 1, Federation: faultFedConfig(1)},

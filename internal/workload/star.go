@@ -13,11 +13,11 @@ import (
 
 // StarConfig parameterizes a star-schema federation: one wide fact relation
 // and two small dimension relations, each owned by its own local database.
-// It is the workload of the B-OPT cost-based-optimizer benchmarks — the
-// shape where predicate/projection pushdown and join ordering dominate
-// wide-area cost: the fact table is big and padded (so shipping it
-// wholesale is expensive), the dimensions are small (so joining them first
-// keeps intermediates tiny).
+// It is the workload of the cost-based optimizer's tests — the shape where
+// predicate/projection pushdown and join ordering dominate wide-area cost:
+// the fact table is big and padded (so shipping it wholesale is expensive),
+// the dimensions are small (so joining them first keeps intermediates
+// tiny).
 type StarConfig struct {
 	// Facts is the fact relation's cardinality.
 	Facts int

@@ -1,6 +1,6 @@
-// Package workload generates synthetic federations for the performance
-// characterization benchmarks (DESIGN.md, B-OV/B-SRC/B-OVL). The paper's
-// motivation is "a federated database environment with hundreds of
+// Package workload generates synthetic federations for the test suites of
+// the layers above the algebra (pqp, credibility, translate, vtab). The
+// paper's motivation is "a federated database environment with hundreds of
 // databases"; its worked example has three. This generator produces
 // federations with a configurable number of local databases, each holding a
 // horizontal fragment of one universal entity set, with configurable

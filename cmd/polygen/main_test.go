@@ -68,3 +68,18 @@ func TestConnectExitStatus(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedProjectionAttribute: a projection naming one attribute twice
+// is refused with an error naming it, in SQL and in the algebra, and the
+// command exits non-zero instead of panicking.
+func TestRepeatedProjectionAttribute(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sql", `SELECT ANAME, ANAME FROM PALUMNUS`},
+		{"-alg", `PORGANIZATION [ONAME, ONAME]`},
+	} {
+		out, errOut, code := polygen(t, args...)
+		if code == 0 || strings.Contains(errOut, "panic") || !strings.Contains(errOut, "twice") || out != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q", args, code, out, errOut)
+		}
+	}
+}

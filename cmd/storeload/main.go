@@ -135,7 +135,7 @@ func main() {
 		fatal("dialing recovered daemon: %v", err)
 	}
 	defer client2.Close()
-	cur, err := client2.Open(lqp.Retrieve(relation))
+	cur, err := client2.OpenPlan(lqp.PlanOf(lqp.Retrieve(relation)))
 	if err != nil {
 		fatal("retrieving recovered %s: %v", relation, err)
 	}

@@ -173,6 +173,9 @@ func TestCSVErrors(t *testing.T) {
 	if err := db.LoadCSV("E", strings.NewReader("")); err == nil {
 		t.Error("empty CSV should fail (no header)")
 	}
+	if err := db.LoadCSV("R", strings.NewReader("A,B,A\n1,2,3\n")); err == nil || !strings.Contains(err.Error(), `"A"`) {
+		t.Errorf("a header repeating a column: %v, want an error naming it", err)
+	}
 	if err := db.LoadCSV("K", strings.NewReader("A,B\n1,2\n3,4\n1,3\n"), "A"); err == nil {
 		t.Error("duplicate keys in CSV should fail")
 	}

@@ -20,7 +20,15 @@ func (d *Database) LoadCSV(name string, r io.Reader, key ...string) error {
 	if err != nil {
 		return fmt.Errorf("catalog: reading CSV header for %q: %w", name, err)
 	}
-	if err := d.Create(name, rel.SchemaOf(header...), key...); err != nil {
+	attrs := make([]rel.Attr, len(header))
+	for i, h := range header {
+		attrs[i] = rel.Attr{Name: h}
+	}
+	schema, err := rel.MakeSchema(attrs...)
+	if err != nil {
+		return fmt.Errorf("catalog: CSV header for %q: %w", name, err)
+	}
+	if err := d.Create(name, schema, key...); err != nil {
 		return err
 	}
 	var tuples []rel.Tuple

@@ -155,14 +155,11 @@ func ReadSnapshot(r io.Reader) (*Database, error) {
 	}
 	db := NewDatabase(snap.Name)
 	for _, rs := range snap.Relations {
-		seen := make(map[string]bool, len(rs.Attrs))
-		for _, a := range rs.Attrs {
-			if seen[a.Name] {
-				return nil, bad(fmt.Sprintf("relation %q repeats attribute %q", rs.Name, a.Name))
-			}
-			seen[a.Name] = true
+		schema, err := rel.MakeSchema(rs.Attrs...)
+		if err != nil {
+			return nil, bad(fmt.Sprintf("relation %q: %v", rs.Name, err))
 		}
-		if err := db.Create(rs.Name, rel.NewSchema(rs.Attrs...), rs.Key...); err != nil {
+		if err := db.Create(rs.Name, schema, rs.Key...); err != nil {
 			return nil, bad(err.Error())
 		}
 		if err := db.Insert(rs.Name, rs.Tuples...); err != nil {

@@ -228,6 +228,8 @@ func TestSnapshotInvalidPayloadIsCorrupt(t *testing.T) {
 		var ce *segment.CorruptError
 		if !errors.As(err, &ce) || ce.Offset != snapshotHeaderSize {
 			t.Errorf("%s: want CorruptError at the payload, got %v", name, err)
+		} else if name == "repeated attr" && !strings.Contains(ce.Reason, `"A"`) {
+			t.Errorf("%s: reason %q does not name the attribute", name, ce.Reason)
 		}
 	}
 }

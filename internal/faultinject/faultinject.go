@@ -168,27 +168,17 @@ func (f *Flaky) Stats() ([]lqp.RelationStats, error) {
 	return f.inner.Stats()
 }
 
-// Open implements lqp.LQP: the operation's fault schedule runs at open
-// time, and on the cut cadence the returned cursor dies mid-stream after
-// CutAfter batches.
-func (f *Flaky) Open(op lqp.Op) (rel.Cursor, error) {
-	if err := f.before(); err != nil {
-		return nil, err
-	}
-	cur, err := f.inner.Open(op)
-	return f.maybeCut(cur, err)
-}
+// Open implements lqp.LQP: one operation is the one-step plan.
+func (f *Flaky) Open(op lqp.Op) (rel.Cursor, error) { return f.OpenPlan(lqp.PlanOf(op)) }
 
-// OpenPlan implements lqp.LQP, with the same cut behavior as Open.
+// OpenPlan implements lqp.LQP: the plan's fault schedule runs at open time,
+// and on the cut cadence the returned cursor dies mid-stream after
+// CutAfter batches.
 func (f *Flaky) OpenPlan(p lqp.Plan) (rel.Cursor, error) {
 	if err := f.before(); err != nil {
 		return nil, err
 	}
 	cur, err := f.inner.OpenPlan(p)
-	return f.maybeCut(cur, err)
-}
-
-func (f *Flaky) maybeCut(cur rel.Cursor, err error) (rel.Cursor, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -27,8 +27,8 @@ package federation
 // result multiset exactly and concatenation is the identity. Project
 // eliminates duplicates per shard, but rows on different shards can project
 // to the same value — exactly those cross-shard duplicates are eliminated at
-// the gather (first occurrence in shard-major order wins, mirroring
-// relalg.Project's insertion-order dedup).
+// the gather by rel.DedupCursor, the cursor an LQP's own Project dedups
+// with (first occurrence in shard-major order wins).
 
 import (
 	"errors"
@@ -130,29 +130,15 @@ func (m ShardMap) placement(relation string, schema *rel.Schema) func(rel.Tuple)
 	return func(t rel.Tuple) int { return ShardOf(TupleShardHash(t), m.Shards) }
 }
 
-// PruneOp returns the single shard that can hold rows satisfying op, or -1
-// when every shard must be consulted. Pruning fires only for an equality
+// PrunePlan returns the single shard that can contribute rows to plan p, or
+// -1 when every shard must be consulted. Pruning fires for an equality
 // Select of a string constant against the relation's placement attribute:
 // string equality is exact (Theta.Eval compares strings by content), so a
 // matching row's placement hash is the constant's. Numeric constants never
 // prune — Int and Float values compare equal across kinds but hash apart.
-func (m ShardMap) PruneOp(op lqp.Op) int {
-	if m.Shards <= 1 {
-		return 0
-	}
-	if op.Kind != lqp.OpSelect || op.Theta != rel.ThetaEQ || op.Const.Kind() != rel.KindString {
-		return -1
-	}
-	if attr := m.Keys[op.Relation]; attr == "" || attr != op.Attr {
-		return -1
-	}
-	return ShardOf(ShardHash(op.Const), m.Shards)
-}
-
-// PrunePlan returns the single shard that can contribute rows to plan p, or
-// -1. Any pruning Select in the pipeline prunes the whole plan: every
-// surviving output row passes the equality, so every contributing base row
-// carries the constant in the placement attribute and lives on its shard
+// Any pruning Select in the pipeline prunes the whole plan: every surviving
+// output row passes the equality, so every contributing base row carries
+// the constant in the placement attribute and lives on its shard
 // (attribute names are stable through Project/Restrict steps).
 func (m ShardMap) PrunePlan(p lqp.Plan) int {
 	if m.Shards <= 1 {
@@ -352,19 +338,14 @@ func (s *ShardedSource) stats(d *Diagnostics) ([]lqp.RelationStats, error) {
 	return merged, nil
 }
 
-// Open implements lqp.LQP: opens scatter to every shard concurrently
+// Open implements lqp.LQP: one operation is the one-step plan.
+func (s *ShardedSource) Open(op lqp.Op) (rel.Cursor, error) { return s.OpenPlan(lqp.PlanOf(op)) }
+
+// OpenPlan implements lqp.LQP: a plan scatters to every shard concurrently
 // (each leg prefetched on its own goroutine, resuming mid-stream failures on
 // its shard's replicas) and the gathered cursor streams the legs
-// shard-major under bounded memory.
-func (s *ShardedSource) Open(op lqp.Op) (rel.Cursor, error) { return s.openStream(nil, op) }
-
-func (s *ShardedSource) openStream(d *Diagnostics, op lqp.Op) (rel.Cursor, error) {
-	return s.openScatter(d, s.shardMap().PruneOp(op), op.Kind == lqp.OpProject,
-		func(m *Source) (rel.Cursor, error) { return m.openStream(d, op) })
-}
-
-// OpenPlan implements lqp.LQP: pushed plans scatter too, so pushdown
-// savings multiply by the fan-out instead of being lost.
+// shard-major under bounded memory, so pushdown savings multiply by the
+// fan-out instead of being lost.
 func (s *ShardedSource) OpenPlan(p lqp.Plan) (rel.Cursor, error) { return s.openPlanStream(nil, p) }
 
 func (s *ShardedSource) openPlanStream(d *Diagnostics, p lqp.Plan) (rel.Cursor, error) {
@@ -406,7 +387,7 @@ func (s *ShardedSource) openScatter(d *Diagnostics, target int, dedup bool, open
 	}
 	var cur rel.Cursor = &gatherCursor{s: s, legs: legs}
 	if dedup {
-		cur = &shardDedupCursor{in: cur, seen: rel.NewBucketIndex(0)}
+		cur = rel.DedupCursor(cur)
 	}
 	return cur, nil
 }
@@ -477,43 +458,6 @@ func (g *gatherCursor) Close() error {
 	return first
 }
 
-// shardDedupCursor eliminates cross-shard duplicates of a projected gather
-// stream: first occurrence in stream order wins. It retains every kept
-// tuple (the Cursor contract keeps batches valid and immutable), so its
-// memory is bounded by the distinct result — the same bound the unsharded
-// Project pays.
-type shardDedupCursor struct {
-	in   rel.Cursor
-	seen rel.BucketIndex
-	kept []rel.Tuple
-}
-
-func (c *shardDedupCursor) Schema() *rel.Schema { return c.in.Schema() }
-
-func (c *shardDedupCursor) Next() ([]rel.Tuple, error) {
-	for {
-		batch, err := c.in.Next()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]rel.Tuple, 0, len(batch))
-		for _, t := range batch {
-			h := t.Hash64(rel.Seed)
-			if _, dup := c.seen.Find(h, func(at int) bool { return c.kept[at].Identical(t) }); dup {
-				continue
-			}
-			c.seen.Add(h, len(c.kept))
-			c.kept = append(c.kept, t)
-			out = append(out, t)
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-}
-
-func (c *shardDedupCursor) Close() error { return c.in.Close() }
-
 // boundSharded is a ShardedSource view reporting into one query's
 // Diagnostics.
 type boundSharded struct {
@@ -523,7 +467,7 @@ type boundSharded struct {
 
 func (b *boundSharded) Name() string                            { return b.s.name }
 func (b *boundSharded) Relations() ([]string, error)            { return b.s.relations(b.d) }
-func (b *boundSharded) Open(op lqp.Op) (rel.Cursor, error)      { return b.s.openStream(b.d, op) }
+func (b *boundSharded) Open(op lqp.Op) (rel.Cursor, error)      { return b.OpenPlan(lqp.PlanOf(op)) }
 func (b *boundSharded) OpenPlan(p lqp.Plan) (rel.Cursor, error) { return b.s.openPlanStream(b.d, p) }
 func (b *boundSharded) Stats() ([]lqp.RelationStats, error)     { return b.s.stats(b.d) }
 func (b *boundSharded) Bind(d *Diagnostics) lqp.LQP             { return &boundSharded{s: b.s, d: d} }

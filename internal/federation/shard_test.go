@@ -9,7 +9,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/lqp"
 	"repro/internal/rel"
-	"repro/internal/relalg"
 )
 
 var shardCounts = []int{1, 2, 4, 7}
@@ -281,8 +280,8 @@ func TestShardedSourceMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedFiltersAfterProject: pushed plans that filter after a Project
-// scatter to three shards and answer exactly what the same operations
-// applied to the unsharded in-process relation give — including the
+// scatter to three shards and answer exactly what the same plan gives over
+// the unsharded in-process relation — including the
 // cross-shard duplicates the projection creates, which the gather drops.
 func TestShardedFiltersAfterProject(t *testing.T) {
 	db := shardDB(600)
@@ -308,22 +307,9 @@ func TestShardedFiltersAfterProject(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		want, err := db.Snapshot(p.Relation())
+		want, err := drainOpen(lqp.NewLocal(db).OpenPlan(p))
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, op := range p.Steps() {
-			switch op.Kind {
-			case lqp.OpSelect:
-				want, err = relalg.Select(want, op.Attr, op.Theta, op.Const)
-			case lqp.OpRestrict:
-				want, err = relalg.Restrict(want, op.Attr, op.Theta, op.Attr2)
-			case lqp.OpProject:
-				want, err = relalg.Project(want, op.Attrs)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
 		}
 		if len(want.Tuples) == 0 {
 			t.Fatalf("%s: empty reference answer proves nothing", p)
@@ -382,7 +368,7 @@ func TestShardPruning(t *testing.T) {
 	// Numeric equality must not prune: Int and Float compare equal across
 	// kinds but hash apart.
 	m := src.shardMap()
-	if got := m.PruneOp(lqp.Select("GRADES", "GID", rel.ThetaEQ, rel.Int(7))); got != -1 {
+	if got := m.PrunePlan(lqp.PlanOf(lqp.Select("GRADES", "GID", rel.ThetaEQ, rel.Int(7)))); got != -1 {
 		t.Errorf("numeric-const select pruned to shard %d, want -1", got)
 	}
 }

@@ -255,16 +255,12 @@ func (s *Source) stats(d *Diagnostics) ([]lqp.RelationStats, error) {
 	return call(s, d, func(l lqp.LQP) ([]lqp.RelationStats, error) { return l.Stats() }, nil)
 }
 
-// Open implements lqp.LQP: a hedged, deadline-bounded open with
+// Open implements lqp.LQP: one operation is the one-step plan.
+func (s *Source) Open(op lqp.Op) (rel.Cursor, error) { return s.OpenPlan(lqp.PlanOf(op)) }
+
+// OpenPlan implements lqp.LQP: a hedged, deadline-bounded open with
 // failover, returning a cursor that resumes mid-stream failures on another
 // replica.
-func (s *Source) Open(op lqp.Op) (rel.Cursor, error) { return s.openStream(nil, op) }
-
-func (s *Source) openStream(d *Diagnostics, op lqp.Op) (rel.Cursor, error) {
-	return s.open(d, func(l lqp.LQP) (rel.Cursor, error) { return l.Open(op) })
-}
-
-// OpenPlan implements lqp.LQP, with the same semantics as Open.
 func (s *Source) OpenPlan(p lqp.Plan) (rel.Cursor, error) { return s.openPlanStream(nil, p) }
 
 func (s *Source) openPlanStream(d *Diagnostics, p lqp.Plan) (rel.Cursor, error) {
@@ -531,7 +527,7 @@ type boundSource struct {
 
 func (b *boundSource) Name() string                            { return b.s.name }
 func (b *boundSource) Relations() ([]string, error)            { return b.s.relations(b.d) }
-func (b *boundSource) Open(op lqp.Op) (rel.Cursor, error)      { return b.s.openStream(b.d, op) }
+func (b *boundSource) Open(op lqp.Op) (rel.Cursor, error)      { return b.OpenPlan(lqp.PlanOf(op)) }
 func (b *boundSource) OpenPlan(p lqp.Plan) (rel.Cursor, error) { return b.s.openPlanStream(b.d, p) }
 func (b *boundSource) Stats() ([]lqp.RelationStats, error)     { return b.s.stats(b.d) }
 func (b *boundSource) Bind(d *Diagnostics) lqp.LQP             { return &boundSource{s: b.s, d: d} }

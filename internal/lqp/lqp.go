@@ -8,12 +8,12 @@
 // Local (in-process, over a catalog.Database) is the base implementation;
 // wire.Client runs the same operations over TCP against a cmd/lqpd server,
 // standing in for the paper's encapsulation of "unusual query interfaces"
-// behind the LQP boundary. Every LQP answers as a stream: Open evaluates one
-// local operation and OpenPlan a pushed-down subplan (plan.go) — a pipeline
-// of local operations fused by the cost-based Query Optimizer — entirely
-// inside the LQP, so only the filtered, narrowed rows cross the federation
-// boundary. Stats reports per-relation cardinalities, column lists and
-// keys, collected by internal/stats into the optimizer's cost model.
+// behind the LQP boundary. Every LQP answers as a stream: OpenPlan evaluates
+// a plan (plan.go) — a pipeline of local operations, one of them or more
+// fused by the cost-based Query Optimizer — entirely inside the LQP, so
+// only the filtered, narrowed rows cross the federation boundary; Open is
+// the one-step plan. Stats reports per-relation cardinalities, column lists
+// and keys, collected by internal/stats into the optimizer's cost model.
 package lqp
 
 import (
@@ -107,17 +107,16 @@ type LQP interface {
 	Name() string
 	// Relations lists the local scheme names available.
 	Relations() ([]string, error)
-	// Open evaluates op and returns a cursor over the result. The batches
-	// obey the rel.Cursor contract (immutable, valid across Next calls);
-	// they may alias live base-relation storage, so callers must copy any
-	// tuple they intend to modify. Cursors that can also yield batches in
-	// column-major form implement rel.ColCursor (Local's retrieval cursors
-	// and wire.Client's streams do); consumers that want column vectors —
-	// the wire server's frames, the PQP's tagging scan — type-assert for it
-	// and fall back to row batches.
+	// Open evaluates one operation: OpenPlan(PlanOf(op)).
 	Open(op Op) (rel.Cursor, error)
-	// OpenPlan evaluates a pushed-down subplan and returns a cursor over
-	// its final, filtered result.
+	// OpenPlan evaluates a plan and returns a cursor over its result. The
+	// batches obey the rel.Cursor contract (immutable, valid across Next
+	// calls); they may alias live base-relation storage, so callers must
+	// copy any tuple they intend to modify. Cursors that can also yield
+	// batches in column-major form implement rel.ColCursor (Local's
+	// retrieval cursors and wire.Client's streams do); consumers that want
+	// column vectors — the wire server's frames, the PQP's tagging scan —
+	// type-assert for it and fall back to row batches.
 	OpenPlan(p Plan) (rel.Cursor, error)
 	// Stats reports per-relation cardinalities, column lists and keys.
 	Stats() ([]RelationStats, error)

@@ -2,19 +2,19 @@ package lqp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/rel"
-	"repro/internal/relalg"
 )
 
-// Plan is a pushed-down local subplan: a pipeline of local operations
+// Plan is the one request an LQP evaluates: a pipeline of local operations
 // evaluated entirely inside one LQP. Ops[0] is the base operation and names
 // the local relation; every later op applies to the running result (its
-// Relation field is ignored). The polygen Query Optimizer emits plans when
-// it fuses PQP-resident Select/Restrict/Project rows into the local row
-// that feeds them, so only the filtered, narrowed rows cross the wide-area
-// boundary.
+// Relation field is ignored). A bare operation is the one-step plan. The
+// polygen Query Optimizer emits longer plans when it fuses PQP-resident
+// Select/Restrict/Project rows into the local row that feeds them, so only
+// the filtered, narrowed rows cross the wide-area boundary.
 type Plan struct {
 	Ops []Op
 }
@@ -22,14 +22,6 @@ type Plan struct {
 // PlanOf builds a plan from a base operation and trailing steps.
 func PlanOf(base Op, steps ...Op) Plan {
 	return Plan{Ops: append([]Op{base}, steps...)}
-}
-
-// Base returns the base operation (the first op).
-func (p Plan) Base() Op {
-	if len(p.Ops) == 0 {
-		return Op{}
-	}
-	return p.Ops[0]
 }
 
 // Steps returns the pushed-down steps beyond the base operation.
@@ -41,16 +33,40 @@ func (p Plan) Steps() []Op {
 }
 
 // Relation returns the base relation name.
-func (p Plan) Relation() string { return p.Base().Relation }
+func (p Plan) Relation() string {
+	if len(p.Ops) == 0 {
+		return ""
+	}
+	return p.Ops[0].Relation
+}
 
 // Validate checks the plan shape: a non-empty pipeline whose base op names
-// a relation.
+// a relation, whose later ops are Select, Restrict or Project, and whose
+// Project lists name no attribute twice. It reads only the fields an op's
+// kind reads, so a field that kind ignores may carry anything.
 func (p Plan) Validate() error {
 	if len(p.Ops) == 0 {
 		return fmt.Errorf("lqp: empty plan")
 	}
 	if p.Ops[0].Relation == "" {
 		return fmt.Errorf("lqp: plan base op names no relation")
+	}
+	for i, op := range p.Ops {
+		switch op.Kind {
+		case OpRetrieve:
+			if i > 0 {
+				return fmt.Errorf("lqp: Retrieve is only a base operation")
+			}
+		case OpSelect, OpRestrict:
+		case OpProject:
+			for j, a := range op.Attrs {
+				if slices.Contains(op.Attrs[:j], a) {
+					return fmt.Errorf("lqp: Project names attribute %q twice", a)
+				}
+			}
+		default:
+			return fmt.Errorf("lqp: unsupported operation %v", op.Kind)
+		}
 	}
 	return nil
 }
@@ -99,47 +115,70 @@ func StepsString(steps []Op) string {
 	return b.String()
 }
 
-// OpenPlan implements LQP. Select and Restrict steps compose as filter
-// cursors over the base stream — fully pipelined, no copy; a Project step
-// is a blocking point (duplicate elimination), so the stream so far drains,
-// projects, and the remaining steps filter the projected rows.
+// Open implements LQP: one operation is the one-step plan.
+func (l *Local) Open(op Op) (rel.Cursor, error) { return l.OpenPlan(PlanOf(op)) }
+
+// OpenPlan implements LQP, and is the one local evaluator. It opens a view
+// of the base relation and applies every op — the base op's own Select,
+// Restrict or Project included — as a streamed step, one input batch in
+// flight. Filters pass rows through uncopied (they may alias the live
+// relation, which nothing mutates). A Project copies only the rows it
+// emits, and eliminates duplicates unless it keeps every column of the
+// relation's primary key, which then guarantees distinct rows; attribute
+// names are stable through steps, so that holds after earlier Projects too.
 func (l *Local) OpenPlan(p Plan) (rel.Cursor, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cur, err := l.Open(p.Base())
+	schema, tuples, err := l.db.View(p.Relation())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lqp %s: %w", l.Name(), err)
 	}
-	for _, op := range p.Steps() {
+	key, err := l.db.Key(p.Relation())
+	if err != nil {
+		return nil, fmt.Errorf("lqp %s: %w", l.Name(), err)
+	}
+	cur := rel.NewSliceCursor(schema, tuples, rel.DefaultBatchSize)
+	// rows sizes a Project's dedup table. The relation's cardinality bounds
+	// a Project's input until a filter runs; after one, a table of that size
+	// could dwarf the rows that pass, so the table grows with them instead.
+	rows := len(tuples)
+	for _, op := range p.Ops {
 		switch op.Kind {
 		case OpSelect, OpRestrict:
 			cur, err = filterStep(cur, op)
+			rows = 0
 		case OpProject:
-			var r *rel.Relation
-			if r, err = rel.Drain(cur); err == nil {
-				if r, err = relalg.Project(r, op.Attrs); err == nil {
-					cur = rel.CursorOf(r)
-				}
-			}
-		default:
-			cur.Close()
-			return nil, fmt.Errorf("lqp %s: unsupported plan step %v", l.Name(), op.Kind)
+			cur, err = rel.ProjectCursor(cur, op.Attrs, !keeps(op.Attrs, key), rows)
 		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("lqp %s: %s: %w", l.Name(), p.Relation(), err)
 		}
 	}
 	return cur, nil
 }
 
-// filterStep wraps cur with one Select/Restrict predicate.
+// keeps reports whether attrs names every column of a declared key.
+func keeps(attrs, key []string) bool {
+	if len(key) == 0 {
+		return false
+	}
+	for _, k := range key {
+		if !slices.Contains(attrs, k) {
+			return false
+		}
+	}
+	return true
+}
+
+// filterStep wraps cur with one Select/Restrict predicate; on error it
+// closes cur.
 func filterStep(cur rel.Cursor, op Op) (rel.Cursor, error) {
 	schema := cur.Schema()
 	ci := schema.Index(op.Attr)
 	if ci < 0 {
 		cur.Close()
-		return nil, fmt.Errorf("lqp: no attribute %q in pushed plan step", op.Attr)
+		return nil, fmt.Errorf("no attribute %q in %s", op.Attr, schema)
 	}
 	if op.Kind == OpSelect {
 		theta, constant := op.Theta, op.Const
@@ -150,7 +189,7 @@ func filterStep(cur rel.Cursor, op Op) (rel.Cursor, error) {
 	yi := schema.Index(op.Attr2)
 	if yi < 0 {
 		cur.Close()
-		return nil, fmt.Errorf("lqp: no attribute %q in pushed plan step", op.Attr2)
+		return nil, fmt.Errorf("no attribute %q in %s", op.Attr2, schema)
 	}
 	theta := op.Theta
 	return rel.FilterCursor(cur, func(t rel.Tuple) bool {

@@ -2,11 +2,11 @@ package lqp
 
 import (
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/rel"
-	"repro/internal/relalg"
 )
 
 func planDB(t *testing.T) *catalog.Database {
@@ -47,30 +47,121 @@ func TestPlanValidateAndString(t *testing.T) {
 	if err := (Plan{Ops: []Op{{Kind: OpRetrieve}}}).Validate(); err == nil {
 		t.Error("plan without a base relation accepted")
 	}
+	for _, bad := range []Plan{
+		PlanOf(Project("T", "V", "C", "V")),
+		PlanOf(Retrieve("T"), Project("T", "V", "V")),
+		PlanOf(Retrieve("T"), Retrieve("T")),
+		PlanOf(Op{Kind: OpKind(99), Relation: "T"}),
+	} {
+		err := bad.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted", bad)
+		} else if bad.Ops[len(bad.Ops)-1].Kind == OpProject && !strings.Contains(err.Error(), `"V"`) {
+			t.Errorf("%s: error %q does not name the repeated attribute", bad, err)
+		}
+	}
+}
+
+// TestPlanIgnoresFieldsItsKindDoesNotRead: a field that an op's kind never
+// reads may carry anything (a tracing harness rides a span reference in
+// one), and neither Validate nor the evaluator looks at it.
+func TestPlanIgnoresFieldsItsKindDoesNotRead(t *testing.T) {
+	db := planDB(t)
+	l := NewLocal(db)
+	tag := "\x00tag"
+	for _, p := range []Plan{
+		PlanOf(Retrieve("T"), Select("T", "C", rel.ThetaEQ, rel.String("b"))),
+		PlanOf(Select("T", "C", rel.ThetaEQ, rel.String("b")), Project("T", "C", "V")),
+		PlanOf(Restrict("T", "K", rel.ThetaLT, "V"), Project("T", "C")),
+		PlanOf(Project("T", "C", "V")),
+	} {
+		tagged := Plan{Ops: append([]Op(nil), p.Ops...)}
+		for i := range tagged.Ops {
+			if tagged.Ops[i].Kind == OpRestrict {
+				tagged.Ops[i].Attrs = []string{tag, tag}
+			} else {
+				tagged.Ops[i].Attr2 = tag
+			}
+		}
+		got, err := drainOpen(l.OpenPlan(tagged))
+		if err != nil {
+			t.Fatalf("%s tagged: %v", p, err)
+		}
+		sameRows(t, p.String(), got, stepwise(t, db, p))
+	}
 }
 
 // stepwise evaluates a plan the unfused way: the base relation from the
-// catalog, then every op with the untagged relational algebra.
+// catalog, then every op with the naive untagged operators below.
 func stepwise(t *testing.T, db *catalog.Database, p Plan) *rel.Relation {
 	t.Helper()
 	r, err := db.Snapshot(p.Relation())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range p.Ops {
-		switch op.Kind {
-		case OpSelect:
-			r, err = relalg.Select(r, op.Attr, op.Theta, op.Const)
-		case OpRestrict:
-			r, err = relalg.Restrict(r, op.Attr, op.Theta, op.Attr2)
-		case OpProject:
-			r, err = relalg.Project(r, op.Attrs)
-		}
+	col := func(name string) int {
+		i, err := r.Col(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return i
+	}
+	for _, op := range p.Ops {
+		switch op.Kind {
+		case OpSelect:
+			ci, theta, c := col(op.Attr), op.Theta, op.Const
+			r = naiveFilter(r, func(tu rel.Tuple) bool { return theta.Eval(tu[ci], c) })
+		case OpRestrict:
+			xi, yi, theta := col(op.Attr), col(op.Attr2), op.Theta
+			r = naiveFilter(r, func(tu rel.Tuple) bool { return theta.Eval(tu[xi], tu[yi]) })
+		case OpProject:
+			r = naiveProject(t, r, op.Attrs)
+		}
 	}
 	return r
+}
+
+// The naive untagged operators are the oracle the evaluator is checked
+// against. Row identity is the Value.Key rendering (Tuple.Key), so they
+// share nothing with rel.BucketIndex or Hash64, which the evaluator uses.
+
+// naiveFilter keeps the rows for which keep holds.
+func naiveFilter(r *rel.Relation, keep func(rel.Tuple) bool) *rel.Relation {
+	out := rel.NewRelation("", r.Schema)
+	for _, tu := range r.Tuples {
+		if keep(tu) {
+			out.Tuples = append(out.Tuples, tu)
+		}
+	}
+	return out
+}
+
+// naiveProject narrows r to attrs, keeping the first occurrence of every
+// distinct projected row, in input order.
+func naiveProject(t *testing.T, r *rel.Relation, attrs []string) *rel.Relation {
+	t.Helper()
+	cols := make([]int, len(attrs))
+	out := make([]rel.Attr, len(attrs))
+	for i, a := range attrs {
+		ci, err := r.Col(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[i], out[i] = ci, r.Schema.Attr(ci)
+	}
+	res := rel.NewRelation("", rel.NewSchema(out...))
+	seen := make(map[string]bool)
+	for _, tu := range r.Tuples {
+		row := make(rel.Tuple, len(cols))
+		for i, ci := range cols {
+			row[i] = tu[ci]
+		}
+		if k := row.Key(); !seen[k] {
+			seen[k] = true
+			res.Tuples = append(res.Tuples, row)
+		}
+	}
+	return res
 }
 
 // sameRows fails unless got and want agree in schema and row for row.

@@ -47,7 +47,7 @@ func (c *counting) Open(op lqp.Op) (rel.Cursor, error) {
 
 // OpenPlan records the plan's base op as the operation and keeps the plan.
 func (c *counting) OpenPlan(p lqp.Plan) (rel.Cursor, error) {
-	c.record(p.Base(), &p)
+	c.record(p.Ops[0], &p)
 	return c.meter(c.LQP.OpenPlan(p))
 }
 

@@ -302,10 +302,10 @@ func (q *PQP) degrade(row translate.Row, plan lqp.Plan, env execEnv, cause error
 	}
 	cols, ok := q.degradedColumns(row.EL, plan)
 	if !ok {
-		return nil, fmt.Errorf("pqp: cannot degrade %s.%s (columns unknown): %w", row.EL, plan.Base().Relation, cause)
+		return nil, fmt.Errorf("pqp: cannot degrade %s.%s (columns unknown): %w", row.EL, plan.Relation(), cause)
 	}
 	env.diag.AddMissing(row.EL)
-	return rel.NewRelation(plan.Base().Relation, rel.SchemaOf(cols...)), nil
+	return rel.NewRelation(plan.Relation(), rel.SchemaOf(cols...)), nil
 }
 
 // degradedColumns shapes a dropped scatter leg's empty stand-in: a
@@ -319,11 +319,11 @@ func (q *PQP) degradedColumns(db string, plan lqp.Plan) ([]string, bool) {
 		}
 	}
 	if q.Stats != nil {
-		if cols, ok := q.Stats.Columns(db, plan.Base().Relation); ok {
+		if cols, ok := q.Stats.Columns(db, plan.Relation()); ok {
 			return cols, true
 		}
 	}
-	return q.schema.LocalColumns(db, plan.Base().Relation)
+	return q.schema.LocalColumns(db, plan.Relation())
 }
 
 // Open runs the translation pipeline for e (through the plan cache) and

@@ -257,8 +257,9 @@ func (q *PQP) openRow(row translate.Row, takeReg func(int) (core.Cursor, error),
 // openLocal opens one LQP-resident row as a tagged stream: the LQP cursor
 // is wrapped in a prefetching reader (so retrieval overlaps with PQP work)
 // and a tagging cursor that applies domain mappings and attaches the
-// execution location as every cell's originating source. Rows carrying
-// optimizer-fused steps open as pushed-down subplans, so only the filtered,
+// execution location as every cell's originating source. Every row opens
+// as a plan: a bare operation is the one-step plan, and a row carrying
+// optimizer-fused steps pushes them down too, so only the filtered,
 // narrowed batches cross the LQP boundary; the tag cursor reconstructs the
 // intermediate tags the displaced PQP-side filters would have added.
 func (q *PQP) openLocal(row translate.Row, env execEnv) (core.Cursor, error) {
@@ -270,13 +271,7 @@ func (q *PQP) openLocal(row translate.Row, env execEnv) (core.Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := q.boundLQP(processor, env)
-	var rc rel.Cursor
-	if len(plan.Ops) == 1 {
-		rc, err = l.Open(plan.Base())
-	} else {
-		rc, err = l.OpenPlan(plan)
-	}
+	rc, err := q.boundLQP(processor, env).OpenPlan(plan)
 	if err != nil {
 		// An exhausted source degrades (policy permitting) to an empty
 		// stream with the columns the operation would have produced; no

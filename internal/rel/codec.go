@@ -1,9 +1,9 @@
 package rel
 
 // This file implements the plain (untagged) half of the binary columnar
-// codec: the column-major byte layout shared by the wire protocol's "open"
-// stream frames (internal/wire) and the write-ahead segment log's insert
-// payloads (internal/store). A frame is
+// codec: the column-major byte layout shared by the wire protocol's
+// "openplan" stream frames (internal/wire) and the write-ahead segment
+// log's insert payloads (internal/store). A frame is
 //
 //	+-------+--------+--------+----------------- ... -----+
 //	| 0xC1  | ncols  | nrows  | column 0 | column 1 | ... |

@@ -1,6 +1,9 @@
 package rel
 
-import "io"
+import (
+	"fmt"
+	"io"
+)
 
 // This file defines the streaming substrate of the execution engine: a
 // Cursor yields a relation batch-at-a-time instead of materializing it, so
@@ -135,6 +138,114 @@ func (c *filterCursor) Next() ([]Tuple, error) {
 }
 
 func (c *filterCursor) Close() error { return c.in.Close() }
+
+// dedupCursor streams the rows of an input cursor, optionally narrowed to
+// some of its columns, and optionally with duplicates eliminated. It is the
+// one duplicate-eliminating stream of the engine: an LQP's Project and the
+// federation's cross-shard gather both run on it.
+type dedupCursor struct {
+	in     Cursor
+	schema *Schema
+	cols   []int // projected columns; nil passes rows whole and uncopied
+	dedup  bool
+	// emitted holds the rows emitted so far, which seen buckets by
+	// position (dedup only); without dedup it holds the current batch's.
+	seen    BucketIndex
+	emitted []Tuple
+	scratch Tuple
+	// arena backs the projected copies. A chunk holds one input batch's
+	// worth of rows (at most arenaChunkValues values), so a small answer
+	// pays for a small chunk.
+	arena []Value
+}
+
+// DedupCursor returns a cursor over the rows of in with duplicates
+// eliminated: a row Identical to one already emitted is dropped, so the
+// first occurrence in stream order wins. Kept rows pass through uncopied
+// and are retained for the comparison (the Cursor contract keeps them
+// valid), so memory is bounded by the distinct result.
+func DedupCursor(in Cursor) Cursor {
+	return &dedupCursor{in: in, schema: in.Schema(), dedup: true, seen: NewBucketIndex(0)}
+}
+
+// ProjectCursor returns a cursor over the rows of in narrowed to the named
+// attributes, in that order. Each row is narrowed into a scratch tuple, and
+// only a row that is emitted is copied. With dedup, duplicates are
+// eliminated as by DedupCursor; without it every row is emitted, which is
+// right when the projection keeps a key of the input. rows, when positive,
+// bounds how many rows in holds and sizes the dedup table up front, so it
+// never grows. The stream is fully pipelined: each input batch yields its
+// output batch. On error in is closed.
+func ProjectCursor(in Cursor, attrs []string, dedup bool, rows int) (Cursor, error) {
+	src := in.Schema()
+	cols := make([]int, len(attrs))
+	out := make([]Attr, len(attrs))
+	for i, a := range attrs {
+		if cols[i] = src.Index(a); cols[i] < 0 {
+			in.Close()
+			return nil, fmt.Errorf("rel: no attribute %q in %s", a, src)
+		}
+		out[i] = src.Attr(cols[i])
+	}
+	schema, err := MakeSchema(out...)
+	if err != nil {
+		in.Close()
+		return nil, err
+	}
+	c := &dedupCursor{in: in, schema: schema, cols: cols, dedup: dedup, scratch: make(Tuple, len(cols))}
+	if dedup {
+		c.seen, c.emitted = NewBucketIndex(rows), make([]Tuple, 0, rows)
+	}
+	return c, nil
+}
+
+func (c *dedupCursor) Schema() *Schema { return c.schema }
+
+func (c *dedupCursor) Next() ([]Tuple, error) {
+	for {
+		batch, err := c.in.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !c.dedup {
+			c.emitted = make([]Tuple, 0, len(batch))
+		}
+		// The batch returned is the tail of emitted that this call appends,
+		// capacity-clamped: later appends never touch it.
+		start := len(c.emitted)
+		for _, t := range batch {
+			row := t
+			if c.cols != nil {
+				for i, ci := range c.cols {
+					c.scratch[i] = t[ci]
+				}
+				row = c.scratch
+			}
+			if c.dedup {
+				h := row.Hash64(Seed)
+				if _, dup := c.seen.Find(h, func(at int) bool { return c.emitted[at].Identical(row) }); dup {
+					continue
+				}
+				c.seen.Add(h, len(c.emitted))
+			}
+			if c.cols != nil {
+				n := len(c.scratch)
+				if cap(c.arena)-len(c.arena) < n {
+					c.arena = make([]Value, 0, max(n, min(len(batch)*n, arenaChunkValues)))
+				}
+				at := len(c.arena)
+				c.arena = append(c.arena, c.scratch...)
+				row = c.arena[at : at+n : at+n]
+			}
+			c.emitted = append(c.emitted, row)
+		}
+		if end := len(c.emitted); end > start {
+			return c.emitted[start:end:end], nil
+		}
+	}
+}
+
+func (c *dedupCursor) Close() error { return c.in.Close() }
 
 // Drain materializes a cursor into a relation (with the cursor's schema and
 // no name) and closes it. Batch tuples are retained, not copied — the

@@ -89,6 +89,53 @@ func TestFilterCursor(t *testing.T) {
 	}
 }
 
+// TestProjectCursor: a projection reorders columns and drops repeated
+// rows in first-occurrence order; without dedup it keeps them; a missing
+// or repeated attribute is an error that closes the input; DedupCursor
+// drops repeated whole rows.
+func TestProjectCursor(t *testing.T) {
+	r := NewRelation("T", SchemaOf("A", "B", "C"))
+	for i := 0; i < 20; i++ {
+		r.MustAppend(Int(int64(i)), Int(int64(i%3)), String("c"))
+	}
+	for _, dedup := range []bool{true, false} {
+		c, err := ProjectCursor(NewSliceCursor(r.Schema, r.Tuples, 4), []string{"C", "B"}, dedup, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Drain(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 20
+		if dedup {
+			want = 3
+		}
+		if got.Schema.String() != "(C, B)" || got.Cardinality() != want {
+			t.Fatalf("dedup %v: %s with %d rows, want (C, B) with %d", dedup, got.Schema, got.Cardinality(), want)
+		}
+		for i, tup := range got.Tuples {
+			if !tup.Identical(Tuple{String("c"), Int(int64(i % 3))}) {
+				t.Fatalf("dedup %v: row %d is %v", dedup, i, tup)
+			}
+		}
+	}
+	for _, attrs := range [][]string{{"A", "NOPE"}, {"B", "A", "B"}} {
+		in := &closeCounter{Cursor: NewSliceCursor(r.Schema, r.Tuples, 4)}
+		if _, err := ProjectCursor(in, attrs, true, 0); err == nil || in.closes.Load() != 1 {
+			t.Errorf("%v: err %v, input closed %d times", attrs, err, in.closes.Load())
+		}
+	}
+	twice := append(append([]Tuple(nil), r.Tuples...), r.Tuples...)
+	got, err := Drain(DedupCursor(NewSliceCursor(r.Schema, twice, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cardinality() != 20 || !got.Tuples[19].Identical(r.Tuples[19]) {
+		t.Fatalf("dedup of a doubled relation kept %d rows", got.Cardinality())
+	}
+}
+
 func TestPrefetchPreservesOrderAndEOF(t *testing.T) {
 	r := cursorTestRelation(1000)
 	c := Prefetch(NewSliceCursor(r.Schema, r.Tuples, 9), 4)

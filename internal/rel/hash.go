@@ -104,8 +104,8 @@ func (t Tuple) Hash64(seed maphash.Seed) uint64 {
 // hash, with candidate confirmation delegated to the caller — the shared
 // core of the engines' hash-based dedup tables: a hash collision degrades to
 // an extra comparison, never to a wrong answer. Both the polygen algebra
-// (package core, over tuple data portions) and the untagged baseline
-// (package relalg, over plain tuples) build on it.
+// (package core, over tuple data portions) and the plain streams' dedup
+// (DedupCursor and ProjectCursor, over plain tuples) build on it.
 //
 // The implementation is a flat open-addressing table: an append-only entry
 // log (hash, pos) plus a power-of-two slot array of 1-based entry indexes,

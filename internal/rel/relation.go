@@ -21,16 +21,26 @@ type Schema struct {
 	index map[string]int
 }
 
-// NewSchema builds a schema from the given attributes. It panics if two
-// attributes share a name: schemas are construction-time artifacts and a
-// duplicate name is a programming error.
-func NewSchema(attrs ...Attr) *Schema {
+// MakeSchema builds a schema from the given attributes, failing if two
+// share a name. Schemas read from outside input — a peer's stream header, a
+// log record, a snapshot, a CSV header — are built with it.
+func MakeSchema(attrs ...Attr) (*Schema, error) {
 	s := &Schema{attrs: append([]Attr(nil), attrs...), index: make(map[string]int, len(attrs))}
 	for i, a := range attrs {
 		if _, dup := s.index[a.Name]; dup {
-			panic(fmt.Sprintf("rel: duplicate attribute %q in schema", a.Name))
+			return nil, fmt.Errorf("rel: duplicate attribute %q in schema", a.Name)
 		}
 		s.index[a.Name] = i
+	}
+	return s, nil
+}
+
+// NewSchema is MakeSchema for schemas written in the program: it panics on
+// a repeated name, which there is a programming error.
+func NewSchema(attrs ...Attr) *Schema {
+	s, err := MakeSchema(attrs...)
+	if err != nil {
+		panic(err.Error())
 	}
 	return s
 }
@@ -136,10 +146,10 @@ func (t Tuple) Identical(u Tuple) bool {
 // Clone returns a copy of the tuple.
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
-// Relation is a named, schema-ful multiset of tuples. The plain relational
-// operators in package relalg treat it as a set (duplicates eliminated) per
-// the classical model; the storage layer does not forbid duplicates so that
-// intermediate results can be built incrementally.
+// Relation is a named, schema-ful multiset of tuples. A local Project
+// (package lqp) eliminates duplicates per the classical model; the storage
+// layer does not forbid them, so intermediate results can be built
+// incrementally.
 type Relation struct {
 	// Name is the relation name, e.g. "ALUMNUS". Derived relations may have
 	// an empty name.
@@ -148,10 +158,9 @@ type Relation struct {
 	Schema *Schema
 	// Tuples holds the rows.
 	Tuples []Tuple
-	// arena backs rows produced by the relational operators (package
-	// relalg): output rows are sliced out of relation-owned chunks (NewRow)
-	// instead of one make per row. Rows carved from retired chunks stay
-	// valid, so the arena only grows forward.
+	// arena backs rows built by NewRow: output rows are sliced out of
+	// relation-owned chunks instead of one make per row. Rows carved from
+	// retired chunks stay valid, so the arena only grows forward.
 	arena []Value
 }
 

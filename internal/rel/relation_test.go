@@ -26,6 +26,9 @@ func TestNewSchema(t *testing.T) {
 }
 
 func TestNewSchemaDuplicatePanics(t *testing.T) {
+	if _, err := MakeSchema(Attr{Name: "A"}, Attr{Name: "B"}, Attr{Name: "A"}); err == nil || !strings.Contains(err.Error(), `"A"`) {
+		t.Errorf("MakeSchema of a repeated attribute: %v, want an error naming it", err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate attribute did not panic")

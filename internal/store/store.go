@@ -342,7 +342,11 @@ func (s *Store) apply(payload []byte) error {
 		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&c); err != nil {
 			return fmt.Errorf("create record: %w", err)
 		}
-		return s.db.Create(c.Name, rel.NewSchema(c.Attrs...), c.Key...)
+		schema, err := rel.MakeSchema(c.Attrs...)
+		if err != nil {
+			return fmt.Errorf("create record for %q: %w", c.Name, err)
+		}
+		return s.db.Create(c.Name, schema, c.Key...)
 	case recInsert:
 		name, frame, err := splitInsert(body)
 		if err != nil {

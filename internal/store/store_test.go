@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -330,5 +332,20 @@ func TestParseFsyncMode(t *testing.T) {
 	}
 	if _, err := ParseFsyncMode("sometimes"); err == nil {
 		t.Fatal("bad mode accepted")
+	}
+}
+
+// TestApplyRejectsRepeatedAttribute: replaying a create record whose
+// attributes repeat fails with an error naming the attribute; it does not
+// panic.
+func TestApplyRejectsRepeatedAttribute(t *testing.T) {
+	var body bytes.Buffer
+	body.WriteByte(recCreate)
+	if err := gob.NewEncoder(&body).Encode(createRecord{Name: "R", Attrs: []rel.Attr{{Name: "A"}, {Name: "A"}}}); err != nil {
+		t.Fatal(err)
+	}
+	s := &Store{db: catalog.NewDatabase("X")}
+	if err := s.apply(body.Bytes()); err == nil || !strings.Contains(err.Error(), `"A"`) {
+		t.Fatalf("apply: %v, want an error naming the repeated attribute", err)
 	}
 }

@@ -2,6 +2,7 @@ package translate
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/lqp"
@@ -286,6 +287,11 @@ func analyze(e Expr, m *Matrix) (Operand, error) {
 		})
 		return RegOperand(pr), nil
 	case *ProjectExpr:
+		for i, a := range n.Attrs {
+			if slices.Contains(n.Attrs[:i], a) {
+				return Operand{}, fmt.Errorf("translate: projection names attribute %q twice", a)
+			}
+		}
 		in, err := analyze(n.In, m)
 		if err != nil {
 			return Operand{}, err

@@ -431,18 +431,11 @@ func (v *Tables) Name() string { return SourceName }
 // Relations implements lqp.LQP.
 func (v *Tables) Relations() ([]string, error) { return TableNames(), nil }
 
-// Open implements lqp.LQP: the cursor streams over the immutable
-// snapshot taken here, never over live state.
-func (v *Tables) Open(op lqp.Op) (rel.Cursor, error) {
-	db, err := v.snapshot(op.Relation)
-	if err != nil {
-		return nil, err
-	}
-	return lqp.NewLocal(db).Open(op)
-}
+// Open implements lqp.LQP: one operation is the one-step plan.
+func (v *Tables) Open(op lqp.Op) (rel.Cursor, error) { return v.OpenPlan(lqp.PlanOf(op)) }
 
-// OpenPlan implements lqp.LQP: one snapshot, then the pushed pipeline
-// streams over it.
+// OpenPlan implements lqp.LQP: the plan streams over the immutable
+// snapshot taken here, never over live state.
 func (v *Tables) OpenPlan(p lqp.Plan) (rel.Cursor, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -50,7 +50,7 @@ func TestClientInsertErrors(t *testing.T) {
 func TestMediatorServerRefusesInsert(t *testing.T) {
 	// A server without a local LQP must refuse writes cleanly.
 	srv := &Server{WriteTimeout: DefaultTimeout}
-	resp := srv.handle(request{Kind: "insert", Op: lqp.Op{Relation: "FIRM"}})
+	resp := srv.handle(request{Kind: "insert", Relation: "FIRM"})
 	if resp.Err == "" {
 		t.Fatal("mediator-only server accepted an insert")
 	}

@@ -255,3 +255,86 @@ func TestStreamCursorSkipsEmptyFrames(t *testing.T) {
 		t.Fatalf("after the last frame: err %v, want EOF", err)
 	}
 }
+
+// TestServerRejectsRepeatedProjectAttribute: a raw request whose Project
+// names an attribute twice is answered with an error naming it — the
+// server neither panics nor drops the connection, and serves the next
+// request on it.
+func TestServerRejectsRepeatedProjectAttribute(t *testing.T) {
+	_, c := startStreamServer(t, 10)
+	conn, err := net.Dial("tcp", c.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	for _, p := range []lqp.Plan{
+		lqp.PlanOf(lqp.Project("BIG", "V", "V")),
+		lqp.PlanOf(lqp.Retrieve("BIG"), lqp.Project("BIG", "K", "V", "K")),
+	} {
+		if err := enc.Encode(request{Kind: "openplan", Plan: p}); err != nil {
+			t.Fatal(err)
+		}
+		var resp response
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("%s: connection dropped: %v", p, err)
+		}
+		if resp.Err == "" || !strings.Contains(resp.Err, "twice") {
+			t.Fatalf("%s: response error %q, want the repeated attribute named", p, resp.Err)
+		}
+	}
+	if err := enc.Encode(request{Kind: "name"}); err != nil {
+		t.Fatal(err)
+	}
+	var resp response
+	if err := dec.Decode(&resp); err != nil || resp.Name != "SD" {
+		t.Fatalf("next request on the connection: %+v, %v", resp, err)
+	}
+	if got, err := rel.Drain(mustOpen(t, c, lqp.Retrieve("BIG"))); err != nil || got.Cardinality() != 10 {
+		t.Fatalf("server after the rejected requests: %v", err)
+	}
+}
+
+func mustOpen(t *testing.T, c *Client, op lqp.Op) rel.Cursor {
+	t.Helper()
+	cur, err := c.Open(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cur
+}
+
+// TestStreamHeaderRepeatedAttribute: a peer whose stream header repeats an
+// attribute fails the open with an error; the client does not panic.
+func TestStreamHeaderRepeatedAttribute(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var req request
+		if gob.NewDecoder(conn).Decode(&req) != nil {
+			return
+		}
+		gob.NewEncoder(conn).Encode(response{Attrs: []rel.Attr{{Name: "K"}, {Name: "K"}}, HasRel: true})
+		io.Copy(io.Discard, conn)
+	}()
+	c := newClient(ln.Addr().String(), 1)
+	defer c.Close()
+	c.Timeout = 5 * time.Second
+	cur, err := c.Open(lqp.Retrieve("BIG"))
+	if err == nil {
+		cur.Close()
+		t.Fatal("a header repeating an attribute was accepted")
+	}
+	if !strings.Contains(err.Error(), `"K"`) {
+		t.Fatalf("error %q does not name the repeated attribute", err)
+	}
+}

@@ -9,13 +9,13 @@
 //     "relations", "stats"), an insert, or — on a mediator server — a whole
 //     polygen query; one response carries the statistics, the tagged
 //     answer, or an error.
-//   - streaming: an "open" (one lqp.Op), "openplan" (one pushed-down
-//     lqp.Plan) or mediator "queryopen" request is answered by a schema
-//     header followed by binary columnar frames and a final done frame, on
-//     a connection dedicated to that stream. The server starts framing as
-//     soon as the operation yields rows, so remote retrieval overlaps with
-//     client-side work; a pushed-down plan evaluates entirely server-side,
-//     so only the filtered, narrowed rows are framed at all.
+//   - streaming: an "openplan" (one lqp.Plan; a bare local operation is
+//     the one-step plan) or mediator "queryopen" request is answered by a
+//     schema header followed by binary columnar frames and a final done
+//     frame, on a connection dedicated to that stream. The server starts
+//     framing as soon as the plan yields rows, so remote retrieval overlaps
+//     with client-side work; a plan evaluates entirely server-side, so only
+//     the filtered, narrowed rows are framed at all.
 //
 // Result rows always travel as binary columnar frames: plain ones
 // (rel/codec.go) on the LQP streams, source-tagged ones (core/codec.go) on
@@ -72,22 +72,20 @@ const DefaultMaxConns = 4
 
 // request is one client→server message.
 type request struct {
-	// Kind selects the operation: "name", "relations", "stats", "open",
+	// Kind selects the operation: "name", "relations", "stats",
 	// "openplan", "insert" against an LQP server;
 	// "session", "endsession", "query", "queryopen" against a mediator
 	// server; "ping" against either (the health-check probe: the cheapest
 	// possible round trip, answered without touching the database or the
 	// mediator).
 	Kind string
-	// Op is the local operation for Kind == "open"; for
-	// "insert" only Op.Relation is meaningful (the target relation).
-	Op lqp.Op
+	// Relation is the target relation for Kind == "insert".
+	Relation string
 	// Tuples carries the rows for Kind == "insert".
 	Tuples []rel.Tuple
-	// Plan is the pushed-down subplan for Kind == "openplan":
-	// the whole pipeline evaluates server-side and only the filtered,
-	// narrowed rows cross the wire — the transfer saving the cost-based
-	// optimizer plans for.
+	// Plan is the local plan for Kind == "openplan": the whole pipeline
+	// evaluates server-side and only the filtered, narrowed rows cross the
+	// wire — the transfer saving the cost-based optimizer plans for.
 	Plan lqp.Plan
 	// Session carries the session ID for mediator requests ("" runs the
 	// query sessionless).
@@ -107,8 +105,8 @@ type response struct {
 	Err       string
 	Name      string
 	Relations []string
-	// Attrs / HasRel are the schema header of an "open"/"openplan"
-	// stream; the rows follow in frames.
+	// Attrs / HasRel are the schema header of an "openplan" stream; the
+	// rows follow in frames.
 	Attrs  []rel.Attr
 	HasRel bool
 	// Stats carries the per-relation statistics for Kind == "stats".
@@ -142,7 +140,7 @@ type frame struct {
 	// streamed (mid-stream failovers count into it).
 	Diag federation.Report
 	// Bin carries one binary columnar frame: plain rows (rel.AppendFrame)
-	// on an "open"/"openplan" stream, source-tagged rows (core.AppendFrame)
+	// on an "openplan" stream, source-tagged rows (core.AppendFrame)
 	// on a "queryopen" one.
 	Bin []byte
 }
@@ -292,7 +290,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // for transport failures; application errors travel in responses.
 func (s *Server) dispatch(conn net.Conn, enc *gob.Encoder, req request) error {
 	switch req.Kind {
-	case "open", "openplan", "queryopen":
+	case "openplan", "queryopen":
 		return s.serveStream(conn, enc, req)
 	default:
 		return s.send(conn, enc, s.handle(req))
@@ -359,19 +357,13 @@ func (s *Server) serveStream(conn net.Conn, enc *gob.Encoder, req request) error
 	}
 }
 
-// openLocalStream opens an "open" or "openplan" stream over the served LQP:
-// the schema in the header, plain columnar frames after it.
+// openLocalStream opens an "openplan" stream over the served LQP: the
+// schema in the header, plain columnar frames after it.
 func (s *Server) openLocalStream(req request) (stream, error) {
 	if s.local == nil {
 		return stream{}, fmt.Errorf("wire: server %q does not serve local operations", s.serverName())
 	}
-	var cur rel.Cursor
-	var err error
-	if req.Kind == "openplan" {
-		cur, err = s.local.OpenPlan(req.Plan)
-	} else {
-		cur, err = s.local.Open(req.Op)
-	}
+	cur, err := s.local.OpenPlan(req.Plan)
 	if err != nil {
 		return stream{}, err
 	}
@@ -431,7 +423,7 @@ func (s *Server) handle(req request) response {
 		if !ok {
 			return response{Err: fmt.Sprintf("wire: server %q does not accept writes", s.serverName())}
 		}
-		if err := ins.Insert(req.Op.Relation, req.Tuples); err != nil {
+		if err := ins.Insert(req.Relation, req.Tuples); err != nil {
 			return response{Err: err.Error()}
 		}
 		return response{Name: s.serverName()}
@@ -793,7 +785,7 @@ func (c *Client) Relations() ([]string, error) {
 // request is never replayed on a retried connection, because the server may
 // have applied it before the response was lost.
 func (c *Client) Insert(relation string, tuples []rel.Tuple) error {
-	_, err := c.roundTrip(request{Kind: "insert", Op: lqp.Op{Relation: relation}, Tuples: tuples})
+	_, err := c.roundTrip(request{Kind: "insert", Relation: relation, Tuples: tuples})
 	return err
 }
 
@@ -806,23 +798,29 @@ func (c *Client) Stats() ([]lqp.RelationStats, error) {
 	return resp.Stats, nil
 }
 
-// Open implements lqp.LQP: the operation is evaluated remotely and its
-// rows arrive as frames on a connection dedicated to this stream, so the
-// server transfers ahead (into the sockets' buffers) while the caller
-// consumes — remote retrieval overlaps with PQP-side work. The cursor must
-// be closed; an abandoned stream only costs its own connection, and
-// Client.Close tears it down with the rest.
-func (c *Client) Open(op lqp.Op) (rel.Cursor, error) {
-	return c.openStream(request{Kind: "open", Op: op})
-}
+// Open implements lqp.LQP: one operation is the one-step plan.
+func (c *Client) Open(op lqp.Op) (rel.Cursor, error) { return c.OpenPlan(lqp.PlanOf(op)) }
 
-// OpenPlan implements lqp.LQP: the subplan evaluates remotely and
-// only the filtered row batches stream back.
+// OpenPlan implements lqp.LQP: the plan is evaluated remotely and its rows
+// arrive as frames on a connection dedicated to this stream, so the server
+// transfers ahead (into the sockets' buffers) while the caller consumes —
+// remote retrieval overlaps with PQP-side work. The cursor must be closed;
+// an abandoned stream only costs its own connection, and Client.Close
+// tears it down with the rest.
 func (c *Client) OpenPlan(p lqp.Plan) (rel.Cursor, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return c.openStream(request{Kind: "openplan", Plan: p})
+	r, resp, err := c.startStream(request{Kind: "openplan", Plan: p})
+	if err != nil {
+		return nil, err
+	}
+	schema, err := rel.MakeSchema(resp.Attrs...)
+	if err != nil {
+		r.Close()
+		return nil, fmt.Errorf("wire: stream header from %s: %w", c.addr, err)
+	}
+	return &streamCursor{frameReader: r, schema: schema}, nil
 }
 
 // startStream dials a dedicated connection, registers it with the client
@@ -878,14 +876,6 @@ func (c *Client) unregisterStream(conn net.Conn) {
 	c.mu.Lock()
 	delete(c.streams, conn)
 	c.mu.Unlock()
-}
-
-func (c *Client) openStream(req request) (rel.Cursor, error) {
-	r, resp, err := c.startStream(req)
-	if err != nil {
-		return nil, err
-	}
-	return &streamCursor{frameReader: r, schema: rel.NewSchema(resp.Attrs...)}, nil
 }
 
 // frameReader reads the frames of one stream off its dedicated connection.
@@ -953,7 +943,7 @@ func (r *frameReader) Close() error {
 	return r.conn.Close()
 }
 
-// streamCursor decodes the frames of one "open"/"openplan" stream. It is a
+// streamCursor decodes the frames of one "openplan" stream. It is a
 // rel.ColCursor: NextCol maps each frame onto column vectors with
 // O(columns) allocations and Next is the batch's cached row view.
 type streamCursor struct {

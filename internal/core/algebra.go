@@ -24,16 +24,14 @@ type Algebra struct {
 
 // NewAlgebra returns an Algebra using r to canonicalize values in
 // attribute–attribute equality comparisons. A nil r means exact comparison.
-// The resolver is wrapped in an identity.Scoped, so the canonical-ID intern
-// table the hot paths probe lives and dies with this Algebra.
+// A resolver is immutable, so the Algebra holds it as is: one resolver may
+// serve any number of algebras and concurrent queries.
 func NewAlgebra(r identity.Resolver) *Algebra {
-	exact := r == nil
+	_, exact := r.(identity.Exact)
 	if r == nil {
-		r = identity.Exact{}
-	} else if _, ok := r.(identity.Exact); ok {
-		exact = true
+		r, exact = identity.Exact{}, true
 	}
-	return &Algebra{resolver: identity.NewScoped(r), exact: exact}
+	return &Algebra{resolver: r, exact: exact}
 }
 
 // ResolverIsExact reports whether the algebra compares instances exactly
@@ -54,14 +52,14 @@ func (a *Algebra) Resolver() identity.Resolver {
 }
 
 // same reports whether two data values denote the same instance under the
-// algebra's resolver. Nulls never match. It compares interned canonical IDs
-// — a pair of map probes — instead of materializing two canonical strings.
+// algebra's resolver. Nulls never match. It compares canonical values
+// (Resolver.Canon) instead of materializing two canonical strings.
 func (a *Algebra) same(x, y rel.Value) bool {
 	if x.IsNull() || y.IsNull() {
 		return false
 	}
 	r := a.Resolver()
-	return r.CanonicalID(x) == r.CanonicalID(y)
+	return r.Canon(x).Identical(r.Canon(y))
 }
 
 // evalTheta applies θ between two data values, routing equality and

@@ -25,76 +25,59 @@ func (a *Algebra) Join(p1 *Relation, x string, theta rel.Theta, p2 *Relation, y 
 	return drained(a.StreamJoin(CursorOf(p1), x, theta, CursorOf(p2), y))
 }
 
-// idIndex is a build-side hash-join index keyed by interned canonical IDs.
-// IDs are dense small integers (the resolver assigns them sequentially), so
-// when the ID space is compact relative to the build side the buckets are
-// stored in CSR form — a prefix-sum offsets slice over one backing array of
-// positions — probed with two bounds-checked loads instead of a map lookup,
-// and built with a constant number of allocations. A long-lived resolver
-// whose table dwarfs the build relation falls back to a map. Buckets hold
-// positions, not tuples: every layout is pointer-free and costs the garbage
-// collector nothing.
-type idIndex struct {
-	offsets []int32 // dense path: bucket id spans backing[offsets[id]:offsets[id+1]]
-	backing []int32
-	sparse  map[uint64][]int32
+// keyIndex is the build side of the equi-join, OuterJoin and Merge: it
+// buckets positions by the hash of their key's canonical value under the
+// algebra's resolver (identity.Resolver.Canon) through the shared
+// rel.BucketIndex, and confirms candidates with Identical — the mechanism
+// duplicate elimination applies to the value itself. Null keys match
+// nothing, so callers never add or look them up.
+type keyIndex struct {
+	rel.BucketIndex
+	res   identity.Resolver
+	canon []rel.Value // canonical key of each added position
 }
 
-func newIDIndex(res identity.Resolver, tuples []Tuple, yi int) idIndex {
-	ids := make([]uint64, len(tuples))
-	maxID := uint64(0)
+// newKeyIndex returns an index for positions 0..n-1.
+func newKeyIndex(res identity.Resolver, n int) keyIndex {
+	return keyIndex{BucketIndex: rel.NewBucketIndex(n), res: res, canon: make([]rel.Value, n)}
+}
+
+// buildKeyIndex indexes every tuple by its non-null yi cell.
+func buildKeyIndex(res identity.Resolver, tuples []Tuple, yi int) keyIndex {
+	ix := newKeyIndex(res, len(tuples))
 	for i, t := range tuples {
-		if t[yi].D.IsNull() {
-			ids[i] = 0 // resolver IDs start at 1; 0 marks "skip"
-			continue
-		}
-		id := res.CanonicalID(t[yi].D)
-		ids[i] = id
-		if id > maxID {
-			maxID = id
-		}
-	}
-	var ix idIndex
-	if maxID <= uint64(4*len(tuples))+1024 && len(tuples) <= 1<<30 {
-		// Counting sort into CSR buckets; within a bucket positions stay in
-		// build order, matching the append order of the map layout.
-		ix.offsets = make([]int32, maxID+2)
-		for _, id := range ids {
-			if id != 0 {
-				ix.offsets[id+1]++
-			}
-		}
-		for i := 1; i < len(ix.offsets); i++ {
-			ix.offsets[i] += ix.offsets[i-1]
-		}
-		ix.backing = make([]int32, ix.offsets[len(ix.offsets)-1])
-		cur := make([]int32, maxID+1)
-		copy(cur, ix.offsets[:maxID+1])
-		for i, id := range ids {
-			if id != 0 {
-				ix.backing[cur[id]] = int32(i)
-				cur[id]++
-			}
-		}
-		return ix
-	}
-	ix.sparse = make(map[uint64][]int32, len(tuples))
-	for i, id := range ids {
-		if id != 0 {
-			ix.sparse[id] = append(ix.sparse[id], int32(i))
+		if d := t[yi].D; !d.IsNull() {
+			ix.canon[i] = res.Canon(d)
+			ix.Add(ix.canon[i].Hash64(rel.Seed), i)
 		}
 	}
 	return ix
 }
 
-func (ix idIndex) lookup(id uint64) []int32 {
-	if ix.offsets != nil {
-		if id+1 < uint64(len(ix.offsets)) {
-			return ix.backing[ix.offsets[id]:ix.offsets[id+1]]
+// lookup appends to buf, in build order, the positions whose key denotes
+// the same instance as v.
+func (ix keyIndex) lookup(v rel.Value, buf []int32) []int32 {
+	c := ix.res.Canon(v)
+	ix.ForEach(c.Hash64(rel.Seed), func(pos int) bool {
+		if ix.canon[pos].Identical(c) {
+			buf = append(buf, int32(pos))
 		}
-		return nil
+		return true
+	})
+	return buf
+}
+
+// intern returns the position whose key denotes the same instance as v,
+// adding v's canonical value at pos when there is none.
+func (ix keyIndex) intern(v rel.Value, pos int) int {
+	c := ix.res.Canon(v)
+	h := c.Hash64(rel.Seed)
+	if at, ok := ix.Find(h, func(at int) bool { return ix.canon[at].Identical(c) }); ok {
+		return at
 	}
-	return ix.sparse[id]
+	ix.canon[pos] = c
+	ix.Add(h, pos)
+	return pos
 }
 
 // joinCoalesces reports whether a join on the two attributes is natural

@@ -122,14 +122,14 @@ func (a *Algebra) OuterJoin(p1 *Relation, x string, p2 *Relation, y string) (*Re
 	attrs := productAttrs(p1.Attrs, p2.Name, p2.Attrs)
 	out := NewRelation("", p1.Reg, attrs...)
 
-	// Probe by interned canonical ID over position buckets, as Join does.
-	res := a.Resolver()
-	index := newIDIndex(res, p2.Tuples, yi)
+	// Probe by canonical key over position buckets, as Join does.
+	index := buildKeyIndex(a.Resolver(), p2.Tuples, yi)
 	matched2 := make([]bool, len(p2.Tuples))
+	var matches []int32
 	for _, t1 := range p1.Tuples {
-		var matches []int32
+		matches = matches[:0]
 		if !t1[xi].D.IsNull() {
-			matches = index.lookup(res.CanonicalID(t1[xi].D))
+			matches = index.lookup(t1[xi].D, matches)
 		}
 		if len(matches) == 0 {
 			// Unmatched left tuple: right side nil-padded; only the left
@@ -201,7 +201,7 @@ func colsByPolygen(attrs []Attr, pa string) []int {
 // Merge extends the Outer Natural Total Join to any number of polygen
 // relations of one scheme (§II): the left fold of ONTJ over rels, computed
 // in one keyed pass. The outer join on the key never lets rows with
-// different canonical key IDs interact, so a hash table keeps each key's
+// different canonical keys interact, so a hash table keeps each key's
 // rows and every fragment's step is replayed on them in place; a step that
 // lacks the key is applied when the key is next met. A single operand only
 // has its columns renamed to their polygen attributes.
@@ -221,8 +221,7 @@ func (a *Algebra) Merge(scheme *Scheme, rels ...*Relation) (*Relation, error) {
 		total += len(p.Tuples)
 	}
 	m.groups, m.first = make([]mergeGroup, 0, total), make([]Tuple, total)
-	res := a.Resolver()
-	ids := make(map[uint64]int32, total)
+	keys := newKeyIndex(a.Resolver(), total)
 	next := make([]int32, total)
 	var touched []int32
 	for j, p := range rels {
@@ -230,12 +229,7 @@ func (a *Algebra) Merge(scheme *Scheme, rels ...*Relation) (*Relation, error) {
 		for i, t := range p.Tuples {
 			g := int32(len(m.groups))
 			if k := t[m.key[j]].D; !k.IsNull() {
-				id := res.CanonicalID(k)
-				if h, ok := ids[id]; ok {
-					g = h
-				} else {
-					ids[id] = g
-				}
+				g = int32(keys.intern(k, int(g)))
 			}
 			if int(g) == len(m.groups) {
 				// A new key starts as one all-nil row.

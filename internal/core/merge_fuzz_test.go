@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/identity"
 	"repro/internal/rel"
 	"repro/internal/sourceset"
 )
@@ -66,19 +65,28 @@ func fuzzMergeOperands(reg *sourceset.Registry, data []byte) []*Relation {
 }
 
 // FuzzMergeMatchesReference holds the keyed Merge to the reference fold on
-// decoded operands: both fail, or both return the same attribute list and
+// decoded operands under the resolver the first byte picks among the
+// property resolvers: both fail, or both return the same attribute list and
 // the same rows cell for cell.
 func FuzzMergeMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 7, 3, 5, 1, 2, 70, 0, 6, 1, 5, 2, 99, 1, 8, 0, 1, 1})
 	f.Add([]byte{5, 1, 4, 0, 2, 1, 64, 1, 65, 6, 3, 100, 9, 2, 4, 5, 2, 1, 3, 7, 6, 1, 1, 1, 2, 2})
 	f.Add([]byte{3, 15, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 7, 2, 1, 1, 1, 1, 1, 1, 1, 1, 9, 3, 3, 3})
+	f.Add([]byte{1, 5, 1, 4, 0, 2, 1, 64, 1, 65, 6, 3, 100, 9, 2, 4, 5, 2, 1, 3, 7, 6, 1, 1, 1, 2, 2})
 	reg := sourceset.NewRegistry()
 	for i := 0; i <= 100; i++ {
 		reg.Intern(workloadDBName(i))
 	}
-	alg := NewAlgebra(identity.CaseFold{})
+	algs := make([]*Algebra, len(propertyResolvers))
+	for i, res := range propertyResolvers {
+		algs[i] = NewAlgebra(res)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		alg := algs[0]
+		if len(data) > 0 {
+			alg, data = algs[int(data[0])%len(algs)], data[1:]
+		}
 		rels := fuzzMergeOperands(reg, data)
 		got, err := alg.Merge(mergeScheme, rels...)
 		ref, rerr := alg.RefMerge(mergeScheme, rels...)

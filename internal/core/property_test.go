@@ -454,9 +454,9 @@ func TestPropertyCoalesceKeepsDegreeAndCardinality(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Hash-keyed engine vs. string-keyed reference (reference.go).
 //
-// The rewritten operators bucket by Tuple.DataHash64 / Resolver.CanonicalID;
-// the reference operators key maps by Tuple.DataKey / Resolver.Canonical
-// strings. The two must agree cell for cell — data and both tag sets. Tag
+// The rewritten operators bucket by Tuple.DataHash64 and by the hash of
+// Resolver.Canon; the reference operators key maps by Tuple.DataKey /
+// Resolver.Canonical strings. The two must agree cell for cell — data and both tag sets. Tag
 // sets are drawn from up to 100 sources so the sourceset overflow path
 // (IDs >= 64, stored in the sorted rest slice) is exercised as well.
 
@@ -579,16 +579,20 @@ func TestPropertyHashUnionDifferenceIntersectMatchReference(t *testing.T) {
 	}
 }
 
+// propertyResolvers are the resolvers the keyed operators are held to the
+// reference under: exact matching, case folding, and a synonym table over
+// case folding.
+var propertyResolvers = []identity.Resolver{
+	identity.Exact{},
+	identity.CaseFold{},
+	identity.NewSynonyms(identity.CaseFold{},
+		[]rel.Value{rel.String("a"), rel.String("b")},
+		[]rel.Value{rel.String("c"), rel.String("d")},
+	),
+}
+
 func TestPropertyHashJoinMatchesReference(t *testing.T) {
-	resolvers := []identity.Resolver{
-		identity.Exact{},
-		identity.CaseFold{},
-		identity.NewSynonyms(identity.CaseFold{},
-			[]rel.Value{rel.String("a"), rel.String("b")},
-			[]rel.Value{rel.String("c"), rel.String("d")},
-		),
-	}
-	for ri, res := range resolvers {
+	for ri, res := range propertyResolvers {
 		g, reg := newWideGen(int64(30 + ri))
 		alg := NewAlgebra(res)
 		for i := 0; i < 200; i++ {
@@ -608,20 +612,22 @@ func TestPropertyHashJoinMatchesReference(t *testing.T) {
 }
 
 func TestPropertyHashOuterJoinMatchesReference(t *testing.T) {
-	g, reg := newWideGen(40)
-	alg := NewAlgebra(identity.CaseFold{})
-	for i := 0; i < 200; i++ {
-		p1 := g.wideRelation(reg, "K/PK", "V")
-		p2 := g.wideRelation(reg, "K2/PK", "W")
-		got, err := alg.OuterJoin(p1, "K", p2, "K2")
-		if err != nil {
-			t.Fatal(err)
+	for ri, res := range propertyResolvers {
+		g, reg := newWideGen(int64(40 + ri))
+		alg := NewAlgebra(res)
+		for i := 0; i < 200; i++ {
+			p1 := g.wideRelation(reg, "K/PK", "V")
+			p2 := g.wideRelation(reg, "K2/PK", "W")
+			got, err := alg.OuterJoin(p1, "K", p2, "K2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := alg.RefOuterJoin(p1, "K", p2, "K2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSameRendered(t, "outer join", i, got, ref)
 		}
-		ref, err := alg.RefOuterJoin(p1, "K", p2, "K2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameRendered(t, "outer join", i, got, ref)
 	}
 }
 
@@ -633,21 +639,23 @@ func TestPropertyHashMergeMatchesReference(t *testing.T) {
 			{Name: "K"}, {Name: "A"}, {Name: "B"},
 		},
 	}
-	g, reg := newWideGen(50)
-	alg := NewAlgebra(identity.CaseFold{})
-	for i := 0; i < 100; i++ {
-		p1 := g.wideRelation(reg, "K/K", "A/A")
-		p2 := g.wideRelation(reg, "K2/K", "B/B")
-		p3 := g.wideRelation(reg, "K3/K", "A2/A")
-		got, err := alg.Merge(scheme, p1, p2, p3)
-		if err != nil {
-			t.Fatal(err)
+	for ri, res := range propertyResolvers {
+		g, reg := newWideGen(int64(50 + ri))
+		alg := NewAlgebra(res)
+		for i := 0; i < 100; i++ {
+			p1 := g.wideRelation(reg, "K/K", "A/A")
+			p2 := g.wideRelation(reg, "K2/K", "B/B")
+			p3 := g.wideRelation(reg, "K3/K", "A2/A")
+			got, err := alg.Merge(scheme, p1, p2, p3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := alg.RefMerge(scheme, p1, p2, p3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSameRendered(t, "merge", i, got, ref)
 		}
-		ref, err := alg.RefMerge(scheme, p1, p2, p3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameRendered(t, "merge", i, got, ref)
 	}
 }
 
@@ -682,31 +690,33 @@ func (g *gen) mergeFragment(reg *sourceset.Registry) *Relation {
 // TestPropertyMergeNWayMatchesReference holds the keyed Merge to the
 // reference fold of string-keyed Outer Natural Total Joins over 1–8
 // operands — duplicate and null keys, NaN and -0, tags past ID 64 — under
-// the default and a custom conflict handler: the same attribute list, and
-// the same rows cell for cell.
+// every property resolver and the default and a custom conflict handler:
+// the same attribute list, and the same rows cell for cell.
 func TestPropertyMergeNWayMatchesReference(t *testing.T) {
 	handlers := []ConflictHandler{nil, func(x, y Cell) Cell {
 		return Cell{D: y.D, O: y.O.Union(x.O), I: x.I}
 	}}
-	for hi, h := range handlers {
-		g, reg := newWideGen(int64(90 + hi))
-		alg := NewAlgebra(identity.CaseFold{})
-		alg.SetConflictHandler(h)
-		for i := 0; i < 400; i++ {
-			rels := make([]*Relation, 1+g.r.Intn(8))
-			for k := range rels {
-				rels[k] = g.mergeFragment(reg)
+	for ri, res := range propertyResolvers {
+		for hi, h := range handlers {
+			g, reg := newWideGen(int64(90 + 2*ri + hi))
+			alg := NewAlgebra(res)
+			alg.SetConflictHandler(h)
+			for i := 0; i < 400; i++ {
+				rels := make([]*Relation, 1+g.r.Intn(8))
+				for k := range rels {
+					rels[k] = g.mergeFragment(reg)
+				}
+				got, err := alg.Merge(mergeScheme, rels...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := alg.RefMerge(mergeScheme, rels...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSameAttrs(t, i, got, ref)
+				wantSameRendered(t, "n-way merge", i, got, ref)
 			}
-			got, err := alg.Merge(mergeScheme, rels...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := alg.RefMerge(mergeScheme, rels...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameAttrs(t, i, got, ref)
-			wantSameRendered(t, "n-way merge", i, got, ref)
 		}
 	}
 }
@@ -876,15 +886,7 @@ func TestPropertyStreamProductMatchesMaterialized(t *testing.T) {
 }
 
 func TestPropertyStreamJoinMatchesEngines(t *testing.T) {
-	resolvers := []identity.Resolver{
-		identity.Exact{},
-		identity.CaseFold{},
-		identity.NewSynonyms(identity.CaseFold{},
-			[]rel.Value{rel.String("a"), rel.String("b")},
-			[]rel.Value{rel.String("c"), rel.String("d")},
-		),
-	}
-	for ri, res := range resolvers {
+	for ri, res := range propertyResolvers {
 		g, reg := newWideGen(int64(74 + ri))
 		alg := NewAlgebra(res)
 		for i := 0; i < 200; i++ {
@@ -981,7 +983,7 @@ func TestNaNDatumIdentity(t *testing.T) {
 }
 
 // TestSignedZeroDatumIdentity pins the ±0 semantics: Equal, Identical, Key
-// and CanonicalID all treat +0.0 and -0.0 as one datum, so both engines
+// and Hash64 all treat +0.0 and -0.0 as one datum, so both engines
 // must deduplicate and join them identically.
 func TestSignedZeroDatumIdentity(t *testing.T) {
 	_, reg := newGen(61)

@@ -403,7 +403,7 @@ func (c *differenceStream) Next() ([]Tuple, error) {
 }
 
 // joinStream is the streaming hash Join for θ = "=": the right operand is
-// drained into the interned-ID index on the first Next, then the left is
+// drained into the canonical-key index on the first Next, then the left is
 // streamed through it, joined rows emitted in batches capped at
 // DefaultBatchSize — a skewed many-to-many key cannot blow one Next() up
 // to the full fan-out.
@@ -414,7 +414,7 @@ type joinStream struct {
 	coalesce bool
 	out      *Relation
 	p2       *Relation
-	index    idIndex
+	index    keyIndex
 	cur      []Tuple // current left batch
 	li       int     // current left tuple within cur
 	matches  []int32 // pending build-side matches of cur[li]
@@ -484,9 +484,8 @@ func (c *joinStream) Next() ([]Tuple, error) {
 			return c.failBuild(err)
 		}
 		c.p2 = p2
-		c.index = newIDIndex(c.a.Resolver(), p2.Tuples, c.yi)
+		c.index = buildKeyIndex(c.a.Resolver(), p2.Tuples, c.yi)
 	}
-	res := c.a.Resolver()
 	rows := make([]Tuple, 0, rel.DefaultBatchSize)
 	for {
 		// Emit pending matches of the current left tuple, up to the cap.
@@ -512,9 +511,9 @@ func (c *joinStream) Next() ([]Tuple, error) {
 			c.cur, c.li = batch, 0
 		}
 		t1 := c.cur[c.li]
-		c.matches, c.mi = nil, 0
+		c.matches, c.mi = c.matches[:0], 0
 		if !t1[c.xi].D.IsNull() {
-			c.matches = c.index.lookup(res.CanonicalID(t1[c.xi].D))
+			c.matches = c.index.lookup(t1[c.xi].D, c.matches)
 		}
 	}
 }

@@ -90,61 +90,98 @@ func TestSynonymsEmptyGroup(t *testing.T) {
 	}
 }
 
-// TestCanonicalIDAgreesWithCanonical: for every resolver, interned IDs are
-// equal exactly when canonical strings are — the contract the hash-native
-// Join/Merge/Restrict paths rely on.
-func TestCanonicalIDAgreesWithCanonical(t *testing.T) {
+// FuzzCanonAgreesWithCanonical holds every resolver to the contract the
+// engine's Join, Merge and Restrict rely on: canonical values are Identical
+// exactly when canonical strings are equal, and Canon is idempotent. The
+// fuzzed pair is a kind byte plus a payload each, checked against the seed
+// values too.
+func FuzzCanonAgreesWithCanonical(f *testing.F) {
+	f.Add(byte(3), "", 0.0, byte(3), "", math.Copysign(0, -1)) // -0 beside +0
+	f.Add(byte(3), "", math.NaN(), byte(3), "", math.NaN())
+	f.Add(byte(2), "", 5.0, byte(3), "", 5.0) // Int(5) beside Float(5)
+	f.Add(byte(1), "5", 0.0, byte(2), "", 5.0)
+	f.Add(byte(0), "", 0.0, byte(1), "", 0.0) // null beside ""
+	f.Add(byte(1), "I.B.M.", 0.0, byte(1), "ibm", 0.0)
+	f.Add(byte(1), "  Langley \t Castle ", 0.0, byte(1), "langley castle", 0.0)
+	f.Add(byte(1), "Banker's, Trust.", 0.0, byte(1), "BANKERS TRUST", 0.0)
+	f.Add(byte(1), "Big Blue", 0.0, byte(1), "DEC", 0.0)
+	f.Add(byte(1), "Digital Equipment", 0.0, byte(1), "big blue", 0.0)
+	f.Add(byte(1), "\xff", 0.0, byte(1), "\uFFFD", 0.0)
 	resolvers := map[string]Resolver{
 		"exact":    Exact{},
 		"casefold": CaseFold{},
+		// Overlapping groups: "IBM" and "DEC" are each claimed by two
+		// groups, so the later group owns them, and the first group's
+		// first member is not its own.
 		"synonyms": NewSynonyms(CaseFold{},
-			[]rel.Value{rel.String("Big Blue"), rel.String("IBM")},
+			[]rel.Value{rel.String("IBM"), rel.String("Big Blue")},
+			[]rel.Value{rel.String("i.b.m."), rel.String("DEC"), rel.Int(5)},
+			[]rel.Value{rel.String("dec"), rel.String("Digital Equipment"), rel.Null()},
 		),
 	}
-	values := []rel.Value{
-		rel.String("IBM"), rel.String("I.B.M."), rel.String("ibm"),
-		rel.String("Big Blue"), rel.String("DEC"), rel.String(""),
-		rel.Int(1), rel.Int(2), rel.Float(1), rel.Bool(true), rel.Null(),
+	seeds := []rel.Value{
+		rel.Null(), rel.Int(5), rel.Float(5), rel.String("5"), rel.String(""),
 		rel.Float(0), rel.Float(math.Copysign(0, -1)), rel.Float(math.NaN()),
+		rel.String("IBM"), rel.String("Big Blue"), rel.String("DEC"), rel.Bool(true),
 	}
-	for name, res := range resolvers {
-		for _, v := range values {
-			for _, w := range values {
-				wantSame := res.Canonical(v) == res.Canonical(w)
-				gotSame := res.CanonicalID(v) == res.CanonicalID(w)
-				if wantSame != gotSame {
-					t.Errorf("%s: CanonicalID equality for %v vs %v = %v, Canonical equality = %v",
-						name, v, w, gotSame, wantSame)
+	value := func(kind byte, s string, x float64) rel.Value {
+		switch kind % 5 {
+		case 1:
+			return rel.String(s)
+		case 2:
+			return rel.Int(int64(x))
+		case 3:
+			return rel.Float(x)
+		case 4:
+			return rel.Bool(x > 0)
+		}
+		return rel.Null()
+	}
+	f.Fuzz(func(t *testing.T, k1 byte, s1 string, x1 float64, k2 byte, s2 string, x2 float64) {
+		vs := append([]rel.Value{value(k1, s1, x1), value(k2, s2, x2)}, seeds...)
+		for name, res := range resolvers {
+			for _, v := range vs[:2] {
+				c := res.Canon(v)
+				if !res.Canon(c).Identical(c) {
+					t.Errorf("%s: Canon(%#v) = %#v is not a fixed point", name, v, c)
+				}
+				for _, w := range vs {
+					wantSame := res.Canonical(v) == res.Canonical(w)
+					gotSame := c.Identical(res.Canon(w))
+					if wantSame != gotSame {
+						t.Errorf("%s: Canon agreement for %#v vs %#v = %v, Canonical agreement = %v",
+							name, v, w, gotSame, wantSame)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
-// TestCanonicalIDStableAcrossGoroutines: concurrent queries probe one
-// shared resolver; every goroutine must see the same ID.
-func TestCanonicalIDStableAcrossGoroutines(t *testing.T) {
+// TestCanonStableAcrossGoroutines: concurrent queries probe one shared
+// resolver; every goroutine must see the same canonical value.
+func TestCanonStableAcrossGoroutines(t *testing.T) {
 	s := NewSynonyms(CaseFold{}, []rel.Value{rel.String("IBM"), rel.String("Big Blue")})
 	const goroutines = 8
-	ids := make([]uint64, goroutines)
+	canon := make([]rel.Value, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				ids[i] = s.CanonicalID(rel.String("big blue"))
+				canon[i] = s.Canon(rel.String("big blue"))
 			}
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < goroutines; i++ {
-		if ids[i] != ids[0] {
-			t.Fatalf("goroutine %d saw ID %d, goroutine 0 saw %d", i, ids[i], ids[0])
+		if !canon[i].Identical(canon[0]) {
+			t.Fatalf("goroutine %d saw %v, goroutine 0 saw %v", i, canon[i], canon[0])
 		}
 	}
-	if s.CanonicalID(rel.String("I.B.M.")) != ids[0] {
-		t.Error("synonym group did not intern to one ID")
+	if !s.Canon(rel.String("I.B.M.")).Identical(canon[0]) {
+		t.Error("synonym group did not canonicalize to one value")
 	}
 }
 
@@ -162,20 +199,4 @@ func TestSynonymsSurrogateRangeGroups(t *testing.T) {
 	if a == b {
 		t.Fatalf("groups 0xD800 and 0xD801 merged: both canonicalize to %q", a)
 	}
-}
-
-// TestFlushInternCaches: a flush at a quiescent point releases the global
-// tables and fresh IDs still satisfy the CanonicalID contract.
-func TestFlushInternCaches(t *testing.T) {
-	a := Exact{}.CanonicalID(rel.String("flush-me"))
-	FlushInternCaches()
-	b := Exact{}.CanonicalID(rel.String("flush-me"))
-	c := Exact{}.CanonicalID(rel.String("flush-me"))
-	if b != c {
-		t.Fatal("post-flush IDs unstable")
-	}
-	if (Exact{}).CanonicalID(rel.String("other")) == b {
-		t.Fatal("post-flush IDs conflate distinct values")
-	}
-	_ = a // pre-flush IDs are not comparable with post-flush ones by contract
 }

@@ -190,13 +190,6 @@ type TrailEntry struct {
 // Policy returns the session's degradation policy.
 func (se *Session) Policy() federation.Policy { return se.policy }
 
-// Trail returns a copy of the session's audit trail, oldest first.
-func (se *Session) Trail() []TrailEntry {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return append([]TrailEntry(nil), se.trail...)
-}
-
 // LastUsed returns the session's last activity time.
 func (se *Session) LastUsed() time.Time {
 	se.mu.Lock()
@@ -206,9 +199,9 @@ func (se *Session) LastUsed() time.Time {
 
 // Snapshot returns the session's last activity time and a copy of its audit
 // trail under one lock acquisition — a consistent point-in-time read (the
-// trail never contains a statement newer than the returned time). The V$
-// virtual tables build their rows from it; reading LastUsed and Trail
-// separately can interleave with a concurrent statement and disagree.
+// trail, oldest first, never contains a statement newer than the returned
+// time). The V$ virtual tables build their rows from it; reading the two
+// separately could interleave with a concurrent statement and disagree.
 func (se *Session) Snapshot() (lastUsed time.Time, trail []TrailEntry) {
 	se.mu.Lock()
 	defer se.mu.Unlock()
@@ -333,7 +326,7 @@ func (s *Service) SessionCount() int {
 
 // Sessions returns the live sessions, oldest first (ID breaks ties), as a
 // copy of the session table taken under one lock acquisition. The returned
-// *Session values are the live sessions — their own accessors (Trail,
+// *Session values are the live sessions — their own accessors (Snapshot,
 // LastUsed) lock per session — but the slice itself is the caller's; the
 // V$SESSION and V$STMT virtual tables snapshot through it.
 func (s *Service) Sessions() []*Session {

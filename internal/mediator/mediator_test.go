@@ -213,7 +213,7 @@ func TestTrailRecords(t *testing.T) {
 	if !ok {
 		t.Fatal("session vanished")
 	}
-	trail := sess.Trail()
+	_, trail := sess.Snapshot()
 	if len(trail) != 2 {
 		t.Fatalf("trail has %d entries, want 2: %+v", len(trail), trail)
 	}
@@ -237,8 +237,8 @@ func TestTrailBounded(t *testing.T) {
 		}
 	}
 	sess, _ := svc.Session(info.ID)
-	if got := len(sess.Trail()); got != 3 {
-		t.Fatalf("trail has %d entries, want the 3 most recent", got)
+	if _, trail := sess.Snapshot(); len(trail) != 3 {
+		t.Fatalf("trail has %d entries, want the 3 most recent", len(trail))
 	}
 }
 

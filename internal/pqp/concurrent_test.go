@@ -5,8 +5,8 @@ package pqp
 // from serial execution — cell for cell, origin and intermediate tags
 // included. This property suite proves it: serial baselines first, then N
 // goroutines hammering the same shared instance with the same and different
-// queries (through the shared plan cache, resolver interner and statistics
-// catalog), every answer compared against its baseline. The CI race job
+// queries (through the shared plan cache, resolver and statistics catalog),
+// every answer compared against its baseline. The CI race job
 // runs the whole test suite under -race, so these tests double as data-race
 // probes for the shared paths.
 
@@ -99,7 +99,7 @@ func hammer(t *testing.T, q *PQP, queries []concQuery, workers, rounds int) {
 
 // TestConcurrentQueriesMatchSerialPaper: the paper federation under a
 // case-folding resolver — merges, coalesces, domain mappings and the
-// canonical-ID interner all shared.
+// resolver all shared.
 func TestConcurrentQueriesMatchSerialPaper(t *testing.T) {
 	fed := paperdata.New()
 	q := New(fed.Schema, fed.Registry, identity.CaseFold{}, fed.LQPs())

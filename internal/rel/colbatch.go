@@ -11,9 +11,8 @@ import (
 // touches packed arrays — a kind byte per row, a uint64 payload word per
 // row, string payloads sliced out of one shared blob — instead of chasing
 // per-row slice headers. Row views (Rows) are carved out of a single
-// batch-owned arena, exactly like Relation.NewRow's chunks, so handing a
-// columnar batch to a []Tuple consumer costs two allocations per batch, not
-// two per row.
+// batch-owned arena, so handing a columnar batch to a []Tuple consumer
+// costs two allocations per batch, not two per row.
 
 // Column is one typed vector of a ColBatch: the values of one attribute
 // across the batch's rows, struct-of-arrays style.

@@ -159,6 +159,9 @@ type dedupCursor struct {
 	arena []Value
 }
 
+// arenaChunkValues caps the value count of one projectCursor arena chunk.
+const arenaChunkValues = 4096
+
 // DedupCursor returns a cursor over the rows of in with duplicates
 // eliminated: a row Identical to one already emitted is dropped, so the
 // first occurrence in stream order wins. Kept rows pass through uncopied

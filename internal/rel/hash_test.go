@@ -109,26 +109,3 @@ func TestPartitionOf(t *testing.T) {
 		t.Fatalf("parts < 1 must collapse to partition 0")
 	}
 }
-
-// TestNewRowIsolation: rows carved from one arena must not alias; appending
-// through a row's capacity must not clobber its neighbor.
-func TestNewRowIsolation(t *testing.T) {
-	r := NewRelation("T", SchemaOf("A", "B"))
-	r1 := r.NewRow(2)
-	r1[0], r1[1] = String("x"), String("y")
-	r2 := r.NewRow(2)
-	r2[0], r2[1] = String("p"), String("q")
-	if !r1.Equal(Tuple{String("x"), String("y")}) {
-		t.Fatalf("row 1 corrupted: %v", r1)
-	}
-	grown := append(r1[:0], String("x2"), String("y2"), String("z2"))
-	if !r2.Equal(Tuple{String("p"), String("q")}) {
-		t.Fatalf("append through row 1 clobbered row 2: %v", r2)
-	}
-	_ = grown
-	// Chunk rollover: rows larger than a chunk still come out whole.
-	big := r.NewRow(10000)
-	if len(big) != 10000 {
-		t.Fatalf("big row length %d", len(big))
-	}
-}

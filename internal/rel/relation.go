@@ -158,33 +158,6 @@ type Relation struct {
 	Schema *Schema
 	// Tuples holds the rows.
 	Tuples []Tuple
-	// arena backs rows built by NewRow: output rows are sliced out of
-	// relation-owned chunks instead of one make per row. Rows carved from
-	// retired chunks stay valid, so the arena only grows forward.
-	arena []Value
-}
-
-// arenaChunkValues is the value count of one freshly-grown arena chunk.
-const arenaChunkValues = 4096
-
-// NewRow returns a zeroed row of n values sliced out of the relation's
-// arena. The row's capacity is clamped to n, so appending to it cannot
-// scribble over neighboring rows. Relations are built by a single goroutine;
-// NewRow is not safe for concurrent use on one relation.
-func (r *Relation) NewRow(n int) Tuple {
-	if n == 0 {
-		return Tuple{}
-	}
-	if cap(r.arena)-len(r.arena) < n {
-		chunk := arenaChunkValues
-		if chunk < n {
-			chunk = n
-		}
-		r.arena = make([]Value, 0, chunk)
-	}
-	s := len(r.arena)
-	r.arena = r.arena[:s+n]
-	return r.arena[s : s+n : s+n]
 }
 
 // NewRelation builds an empty relation over the given schema.
